@@ -1,10 +1,16 @@
-"""Axis-aligned box geometry: areas, intersection, IoU, and directed overlap."""
+"""Axis-aligned box geometry: areas, intersection, IoU, and directed overlap.
+
+The scalar kernels work on ``Box`` objects; ``pairwise_overlaps`` computes the
+same quantities for every pair of an ``(n, 4)`` box array at once.
+"""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "GeometryError",
@@ -13,6 +19,7 @@ __all__ = [
     "intersection_area",
     "iou",
     "asymmetric_overlap",
+    "pairwise_overlaps",
     "hull",
     "set_plus_one",
     "plus_one_enabled",
@@ -137,6 +144,33 @@ def asymmetric_overlap(selected: Box, candidate: Box) -> float:
     if inter == 0.0:
         return 0.0
     return inter / area(candidate)
+
+
+def _extents(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return hi - lo + 1.0 if _PLUS_ONE else hi - lo
+
+
+def pairwise_overlaps(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and directed-overlap matrices for an ``(n, 4)`` array of corner boxes.
+
+    ``ious[i, j]`` is ``iou(box_i, box_j)`` and ``directed[i, j]`` is
+    ``asymmetric_overlap(box_i, box_j)`` (box i selected, box j the
+    candidate), bit for bit: the same elementwise operations in the same
+    order, under the active extent convention.
+    """
+    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    lo, hi = b[:, :2], b[:, 2:]
+    sides = _extents(lo, hi)
+    areas = sides[:, 0] * sides[:, 1]
+    # [i, j, axis]: extent of the intersection of boxes i and j along x and y.
+    overlap = _extents(np.maximum(lo[:, None], lo), np.minimum(hi[:, None], hi))
+    iw, ih = overlap[..., 0], overlap[..., 1]
+    inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+    overlapping = inter != 0.0
+    union = areas[:, None] + areas - inter
+    ious = np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
+    directed = np.divide(inter, areas, out=np.zeros_like(inter), where=overlapping)
+    return ious, directed
 
 
 def hull(boxes: Iterable[Box]) -> Box:

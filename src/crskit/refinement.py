@@ -5,26 +5,33 @@ ground truth (suppression followed by count-constrained selection), refits a
 nearest-centroid cosine scorer on the selected features, and rescores every
 proposal for the next round. With ``count_guided`` off, selection degrades to
 the single top-scoring region per image and class.
+
+Boxes never change during a run, and the suppression and selection thresholds
+are fixed by the run's config, so ``run_adr`` computes each image's pairwise
+overlaps once, as conflict masks (``ImageOverlaps``), and every selection and
+evaluation of the run walks those masks in the current score order.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .evaluation import Detection, EvalReport, build_report
-from .geometry import Box, iou
+from .geometry import iou, pairwise_overlaps
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
-    ScoredRegion,
-    SelectionProblem,
     SelectionResult,
-    crs_greedy,
-    nms,
+    conflict_masks,
+    greedy_walk,
+    nms,  # noqa: F401  kept importable as refinement.nms for existing callers
+    rank_order,
+    suppress,
 )
 from .world import DEFAULT_FEATURE_DIM, ImageRecord
 
@@ -32,9 +39,11 @@ __all__ = [
     "FeatureDimensionError",
     "RefinementConfig",
     "CentroidScorer",
+    "ImageOverlaps",
     "IterationReport",
     "RefinementReport",
     "score_proposals",
+    "image_overlaps",
     "select_pseudo_gt",
     "retrain_scorer",
     "selection_purity",
@@ -96,12 +105,16 @@ class CentroidScorer:
         )
 
 
-def _cosine_score(feature: np.ndarray, prototype: np.ndarray) -> float:
-    fn = float(np.linalg.norm(feature))
-    pn = float(np.linalg.norm(prototype))
-    if fn == 0.0 or pn == 0.0:
+def _norm(vector: np.ndarray) -> float:
+    # np.linalg.norm computes a vector's norm as sqrt(x @ x); doing the same
+    # here gives the same bits without its per-call overhead.
+    return math.sqrt(vector @ vector)
+
+
+def _cosine_score(dot: float, feature_norm: float, prototype_norm: float) -> float:
+    if feature_norm == 0.0 or prototype_norm == 0.0:
         return 0.5
-    value = (1.0 + float(feature @ prototype) / (fn * pn)) / 2.0
+    value = (1.0 + float(dot) / (feature_norm * prototype_norm)) / 2.0
     # Rounding can push the shifted cosine a hair outside [0, 1].
     return min(max(value, 0.0), 1.0)
 
@@ -124,10 +137,67 @@ def score_proposals(
                 f"{image.image_id}: proposal {proposal.region_id} has dimension "
                 f"{len(proposal.feature)}, scorer expects {scorer.feature_dim}"
             )
-    return {
-        name: [_cosine_score(p.feature, prototype) for p in image.proposals]
-        for name, prototype in scorer.prototypes.items()
-    }
+    # Each norm is computed once and shared; the dot products stay one per
+    # proposal, because a single matrix product sums in another order and
+    # moves some scores by an ulp.
+    features = [np.asarray(p.feature, dtype=float) for p in image.proposals]
+    norms = [_norm(f) for f in features]
+    out = {}
+    for name, prototype in scorer.prototypes.items():
+        prototype = np.asarray(prototype, dtype=float)
+        prototype_norm = _norm(prototype)
+        out[name] = [
+            _cosine_score(f @ prototype, fn, prototype_norm)
+            for f, fn in zip(features, norms)
+        ]
+    return out
+
+
+@dataclass(frozen=True)
+class ImageOverlaps:
+    """One image's proposal overlaps as conflict masks, indexed by proposal position.
+
+    ``by_id`` lists the positions in region_id order (the rank tie-break).
+    ``suppress[i]`` marks the proposals whose IoU with proposal i reaches
+    ``nms_threshold``; ``conflict[j]`` marks the proposals that, once
+    selected, keep proposal j out because its directed overlap with them
+    reaches ``threshold``. See ``selection.conflict_masks``.
+    """
+
+    nms_threshold: float
+    threshold: float
+    by_id: tuple[int, ...]
+    suppress: list[int]
+    conflict: list[int]
+
+
+def image_overlaps(
+    image: ImageRecord, nms_threshold: float, threshold: float
+) -> ImageOverlaps:
+    """Compute the suppression and selection conflict masks of one image."""
+    ids = [p.region_id for p in image.proposals]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
+    ious, directed = pairwise_overlaps([p.box.as_tuple() for p in image.proposals])
+    return ImageOverlaps(
+        nms_threshold=nms_threshold,
+        threshold=threshold,
+        by_id=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
+        suppress=conflict_masks(ious, nms_threshold),
+        # Row j of the transpose holds the overlaps of every member with candidate j.
+        conflict=conflict_masks(directed.T, threshold),
+    )
+
+
+def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
+    if len(class_scores) != len(image.proposals):
+        raise ValueError(
+            f"{image.image_id}: got {len(class_scores)} scores for "
+            f"{len(image.proposals)} proposals"
+        )
+    if not all(0.0 <= s <= 1.0 for s in class_scores):
+        bad = next(s for s in class_scores if not 0.0 <= s <= 1.0)
+        raise ValueError(f"{image.image_id}: score must be in [0, 1], got {bad}")
 
 
 def select_pseudo_gt(
@@ -135,33 +205,34 @@ def select_pseudo_gt(
     class_id: str,
     class_scores: Sequence[float],
     config: RefinementConfig,
+    overlaps: ImageOverlaps | None = None,
 ) -> SelectionResult:
     """Pick pseudo ground truth for one image and class from current scores.
 
     Suppression runs first, then count-constrained selection with the count
     capped at ``config.count_cap``; without count guidance a single region is
     requested. An image without proposals yields an empty, incomplete result.
+    ``overlaps`` are the image's masks at the config's thresholds, computed
+    here when not given.
     """
     count = image.counts.get(class_id, 0)
     if count < 1:
         raise ValueError(f"{image.image_id}: class {class_id!r} has no counted instances")
-    if len(class_scores) != len(image.proposals):
-        raise ValueError(
-            f"{image.image_id}: got {len(class_scores)} scores for "
-            f"{len(image.proposals)} proposals"
-        )
+    _check_scores(image, class_scores)
     if not image.proposals:
         return SelectionResult(selected=(), total_score=0.0, complete=False)
-    regions = [
-        ScoredRegion(box=p.box, score=s, region_id=p.region_id)
-        for p, s in zip(image.proposals, class_scores)
-    ]
-    kept = nms(regions, config.nms_threshold)
+    if overlaps is None:
+        overlaps = image_overlaps(image, config.nms_threshold, config.threshold)
+    elif (overlaps.nms_threshold, overlaps.threshold) != (config.nms_threshold, config.threshold):
+        raise ValueError(f"{image.image_id}: overlaps were built for other thresholds")
+    kept = suppress(rank_order(class_scores, overlaps.by_id), overlaps.suppress)
     target = min(count, config.count_cap) if config.count_guided else 1
-    problem = SelectionProblem(
-        regions=tuple(kept), count=target, threshold=config.threshold
+    chosen, total = greedy_walk(kept, class_scores, overlaps.conflict, target)
+    return SelectionResult(
+        selected=tuple(image.proposals[i].region_id for i in chosen),
+        total_score=total,
+        complete=len(chosen) == target,
     )
-    return crs_greedy(problem)
 
 
 def retrain_scorer(
@@ -279,21 +350,34 @@ def detections_from_scores(
     world: Sequence[ImageRecord],
     scores: Mapping[str, Mapping[str, Sequence[float]]],
     nms_threshold: float,
+    overlaps: Sequence[ImageOverlaps] | None = None,
 ) -> list[Detection]:
+    """Suppression survivors of every image and scored class, as detections.
+
+    ``overlaps`` holds one entry per image of ``world``, in the same order,
+    built at ``nms_threshold``; it is computed here when not given.
+    """
+    if overlaps is None:
+        # Only the suppression masks are read; any selection threshold will do.
+        overlaps = [
+            image_overlaps(record, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
+            for record in world
+        ]
+    if len(overlaps) != len(world):
+        raise ValueError(f"got overlaps for {len(overlaps)} of {len(world)} images")
     out = []
-    for record in world:
+    for record, masks in zip(world, overlaps):
+        if masks.nms_threshold != nms_threshold:
+            raise ValueError(f"{record.image_id}: overlaps were built for another NMS threshold")
         for name, class_scores in scores[record.image_id].items():
-            regions = [
-                ScoredRegion(box=p.box, score=s, region_id=p.region_id)
-                for p, s in zip(record.proposals, class_scores)
-            ]
-            for region in nms(regions, nms_threshold):
+            _check_scores(record, class_scores)
+            for i in suppress(rank_order(class_scores, masks.by_id), masks.suppress):
                 out.append(
                     Detection(
                         image_id=record.image_id,
                         class_id=name,
-                        box=region.box,
-                        confidence=region.score,
+                        box=record.proposals[i].box,
+                        confidence=class_scores[i],
                     )
                 )
     return out
@@ -316,13 +400,17 @@ def run_adr(
     if not world:
         raise ValueError("cannot refine an empty world")
     gt = {record.image_id: dict(record.gt_boxes) for record in world}
+    overlaps = [
+        image_overlaps(record, config.nms_threshold, config.threshold)
+        for record in world
+    ]
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
     scores = score_table(world, scorer)
 
     def evaluate(purity_value: float | None) -> EvalReport:
         return build_report(
-            detections_from_scores(world, scores, config.nms_threshold),
+            detections_from_scores(world, scores, config.nms_threshold, overlaps),
             gt,
             corloc_variant=corloc_variant,
             ap_mode=ap_mode,
@@ -332,10 +420,10 @@ def run_adr(
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):
         pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
-        for record in world:
+        for record, masks in zip(world, overlaps):
             picks = {
                 name: select_pseudo_gt(
-                    record, name, scores[record.image_id][name], config
+                    record, name, scores[record.image_id][name], config, masks
                 )
                 for name in record.positive_classes()
             }

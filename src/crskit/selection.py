@@ -7,15 +7,24 @@ measured against the candidate's own area, sub-regions of a chosen box are
 excluded no matter how small they are, while a large box drawn around a small
 chosen one is not. An exhaustive solver over the same objective doubles as a
 verification oracle for the greedy path.
+
+Suppression and greedy selection are index walks over per-region conflict
+bitmasks (``conflict_masks``): overlaps are compared with the threshold once,
+when the masks are built, and the walks only test and set bits. ``nms`` and
+``crs_greedy`` build the masks from their inputs; the refinement loop builds
+them once per image and run, because boxes and thresholds stay fixed there,
+and calls the same walks (``suppress``, ``greedy_walk``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import Box, area, asymmetric_overlap, iou
+import numpy as np
+
+from .geometry import Box, area, pairwise_overlaps
 
 __all__ = [
     "DEFAULT_OVERLAP_THRESHOLD",
@@ -25,6 +34,10 @@ __all__ = [
     "ScoredRegion",
     "SelectionProblem",
     "SelectionResult",
+    "conflict_masks",
+    "rank_order",
+    "suppress",
+    "greedy_walk",
     "nms",
     "filter_by_min_size",
     "crs_greedy",
@@ -93,6 +106,64 @@ def _by_rank(regions: Iterable[ScoredRegion]) -> list[ScoredRegion]:
     return sorted(regions, key=lambda r: (-r.score, r.region_id))
 
 
+def _box_array(regions: Sequence[ScoredRegion]) -> np.ndarray:
+    return np.array([r.box.as_tuple() for r in regions], dtype=float).reshape(-1, 4)
+
+
+def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
+    """One bitmask per row: bit k of row i is set when ``overlap[i, k]`` is not below ``threshold``."""
+    hits = np.packbits(~(overlap < threshold), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in hits]
+
+
+def rank_order(scores: Sequence[float], by_id: Sequence[int]) -> list[int]:
+    """Positions in rank order: score descending, ties by region_id.
+
+    ``by_id`` lists the positions sorted by region_id; the stable sort keeps
+    that order among equal scores.
+    """
+    return sorted(by_id, key=scores.__getitem__, reverse=True)
+
+
+def suppress(order: Iterable[int], masks: Sequence[int]) -> list[int]:
+    """NMS walk: keep each position whose mask hits no position kept before it."""
+    kept = []
+    kept_mask = 0
+    for i in order:
+        if not masks[i] & kept_mask:
+            kept.append(i)
+            kept_mask |= 1 << i
+    return kept
+
+
+def greedy_walk(
+    order: Sequence[int], scores: Sequence[float], masks: Sequence[int], count: int
+) -> tuple[list[int], float]:
+    """Greedy count-constrained walk; see ``crs_greedy`` for the rule.
+
+    ``masks[j]`` has bit k set when candidate j may not join a set holding k.
+    Returns the winning positions in selection order and their score sum.
+    """
+    best: list[int] = []
+    best_score = 0.0
+    for start, seed in enumerate(order):
+        chosen = [seed]
+        total = scores[seed]
+        if count > 1:
+            chosen_mask = 1 << seed
+            for j in order[start + 1 :]:
+                if not masks[j] & chosen_mask:
+                    chosen.append(j)
+                    chosen_mask |= 1 << j
+                    total += scores[j]
+                    if len(chosen) == count:
+                        break
+        if not best or total > best_score:
+            best = chosen
+            best_score = total
+    return best, best_score
+
+
 def nms(
     regions: Sequence[ScoredRegion], iou_threshold: float = DEFAULT_NMS_THRESHOLD
 ) -> list[ScoredRegion]:
@@ -102,11 +173,10 @@ def nms(
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    kept: list[ScoredRegion] = []
-    for region in _by_rank(regions):
-        if all(iou(region.box, k.box) < iou_threshold for k in kept):
-            kept.append(region)
-    return kept
+    ranked = _by_rank(regions)
+    ious, _ = pairwise_overlaps(_box_array(ranked))
+    kept = suppress(range(len(ranked)), conflict_masks(ious, iou_threshold))
+    return [ranked[i] for i in kept]
 
 
 def filter_by_min_size(
@@ -131,29 +201,18 @@ def crs_greedy(problem: SelectionProblem) -> SelectionResult:
     if not problem.regions:
         raise ValueError("cannot select from an empty region list")
     ranked = _by_rank(problem.regions)
-    best: list[ScoredRegion] | None = None
-    best_score = 0.0
-    for i, seed in enumerate(ranked):
-        chosen = [seed]
-        total = seed.score
-        if len(chosen) < problem.count:
-            for candidate in ranked[i + 1 :]:
-                if all(
-                    asymmetric_overlap(member.box, candidate.box) < problem.threshold
-                    for member in chosen
-                ):
-                    chosen.append(candidate)
-                    total += candidate.score
-                    if len(chosen) == problem.count:
-                        break
-        if best is None or total > best_score:
-            best = chosen
-            best_score = total
-    assert best is not None
+    _, directed = pairwise_overlaps(_box_array(ranked))
+    # Row j of the transpose holds the overlaps of every member with candidate j.
+    chosen, total = greedy_walk(
+        range(len(ranked)),
+        [r.score for r in ranked],
+        conflict_masks(directed.T, problem.threshold),
+        problem.count,
+    )
     return SelectionResult(
-        selected=tuple(r.region_id for r in best),
-        total_score=best_score,
-        complete=len(best) == problem.count,
+        selected=tuple(ranked[i].region_id for i in chosen),
+        total_score=total,
+        complete=len(chosen) == problem.count,
     )
 
 
@@ -210,8 +269,11 @@ def crs_exact(
     rank-lexicographically earliest. ``constraint_mode`` picks what feasible
     means: "symmetric" requires the directed overlap below the threshold for
     both orders of every pair, "directional" only that some insertion order
-    exists (the constraint the greedy path actually enforces). The result
-    order is an admissible insertion order, so it certifies feasibility.
+    exists. The greedy path enforces neither: it admits members in rank
+    order only. Directional is therefore a looser upper bound on greedy; it
+    can admit a high-scoring merged hull after the tight boxes inside it, an
+    order greedy never tries while the hull outranks them. The result order
+    is an admissible insertion order, so it certifies feasibility.
     """
     if constraint_mode not in ("directional", "symmetric"):
         raise ValueError(f"unknown constraint_mode: {constraint_mode!r}")
@@ -223,9 +285,7 @@ def crs_exact(
     if n == 0:
         raise ValueError("cannot select from an empty region list")
     ranked = _by_rank(problem.regions)
-    overlap = [
-        [asymmetric_overlap(a.box, b.box) for b in ranked] for a in ranked
-    ]
+    overlap = pairwise_overlaps(_box_array(ranked))[1].tolist()
     symmetric = constraint_mode == "symmetric"
     best_key: tuple[float, int, tuple[int, ...]] | None = None
     best_order: tuple[int, ...] = ()

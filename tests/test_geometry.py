@@ -15,6 +15,7 @@ from crskit.geometry import (
     hull,
     intersection_area,
     iou,
+    pairwise_overlaps,
     plus_one_convention,
     plus_one_enabled,
     set_plus_one,
@@ -183,3 +184,24 @@ class TestProperties:
         h = hull(members)
         for b in members:
             assert asymmetric_overlap(h, b) == pytest.approx(1.0)
+
+
+class TestPairwiseOverlaps:
+    @pytest.mark.parametrize("plus_one", [False, True])
+    @given(members=st.lists(boxes(), max_size=8))
+    def test_matches_scalar_kernels_bit_for_bit(self, plus_one, members):
+        with plus_one_convention(plus_one):
+            ious, directed = pairwise_overlaps([b.as_tuple() for b in members])
+            assert ious.shape == directed.shape == (len(members), len(members))
+            for i, a in enumerate(members):
+                for j, b in enumerate(members):
+                    # hex() tells every bit apart, signed zeros included
+                    assert float(ious[i, j]).hex() == iou(a, b).hex()
+                    assert float(directed[i, j]).hex() == asymmetric_overlap(a, b).hex()
+
+    def test_follows_the_active_extent_convention(self):
+        touching = [(0, 0, 10, 10), (10, 0, 20, 10)]
+        assert pairwise_overlaps(touching)[0][0, 1] == 0.0
+        with plus_one_convention():
+            # 11 shared pixels over 121 + 121 - 11
+            assert pairwise_overlaps(touching)[0][0, 1] == 11.0 / 231.0

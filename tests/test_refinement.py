@@ -6,18 +6,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from crskit.geometry import Box
+from crskit.geometry import Box, plus_one_convention
 from crskit.refinement import (
     CentroidScorer,
     FeatureDimensionError,
     RefinementConfig,
+    detections_from_scores,
+    image_overlaps,
     retrain_scorer,
     run_adr,
     score_proposals,
+    score_table,
     select_pseudo_gt,
     selection_purity,
 )
-from crskit.selection import SelectionResult
+from crskit.selection import (
+    ScoredRegion,
+    SelectionProblem,
+    SelectionResult,
+    crs_greedy,
+    nms,
+)
 from crskit.world import ImageRecord, Proposal, generate_world
 
 
@@ -94,6 +103,32 @@ class TestScorer:
         with pytest.raises(FeatureDimensionError):
             score_proposals(scorer, image)
 
+    @pytest.mark.parametrize("bad_feature", [np.ones(3), None])
+    def test_bad_feature_after_valid_ones_raises(self, bad_feature):
+        # Checked for every proposal before any norm is computed.
+        scorer = CentroidScorer({"cat": np.ones(4)}, feature_dim=4, trained=True)
+        proposals = [
+            proposal(i, Box(20 * i, 0, 20 * i + 10, 10), 0.9, np.ones(4)) for i in range(3)
+        ]
+        proposals[2].feature = bad_feature
+        with pytest.raises(FeatureDimensionError):
+            score_proposals(scorer, one_image(proposals))
+
+    def test_zero_norm_feature_is_neutral_for_every_class(self):
+        # The feature norm is computed once and shared by all classes.
+        scorer = CentroidScorer(
+            {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 2.0])},
+            feature_dim=2,
+            trained=True,
+        )
+        image = one_image(
+            [
+                proposal(0, Box(0, 0, 10, 10), 0.9, np.array([3.0, 0.0])),
+                proposal(1, Box(20, 0, 30, 10), 0.5, np.zeros(2)),
+            ]
+        )
+        assert score_proposals(scorer, image) == {"cat": [1.0, 0.5], "dog": [0.5, 0.5]}
+
 
 class TestSelectPseudoGt:
     def make_config(self, **kwargs):
@@ -155,6 +190,95 @@ class TestSelectPseudoGt:
         image = one_image([], count=2)
         result = select_pseudo_gt(image, "cat", [], self.make_config())
         assert result == SelectionResult((), 0.0, False)
+
+    def test_count_above_post_nms_regions_is_incomplete(self):
+        # Three proposals, one suppressed as a near-duplicate: a count of 3
+        # can only be met by 2 regions.
+        image = one_image(
+            [
+                proposal(0, Box(0, 0, 10, 10), 0.9),
+                proposal(1, Box(1, 0, 11, 10), 0.85),
+                proposal(2, Box(50, 0, 60, 10), 0.5),
+            ],
+            count=3,
+        )
+        config = self.make_config()
+        scores = [0.9, 0.85, 0.5]
+        overlaps = image_overlaps(image, config.nms_threshold, config.threshold)
+        for cached in (None, overlaps):
+            result = select_pseudo_gt(image, "cat", scores, config, cached)
+            assert result.selected == (0, 2)
+            assert not result.complete
+
+    def test_out_of_range_score_rejected(self):
+        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
+        with pytest.raises(ValueError):
+            select_pseudo_gt(image, "cat", [1.5], self.make_config())
+
+    def test_overlaps_for_other_thresholds_rejected(self):
+        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
+        config = self.make_config()
+        stale = image_overlaps(image, 0.5, config.threshold)
+        with pytest.raises(ValueError):
+            select_pseudo_gt(image, "cat", [0.9], config, stale)
+
+    @pytest.mark.parametrize("plus_one", [False, True])
+    @pytest.mark.parametrize("count_guided", [True, False])
+    def test_matches_public_nms_then_greedy(self, plus_one, count_guided):
+        # Cached masks give what the public functions give on the same
+        # regions, under both extent conventions.
+        world = generate_world(30, 3, seed=12)
+        config = self.make_config(count_guided=count_guided)
+        with plus_one_convention(plus_one):
+            for record in world:
+                overlaps = image_overlaps(record, config.nms_threshold, config.threshold)
+                for name in record.positive_classes():
+                    scores = [p.scores.get(name, 0.0) for p in record.proposals]
+                    regions = [
+                        ScoredRegion(p.box, s, p.region_id)
+                        for p, s in zip(record.proposals, scores)
+                    ]
+                    target = min(record.counts[name], config.count_cap) if count_guided else 1
+                    expected = crs_greedy(
+                        SelectionProblem(
+                            tuple(nms(regions, config.nms_threshold)), target, config.threshold
+                        )
+                    )
+                    result = select_pseudo_gt(record, name, scores, config, overlaps)
+                    assert result == expected
+
+
+class TestDetectionsFromScores:
+    @pytest.mark.parametrize("plus_one", [False, True])
+    def test_matches_public_nms(self, plus_one):
+        world = generate_world(20, 3, seed=5)
+        scores = score_table(world, None)
+        with plus_one_convention(plus_one):
+            overlaps = [image_overlaps(r, 0.3, 0.1) for r in world]
+            cached = detections_from_scores(world, scores, 0.3, overlaps)
+            assert cached == detections_from_scores(world, scores, 0.3)
+            expected = [
+                (record.image_id, name, region.box, region.score)
+                for record in world
+                for name, class_scores in scores[record.image_id].items()
+                for region in nms(
+                    [
+                        ScoredRegion(p.box, s, p.region_id)
+                        for p, s in zip(record.proposals, class_scores)
+                    ],
+                    0.3,
+                )
+            ]
+        assert [(d.image_id, d.class_id, d.box, d.confidence) for d in cached] == expected
+
+    def test_overlaps_must_match_the_world_and_threshold(self):
+        world = generate_world(3, 2, seed=1)
+        scores = score_table(world, None)
+        with pytest.raises(ValueError):
+            detections_from_scores(world, scores, 0.3, [image_overlaps(world[0], 0.3, 0.1)])
+        stale = [image_overlaps(record, 0.5, 0.1) for record in world]
+        with pytest.raises(ValueError):
+            detections_from_scores(world, scores, 0.3, stale)
 
 
 class TestRetrain:
@@ -224,6 +348,15 @@ class TestRunAdr:
     def test_empty_world_rejected(self):
         with pytest.raises(ValueError):
             run_adr([], RefinementConfig())
+
+    def test_image_without_proposals(self):
+        world = generate_world(8, 2, seed=9)
+        world[3].proposals = []
+        for count_guided in (True, False):
+            report = run_adr(world, RefinementConfig(count_guided=count_guided, seed=9))
+            assert len(report.iterations) == 4
+            for entry in report.iterations[1:]:
+                assert 0.0 <= entry.report.purity <= 1.0
 
     def test_metrics_in_range(self):
         world = generate_world(12, 2, seed=8)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from crskit.geometry import Box, asymmetric_overlap, iou
+from crskit.geometry import Box, asymmetric_overlap, iou, plus_one_convention
 from crskit.selection import (
     CapacityError,
     ScoredRegion,
@@ -58,6 +58,57 @@ def brute_force_total(
                     best = total
     assert best is not None
     return best
+
+
+def reference_nms(
+    regions: tuple[ScoredRegion, ...], threshold: float
+) -> list[ScoredRegion]:
+    """Suppression written directly on the scalar IoU kernel."""
+    kept: list[ScoredRegion] = []
+    for region in sorted(regions, key=lambda r: (-r.score, r.region_id)):
+        if all(iou(region.box, k.box) < threshold for k in kept):
+            kept.append(region)
+    return kept
+
+
+def reference_greedy(problem: SelectionProblem) -> SelectionResult:
+    """Greedy selection written directly on the scalar directed-overlap kernel."""
+    ranked = sorted(problem.regions, key=lambda r: (-r.score, r.region_id))
+    best: list[ScoredRegion] = []
+    best_score = 0.0
+    for i, seed in enumerate(ranked):
+        chosen = [seed]
+        total = seed.score
+        for candidate in ranked[i + 1 :]:
+            if len(chosen) == problem.count:
+                break
+            if all(
+                asymmetric_overlap(member.box, candidate.box) < problem.threshold
+                for member in chosen
+            ):
+                chosen.append(candidate)
+                total += candidate.score
+        if not best or total > best_score:
+            best, best_score = chosen, total
+    return SelectionResult(
+        tuple(r.region_id for r in best), best_score, len(best) == problem.count
+    )
+
+
+@st.composite
+def grid_regions(draw) -> tuple[ScoredRegion, ...]:
+    """Integer-pixel boxes on a small canvas, so that touching boxes and
+    one-pixel gaps, where the extent conventions disagree, are common."""
+    n = draw(st.integers(1, 10))
+    regions = []
+    for region_id in range(n):
+        x = draw(st.integers(0, 20))
+        y = draw(st.integers(0, 20))
+        w = draw(st.integers(1, 12))
+        h = draw(st.integers(1, 12))
+        score = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0))
+        regions.append(ScoredRegion(Box(x, y, x + w, y + h), score, region_id))
+    return tuple(regions)
 
 
 def random_problem(rng: np.random.Generator, max_regions: int = 7) -> SelectionProblem:
@@ -150,6 +201,35 @@ class TestNms:
                 assert any(iou(region.box, k.box) >= threshold for k in kept)
         scores = [r.score for r in kept]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestAgainstScalarReference:
+    """The mask walks agree with loops over the scalar kernels, under both
+    extent conventions."""
+
+    @pytest.mark.parametrize("plus_one", [False, True])
+    @given(
+        regions=grid_regions(),
+        threshold=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]),
+        count=st.integers(1, 4),
+    )
+    def test_nms_and_greedy_match_reference(self, plus_one, regions, threshold, count):
+        with plus_one_convention(plus_one):
+            assert nms(regions, threshold) == reference_nms(regions, threshold)
+            problem = SelectionProblem(regions, count, threshold)
+            assert crs_greedy(problem) == reference_greedy(problem)
+
+    def test_conventions_disagree_on_touching_boxes(self):
+        # Under the inclusive-pixel rule the shared edge is an 11-pixel
+        # strip, so the right box conflicts with the left one.
+        left = ScoredRegion(Box(0, 0, 10, 10), 0.9, 0)
+        right = ScoredRegion(Box(10, 0, 20, 10), 0.8, 1)
+        problem = SelectionProblem((left, right), count=2, threshold=0.05)
+        assert crs_greedy(problem).selected == (0, 1)
+        assert nms([left, right], 0.04) == [left, right]
+        with plus_one_convention():
+            assert crs_greedy(problem).selected == (0,)
+            assert nms([left, right], 0.04) == [left]
 
 
 class TestWorkedExample:
