@@ -1,13 +1,7 @@
 """Count-guided region selection, refinement, and evaluation toolkit."""
 
-from .annotation import (
-    COUNT_UI_CAP,
-    DEFAULT_COUNT_CAP,
-    CountAnnotation,
-    cap_counts,
-    counts_from_ground_truth,
-)
 from .dataio import (
+    COUNT_UI_CAP,
     DatasetError,
     RunConfig,
     load_dataset,
@@ -34,8 +28,6 @@ from .geometry import (
     hull,
     intersection_area,
     iou,
-    plus_one_convention,
-    set_plus_one,
 )
 from .refinement import (
     CentroidScorer,
@@ -57,7 +49,6 @@ from .selection import (
     SelectionResult,
     crs_exact,
     crs_greedy,
-    filter_by_min_size,
     nms,
 )
 from .world import ImageRecord, Proposal, generate_world

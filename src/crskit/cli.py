@@ -24,36 +24,12 @@ import numpy as np
 from . import dataio
 from .dataio import DatasetError, RunConfig
 from .evaluation import build_report, slice_by_count
-from .geometry import Box, GeometryError, plus_one_convention
-from .refinement import (
-    FeatureDimensionError,
-    detections_from_scores,
-    run_adr,
-    score_table,
-)
-from .selection import (
-    CapacityError,
-    ScoredRegion,
-    SelectionProblem,
-    crs_exact,
-    crs_greedy,
-    nms,
-)
+from .geometry import Box
+from .refinement import detections_from_scores, run_adr, score_table
+from .selection import ScoredRegion, SelectionProblem, crs_exact, crs_greedy, nms
 from .world import DEFAULT_FEATURE_DIM, generate_world
 
 logger = logging.getLogger("crskit.cli")
-
-_CONFIG_FLAGS = (
-    "T",
-    "k",
-    "nms_threshold",
-    "iterations",
-    "seed",
-    "count_guided",
-    "corloc_variant",
-    "ap_mode",
-    "voc_plus_one",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--corloc-variant", choices=("iou50", "center"), default=None, dest="corloc_variant"
     )
     common.add_argument("--ap-mode", choices=("11pt", "area"), default=None, dest="ap_mode")
-    common.add_argument(
-        "--voc-plus-one",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="voc_plus_one",
-    )
 
     parser = argparse.ArgumentParser(
         prog="crskit", description="Count-guided region selection toolkit"
@@ -141,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     base = dataio.load_run_config(args.config) if args.config else RunConfig()
     merged = base.to_dict()
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
+    # Every config key has a flag of the same name.
+    for name in merged:
+        value = getattr(args, name)
         if value is not None:
             merged[name] = value
     return RunConfig.from_dict(merged)
@@ -288,19 +259,17 @@ def cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _world_feature_dim(world) -> int:
-    for record in world:
-        for proposal in record.proposals:
-            if proposal.feature is not None:
-                return len(proposal.feature)
-    raise DatasetError("refinement needs proposal features, none found in the dataset")
+def _require_features(world) -> None:
+    if not any(p.feature is not None for record in world for p in record.proposals):
+        raise DatasetError("refinement needs proposal features, none found in the dataset")
 
 
 def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     world = dataio.load_dataset(args.input)
     if not world:
         raise DatasetError("dataset is empty")
-    refinement = config.refinement_config(feature_dim=_world_feature_dim(world))
+    _require_features(world)
+    refinement = config.refinement_config()
     report = run_adr(
         world, refinement, corloc_variant=config.corloc_variant, ap_mode=config.ap_mode
     )
@@ -330,7 +299,17 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
 def _format_metric(value: Any) -> str:
     if value is None:
         return "-"
+    if not isinstance(value, (int, float)):
+        raise DatasetError(f"report: expected a number or null, got {value!r}")
     return f"{value:.4f}"
+
+
+def _expect(value: Any, kind: type, path: str) -> Any:
+    """Return ``value`` if it is a ``kind`` (list or dict), else fail at ``path``."""
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise DatasetError(f"report: {path}: expected {expected}")
+    return value
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
@@ -344,24 +323,28 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     lines = []
     if isinstance(data, dict) and "iterations" in data:
         lines.append("iteration  mean_ap  mean_corloc  purity")
-        for entry in data["iterations"]:
+        for i, entry in enumerate(_expect(data["iterations"], list, "iterations")):
+            entry = _expect(entry, dict, f"iterations[{i}]")
             lines.append(
-                f"{entry.get('iteration', '?'):>9}"
+                f"{str(entry.get('iteration', '?')):>9}"
                 f"  {_format_metric(entry.get('mean_ap')):>7}"
                 f"  {_format_metric(entry.get('mean_corloc')):>11}"
                 f"  {_format_metric(entry.get('purity')):>6}"
             )
     elif isinstance(data, dict) and "per_class_ap" in data:
+        per_class_ap = _expect(data["per_class_ap"], dict, "per_class_ap")
+        per_class_corloc = _expect(data.get("per_class_corloc", {}), dict, "per_class_corloc")
         lines.append("class  ap  corloc")
-        for name in sorted(data["per_class_ap"]):
-            ap = data["per_class_ap"][name]
-            rate = data.get("per_class_corloc", {}).get(name)
+        for name in sorted(per_class_ap):
+            ap = per_class_ap[name]
+            rate = per_class_corloc.get(name)
             lines.append(f"{name}  {_format_metric(ap)}  {_format_metric(rate)}")
         lines.append(
             f"mean  {_format_metric(data.get('mean_ap'))}"
             f"  {_format_metric(data.get('mean_corloc'))}"
         )
-        for bucket, sub in sorted(data.get("buckets", {}).items()):
+        for bucket, sub in sorted(_expect(data.get("buckets", {}), dict, "buckets").items()):
+            sub = _expect(sub, dict, f"buckets.{bucket}")
             lines.append(
                 f"count {bucket}: mean_ap={_format_metric(sub.get('mean_ap'))}"
                 f" mean_corloc={_format_metric(sub.get('mean_corloc'))}"
@@ -391,16 +374,10 @@ def cli_dispatch(argv: list[str]) -> int:
         pkg_logger.setLevel(getattr(logging, level.upper(), logging.WARNING))
     try:
         config = _resolve_config(args)
-        with plus_one_convention(config.voc_plus_one):
-            return args.func(args, config)
-    except (
-        DatasetError,
-        GeometryError,
-        CapacityError,
-        FeatureDimensionError,
-        ValueError,
-        OSError,
-    ) as exc:
+        return args.func(args, config)
+    # DatasetError, GeometryError, CapacityError and FeatureDimensionError
+    # are ValueErrors too.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -18,20 +18,20 @@ same data twice produces identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .annotation import COUNT_UI_CAP
 from .evaluation import AP_MODES, CORLOC_VARIANTS, Detection, EvalReport
 from .geometry import Box, GeometryError
-from .refinement import CentroidScorer, RefinementConfig, RefinementReport
+from .refinement import RefinementConfig, RefinementReport
 from .world import ImageRecord, Proposal
 
 __all__ = [
     "FORMAT_VERSION",
+    "COUNT_UI_CAP",
     "DatasetError",
     "RunConfig",
     "load_dataset",
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# Counting interfaces top out at 15; a dataset count above that is rejected.
+COUNT_UI_CAP = 15
 
 
 class DatasetError(ValueError):
@@ -299,29 +301,29 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
             )
 
 
+# Config values must have their field's JSON type: bool is an int subclass,
+# so only bool fields take true/false, and float fields take any number.
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """File and CLI-level run parameters; unknown keys are rejected."""
+    """File and CLI-level run parameters; unknown keys are rejected.
 
-    T: float = 0.1
-    k: int = 3
-    nms_threshold: float = 0.3
-    iterations: int = 3
-    seed: int = 0
-    count_guided: bool = True
+    ``T`` and ``k`` are ``RefinementConfig``'s ``threshold`` and ``count_cap``.
+    """
+
+    T: float = RefinementConfig.threshold
+    k: int = RefinementConfig.count_cap
+    nms_threshold: float = RefinementConfig.nms_threshold
+    iterations: int = RefinementConfig.iterations
+    seed: int = RefinementConfig.seed
+    count_guided: bool = RefinementConfig.count_guided
     corloc_variant: str = "iou50"
     ap_mode: str = "11pt"
-    voc_plus_one: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.T <= 1.0:
-            raise ValueError(f"T must be in (0, 1], got {self.T}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 < self.nms_threshold <= 1.0:
-            raise ValueError(f"nms_threshold must be in (0, 1], got {self.nms_threshold}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        self.refinement_config()  # validates the fields the two configs share
         if self.corloc_variant not in CORLOC_VARIANTS:
             raise ValueError(f"unknown corloc variant: {self.corloc_variant!r}")
         if self.ap_mode not in AP_MODES:
@@ -331,28 +333,28 @@ class RunConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
         if not isinstance(data, Mapping):
             raise DatasetError("config: expected a JSON object")
-        fields = {
-            "T", "k", "nms_threshold", "iterations", "seed",
-            "count_guided", "corloc_variant", "ap_mode", "voc_plus_one",
-        }
-        unknown = set(data) - fields
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise DatasetError(f"config: unknown keys: {sorted(unknown)}")
+        for name, value in data.items():
+            kind = type(getattr(cls, name))
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+                raise DatasetError(f"config: {name}: expected {_EXPECTED[kind]}")
         try:
             return cls(**data)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DatasetError(f"config: {exc}") from exc
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
-    def refinement_config(self, feature_dim: int) -> RefinementConfig:
+    def refinement_config(self) -> RefinementConfig:
         return RefinementConfig(
             iterations=self.iterations,
             threshold=self.T,
             count_cap=self.k,
             nms_threshold=self.nms_threshold,
-            feature_dim=feature_dim,
             seed=self.seed,
             count_guided=self.count_guided,
         )
@@ -392,7 +394,6 @@ def refinement_report_to_dict(report: RefinementReport) -> dict[str, Any]:
             "T": config.threshold,
             "k": config.count_cap,
             "nms_threshold": config.nms_threshold,
-            "feature_dim": config.feature_dim,
             "seed": config.seed,
             "count_guided": config.count_guided,
         },
@@ -402,6 +403,7 @@ def refinement_report_to_dict(report: RefinementReport) -> dict[str, Any]:
         ],
     }
     if report.scorer is not None:
+        payload["config"]["feature_dim"] = report.scorer.feature_dim
         payload["prototypes"] = {
             name: [float(v) for v in vec]
             for name, vec in report.scorer.prototypes.items()

@@ -22,6 +22,7 @@ __all__ = [
     "match_detections",
     "average_precision",
     "corloc",
+    "is_pure",
     "purity",
     "build_report",
     "slice_by_count",
@@ -161,23 +162,25 @@ def corloc(
     return correct / positives
 
 
+def is_pure(box: Box, gt_boxes: Sequence[Box], iou_threshold: float = MATCH_IOU) -> bool:
+    """True when ``box`` reaches the IoU threshold against exactly one ground-truth box.
+
+    Merged hulls (no single box covered well) and near-duplicates straddling
+    two boxes are both impure.
+    """
+    return sum(iou(box, g) >= iou_threshold for g in gt_boxes) == 1
+
+
 def purity(
     selected: Sequence[Box], gt_boxes: Sequence[Box], iou_threshold: float = MATCH_IOU
 ) -> float | None:
-    """Fraction of selected boxes that cover exactly one ground-truth box.
+    """Fraction of selected boxes that are pure (``is_pure``).
 
-    A selection is pure when it reaches the IoU threshold against exactly one
-    ground-truth box, so both merged hulls (no single box covered well) and
-    near-duplicate pairs straddling two boxes count as impure. Undefined
-    (None) for an empty selection.
+    Undefined (None) for an empty selection.
     """
     if not selected:
         return None
-    pure = sum(
-        1
-        for box in selected
-        if sum(iou(box, g) >= iou_threshold for g in gt_boxes) == 1
-    )
+    pure = sum(1 for box in selected if is_pure(box, gt_boxes, iou_threshold))
     return pure / len(selected)
 
 

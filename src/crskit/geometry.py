@@ -6,9 +6,8 @@ same quantities for every pair of an ``(n, 4)`` box array at once.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -21,44 +20,11 @@ __all__ = [
     "asymmetric_overlap",
     "pairwise_overlaps",
     "hull",
-    "set_plus_one",
-    "plus_one_enabled",
-    "plus_one_convention",
 ]
 
 
 class GeometryError(ValueError):
     """Raised for degenerate boxes (non-positive width or height)."""
-
-
-# When enabled, extents count inclusive pixels (the x2 - x1 + 1 convention
-# used by integer-grid annotations). Off by default: continuous coordinates.
-_PLUS_ONE = False
-
-
-def set_plus_one(enabled: bool) -> None:
-    """Switch the global extent convention used by all area computations."""
-    global _PLUS_ONE
-    _PLUS_ONE = bool(enabled)
-
-
-def plus_one_enabled() -> bool:
-    return _PLUS_ONE
-
-
-@contextmanager
-def plus_one_convention(enabled: bool = True) -> Iterator[None]:
-    """Temporarily switch the extent convention, restoring it afterwards."""
-    previous = _PLUS_ONE
-    set_plus_one(enabled)
-    try:
-        yield
-    finally:
-        set_plus_one(previous)
-
-
-def _extent(lo: float, hi: float) -> float:
-    return hi - lo + 1.0 if _PLUS_ONE else hi - lo
 
 
 @dataclass(frozen=True)
@@ -80,11 +46,11 @@ class Box:
 
     @property
     def width(self) -> float:
-        return _extent(self.x1, self.x2)
+        return self.x2 - self.x1
 
     @property
     def height(self) -> float:
-        return _extent(self.y1, self.y2)
+        return self.y2 - self.y1
 
     @property
     def center(self) -> tuple[float, float]:
@@ -107,19 +73,18 @@ class Box:
 
 
 def area(box: Box) -> float:
-    """Box area under the active extent convention; positive for any valid Box."""
+    """Box area; positive for any valid Box."""
     return box.width * box.height
 
 
 def intersection_area(a: Box, b: Box) -> float:
     """Overlap area of two boxes; 0.0 when they are disjoint.
 
-    Under the default continuous convention boxes that share only an edge do
-    not intersect; under the inclusive-pixel convention they share a
-    one-pixel strip.
+    Coordinates are continuous, so boxes that share only an edge do not
+    intersect.
     """
-    iw = _extent(max(a.x1, b.x1), min(a.x2, b.x2))
-    ih = _extent(max(a.y1, b.y1), min(a.y2, b.y2))
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     return iw * ih
@@ -146,24 +111,20 @@ def asymmetric_overlap(selected: Box, candidate: Box) -> float:
     return inter / area(candidate)
 
 
-def _extents(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return hi - lo + 1.0 if _PLUS_ONE else hi - lo
-
-
 def pairwise_overlaps(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """IoU and directed-overlap matrices for an ``(n, 4)`` array of corner boxes.
 
     ``ious[i, j]`` is ``iou(box_i, box_j)`` and ``directed[i, j]`` is
     ``asymmetric_overlap(box_i, box_j)`` (box i selected, box j the
     candidate), bit for bit: the same elementwise operations in the same
-    order, under the active extent convention.
+    order.
     """
     b = np.asarray(boxes, dtype=float).reshape(-1, 4)
     lo, hi = b[:, :2], b[:, 2:]
-    sides = _extents(lo, hi)
+    sides = hi - lo
     areas = sides[:, 0] * sides[:, 1]
     # [i, j, axis]: extent of the intersection of boxes i and j along x and y.
-    overlap = _extents(np.maximum(lo[:, None], lo), np.minimum(hi[:, None], hi))
+    overlap = np.minimum(hi[:, None], hi) - np.maximum(lo[:, None], lo)
     iw, ih = overlap[..., 0], overlap[..., 1]
     inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
     overlapping = inter != 0.0

@@ -21,19 +21,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import Detection, EvalReport, build_report
-from .geometry import iou, pairwise_overlaps
+from .evaluation import Detection, EvalReport, build_report, is_pure
+from .geometry import pairwise_overlaps
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
     SelectionResult,
     conflict_masks,
     greedy_walk,
-    nms,  # noqa: F401  kept importable as refinement.nms for existing callers
+    nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
     rank_order,
     suppress,
 )
-from .world import DEFAULT_FEATURE_DIM, ImageRecord
+from .world import ImageRecord
 
 __all__ = [
     "FeatureDimensionError",
@@ -63,13 +63,12 @@ class FeatureDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Knobs for the refinement loop."""
+    """Knobs for the refinement loop; ``seed`` is only recorded in the report."""
 
     iterations: int = DEFAULT_ITERATIONS
     threshold: float = DEFAULT_OVERLAP_THRESHOLD
     count_cap: int = 3
     nms_threshold: float = DEFAULT_NMS_THRESHOLD
-    feature_dim: int = DEFAULT_FEATURE_DIM
     seed: int = 0
     count_guided: bool = True
 
@@ -84,8 +83,6 @@ class RefinementConfig:
             raise ValueError(
                 f"nms_threshold must be in (0, 1], got {self.nms_threshold}"
             )
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
 
 
 @dataclass
@@ -94,15 +91,6 @@ class CentroidScorer:
 
     prototypes: dict[str, np.ndarray]
     feature_dim: int
-    trained: bool = False
-
-    @classmethod
-    def untrained(cls, classes: Sequence[str], feature_dim: int) -> "CentroidScorer":
-        return cls(
-            prototypes={c: np.zeros(feature_dim) for c in classes},
-            feature_dim=feature_dim,
-            trained=False,
-        )
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -283,7 +271,7 @@ def retrain_scorer(
             prototypes[name] = previous.prototypes[name]
         else:
             prototypes[name] = np.zeros(feature_dim)
-    return CentroidScorer(prototypes=prototypes, feature_dim=feature_dim, trained=True)
+    return CentroidScorer(prototypes=prototypes, feature_dim=feature_dim)
 
 
 @dataclass
@@ -311,7 +299,7 @@ def selection_purity(
     pseudo_gt: Mapping[str, Mapping[str, SelectionResult]],
     world: Sequence[ImageRecord],
 ) -> float | None:
-    """Pooled purity of selected regions across all images and classes."""
+    """Pooled purity (``evaluation.is_pure``) of selected regions across all images and classes."""
     total = 0
     pure = 0
     for record in world:
@@ -322,9 +310,8 @@ def selection_purity(
         for class_id, result in selections.items():
             gt = record.gt_boxes.get(class_id, [])
             for region_id in result.selected:
-                box = by_id[region_id].box
                 total += 1
-                pure += int(sum(iou(box, g) >= 0.5 for g in gt) == 1)
+                pure += int(is_pure(by_id[region_id].box, gt))
     if total == 0:
         return None
     return pure / total

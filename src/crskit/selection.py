@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Box, area, pairwise_overlaps
+from .geometry import Box, pairwise_overlaps
 
 __all__ = [
     "DEFAULT_OVERLAP_THRESHOLD",
@@ -39,7 +39,6 @@ __all__ = [
     "suppress",
     "greedy_walk",
     "nms",
-    "filter_by_min_size",
     "crs_greedy",
     "crs_exact",
 ]
@@ -177,15 +176,6 @@ def nms(
     ious, _ = pairwise_overlaps(_box_array(ranked))
     kept = suppress(range(len(ranked)), conflict_masks(ious, iou_threshold))
     return [ranked[i] for i in kept]
-
-
-def filter_by_min_size(
-    regions: Sequence[ScoredRegion], min_area: float
-) -> list[ScoredRegion]:
-    """Drop regions with area strictly below ``min_area``, keeping input order."""
-    if min_area < 0:
-        raise ValueError(f"min_area must be >= 0, got {min_area}")
-    return [r for r in regions if area(r.box) >= min_area]
 
 
 def crs_greedy(problem: SelectionProblem) -> SelectionResult:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 
 import pytest
 
 from crskit.cli import cli_dispatch
 from crskit.dataio import dumps_json, load_dataset, load_detections
-from crskit.geometry import plus_one_enabled
 
 from conftest import MERGED_FIXTURE
 
@@ -221,6 +221,24 @@ class TestReport:
         assert code == 1
         assert "unrecognized report structure" in err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"iterations": 5}, "iterations: expected a list"),
+            ({"iterations": [1]}, r"iterations\[0\]: expected an object"),
+            ({"per_class_ap": [1, 2]}, "per_class_ap: expected an object"),
+            ({"per_class_ap": {"cat": "high"}}, "expected a number or null"),
+            ({"per_class_ap": {}, "buckets": {"1": 0.5}}, r"buckets\.1: expected an object"),
+        ],
+    )
+    def test_rejects_wrongly_shaped_report(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "odd.json"
+        path.write_text(dumps_json(payload))
+        code, out, err = run(capsys, "report", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert re.match(f"error: report: .*{message}", err)
+
 
 class TestConfigHandling:
     def test_flag_overrides_config_file(self, tmp_path, capsys):
@@ -248,11 +266,16 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_plus_one_state_restored_after_run(self, capsys):
-        assert not plus_one_enabled()
-        code, _, _ = run(capsys, "select", "--input", FIXTURE, "--voc-plus-one")
-        assert code == 0
-        assert not plus_one_enabled()
+    def test_wrongly_typed_config_value_fails(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(dumps_json({"k": 2.5}))
+        code, _, err = run(capsys, "select", "--input", FIXTURE,
+                           "--config", str(config_path))
+        assert code == 1
+        assert err == "error: config: k: expected an integer\n"
+
+    def test_voc_plus_one_flag_is_a_usage_error(self, capsys):
+        assert run(capsys, "select", "--input", FIXTURE, "--voc-plus-one")[0] == 2
 
 
 class TestExitCodes:

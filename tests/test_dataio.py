@@ -261,7 +261,6 @@ class TestRunConfig:
         assert config.count_guided
         assert config.corloc_variant == "iou50"
         assert config.ap_mode == "11pt"
-        assert not config.voc_plus_one
 
     def test_dict_round_trip(self):
         config = RunConfig(T=0.4, k=2, seed=9, count_guided=False, ap_mode="area")
@@ -301,14 +300,42 @@ class TestRunConfig:
 
     def test_refinement_config_conversion(self):
         config = RunConfig(T=0.2, k=2, nms_threshold=0.4, iterations=5, seed=7)
-        refinement = config.refinement_config(feature_dim=8)
+        refinement = config.refinement_config()
         assert refinement.threshold == 0.2
         assert refinement.count_cap == 2
         assert refinement.nms_threshold == 0.4
         assert refinement.iterations == 5
         assert refinement.seed == 7
-        assert refinement.feature_dim == 8
         assert refinement.count_guided
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"count_guided": "false"}, "count_guided: expected a boolean"),
+            ({"count_guided": 0}, "count_guided: expected a boolean"),
+            ({"k": 2.5}, "k: expected an integer"),
+            ({"k": True}, "k: expected an integer"),
+            ({"seed": 1.5}, "seed: expected an integer"),
+            ({"iterations": 2.5}, "iterations: expected an integer"),
+            ({"T": "0.1"}, "T: expected a number"),
+            ({"nms_threshold": False}, "nms_threshold: expected a number"),
+            ({"ap_mode": 11}, "ap_mode: expected a string"),
+        ],
+    )
+    def test_from_dict_rejects_wrongly_typed_values(self, data, message):
+        with pytest.raises(DatasetError, match=f"^config: {message}$"):
+            RunConfig.from_dict(data)
+
+    def test_from_dict_takes_an_integer_for_a_float_field(self):
+        assert RunConfig.from_dict({"T": 1, "nms_threshold": 0.5}).T == 1
+
+    def test_out_of_range_value_names_the_refinement_field(self):
+        with pytest.raises(DatasetError, match=r"^config: threshold must be in \(0, 1\]"):
+            RunConfig.from_dict({"T": 0.0})
+
+    def test_voc_plus_one_is_an_unknown_key(self):
+        with pytest.raises(DatasetError, match=r"unknown keys: \['voc_plus_one'\]"):
+            RunConfig.from_dict({"voc_plus_one": False})
 
 
 def test_fixture_content_is_the_documented_example():

@@ -16,15 +16,22 @@ from crskit.geometry import (
     intersection_area,
     iou,
     pairwise_overlaps,
-    plus_one_convention,
-    plus_one_enabled,
-    set_plus_one,
 )
 
 
 def boxes(max_coord: float = 100.0, min_side: float = 0.1):
     coord = st.floats(-max_coord, max_coord, allow_nan=False)
     side = st.floats(min_side, max_coord, allow_nan=False)
+    return st.builds(
+        lambda x, y, w, h: Box(x, y, x + w, y + h), coord, coord, side, side
+    )
+
+
+def grid_boxes():
+    """Integer-pixel boxes on a small canvas: identical, nested and touching
+    boxes, and exact ties, are common."""
+    coord = st.integers(0, 20)
+    side = st.integers(1, 12)
     return st.builds(
         lambda x, y, w, h: Box(x, y, x + w, y + h), coord, coord, side, side
     )
@@ -82,39 +89,6 @@ class TestFrozenValues:
         assert b.scale(2) == Box(2, 4, 10, 20)
         with pytest.raises(GeometryError):
             b.scale(0)
-
-
-class TestPlusOneConvention:
-    def test_inclusive_pixel_area(self):
-        # (10 - 0 + 1) squared
-        with plus_one_convention():
-            assert area(Box(0, 0, 10, 10)) == 121.0
-        assert area(Box(0, 0, 10, 10)) == 100.0
-
-    def test_touching_boxes_share_a_pixel_strip(self):
-        with plus_one_convention():
-            # shared column x = 10, 11 pixels tall
-            assert intersection_area(Box(0, 0, 10, 10), Box(10, 0, 20, 10)) == 11.0
-
-    def test_identical_iou_stays_one(self):
-        with plus_one_convention():
-            assert iou(Box(0, 0, 10, 10), Box(0, 0, 10, 10)) == 1.0
-
-    def test_flag_state_restored_after_error(self):
-        assert not plus_one_enabled()
-        try:
-            with plus_one_convention():
-                assert plus_one_enabled()
-                raise RuntimeError
-        except RuntimeError:
-            pass
-        assert not plus_one_enabled()
-
-    def test_set_plus_one_round_trip(self):
-        set_plus_one(True)
-        assert plus_one_enabled()
-        set_plus_one(False)
-        assert not plus_one_enabled()
 
 
 class TestProperties:
@@ -187,21 +161,18 @@ class TestProperties:
 
 
 class TestPairwiseOverlaps:
-    @pytest.mark.parametrize("plus_one", [False, True])
-    @given(members=st.lists(boxes(), max_size=8))
-    def test_matches_scalar_kernels_bit_for_bit(self, plus_one, members):
-        with plus_one_convention(plus_one):
-            ious, directed = pairwise_overlaps([b.as_tuple() for b in members])
-            assert ious.shape == directed.shape == (len(members), len(members))
-            for i, a in enumerate(members):
-                for j, b in enumerate(members):
-                    # hex() tells every bit apart, signed zeros included
-                    assert float(ious[i, j]).hex() == iou(a, b).hex()
-                    assert float(directed[i, j]).hex() == asymmetric_overlap(a, b).hex()
+    @pytest.mark.parametrize("integer_grid", [False, True])
+    @given(data=st.data())
+    def test_matches_scalar_kernels_bit_for_bit(self, integer_grid, data):
+        members = data.draw(st.lists(grid_boxes() if integer_grid else boxes(), max_size=8))
+        ious, directed = pairwise_overlaps([b.as_tuple() for b in members])
+        assert ious.shape == directed.shape == (len(members), len(members))
+        for i, a in enumerate(members):
+            for j, b in enumerate(members):
+                # hex() tells every bit apart, signed zeros included
+                assert float(ious[i, j]).hex() == iou(a, b).hex()
+                assert float(directed[i, j]).hex() == asymmetric_overlap(a, b).hex()
 
-    def test_follows_the_active_extent_convention(self):
-        touching = [(0, 0, 10, 10), (10, 0, 20, 10)]
-        assert pairwise_overlaps(touching)[0][0, 1] == 0.0
-        with plus_one_convention():
-            # 11 shared pixels over 121 + 121 - 11
-            assert pairwise_overlaps(touching)[0][0, 1] == 11.0 / 231.0
+    def test_touching_boxes_do_not_overlap(self):
+        ious, directed = pairwise_overlaps([(0, 0, 10, 10), (10, 0, 20, 10)])
+        assert ious[0, 1] == directed[0, 1] == directed[1, 0] == 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from crskit.geometry import Box, plus_one_convention
+from crskit.geometry import Box
 from crskit.refinement import (
     CentroidScorer,
     FeatureDimensionError,
@@ -36,6 +36,11 @@ def proposal(region_id, box, score, feature=None) -> Proposal:
     )
 
 
+def trained_scorer(world) -> CentroidScorer:
+    """The scorer after one count-guided refinement pass over ``world``."""
+    return run_adr(world, RefinementConfig(iterations=1)).scorer
+
+
 def one_image(proposals, count=1) -> ImageRecord:
     return ImageRecord(
         image_id="img_0",
@@ -52,7 +57,6 @@ class TestConfig:
         assert config.threshold == 0.1
         assert config.count_cap == 3
         assert config.nms_threshold == 0.3
-        assert config.feature_dim == 16
         assert config.count_guided
 
     @pytest.mark.parametrize(
@@ -63,7 +67,7 @@ class TestConfig:
             {"threshold": 1.5},
             {"count_cap": 0},
             {"nms_threshold": 0.0},
-            {"feature_dim": 0},
+            {"nms_threshold": 1.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -73,13 +77,13 @@ class TestConfig:
 
 class TestScorer:
     def test_untrained_scores_neutral(self):
-        scorer = CentroidScorer.untrained(["cat"], 4)
+        # A zero prototype is what a class gets before any selection.
+        scorer = CentroidScorer({"cat": np.zeros(4)}, feature_dim=4)
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.ones(4))])
         assert score_proposals(scorer, image) == {"cat": [0.5]}
-        assert not scorer.trained
 
     def test_cosine_extremes(self):
-        scorer = CentroidScorer({"cat": np.array([1.0, 0.0])}, feature_dim=2, trained=True)
+        scorer = CentroidScorer({"cat": np.array([1.0, 0.0])}, feature_dim=2)
         image = one_image(
             [
                 proposal(0, Box(0, 0, 10, 10), 0.9, np.array([2.0, 0.0])),
@@ -92,13 +96,13 @@ class TestScorer:
         assert_allclose(scores, [1.0, 0.0, 0.5, 0.5])
 
     def test_dimension_mismatch_raises(self):
-        scorer = CentroidScorer({"cat": np.zeros(4)}, feature_dim=4, trained=True)
+        scorer = CentroidScorer({"cat": np.zeros(4)}, feature_dim=4)
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.ones(3))])
         with pytest.raises(FeatureDimensionError):
             score_proposals(scorer, image)
 
     def test_missing_feature_raises(self):
-        scorer = CentroidScorer({"cat": np.zeros(4)}, feature_dim=4, trained=True)
+        scorer = CentroidScorer({"cat": np.zeros(4)}, feature_dim=4)
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, None)])
         with pytest.raises(FeatureDimensionError):
             score_proposals(scorer, image)
@@ -106,7 +110,7 @@ class TestScorer:
     @pytest.mark.parametrize("bad_feature", [np.ones(3), None])
     def test_bad_feature_after_valid_ones_raises(self, bad_feature):
         # Checked for every proposal before any norm is computed.
-        scorer = CentroidScorer({"cat": np.ones(4)}, feature_dim=4, trained=True)
+        scorer = CentroidScorer({"cat": np.ones(4)}, feature_dim=4)
         proposals = [
             proposal(i, Box(20 * i, 0, 20 * i + 10, 10), 0.9, np.ones(4)) for i in range(3)
         ]
@@ -119,7 +123,6 @@ class TestScorer:
         scorer = CentroidScorer(
             {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 2.0])},
             feature_dim=2,
-            trained=True,
         )
         image = one_image(
             [
@@ -131,21 +134,16 @@ class TestScorer:
 
 
 class TestSelectPseudoGt:
-    def make_config(self, **kwargs):
-        defaults = dict(feature_dim=2)
-        defaults.update(kwargs)
-        return RefinementConfig(**defaults)
-
     def test_count_guided_respects_count_and_cap(self):
         boxes = [Box(15.0 * i, 0, 15.0 * i + 10, 10) for i in range(5)]
         image = one_image(
             [proposal(i, b, 0.5 + 0.05 * i) for i, b in enumerate(boxes)], count=4
         )
         scores = [p.scores["cat"] for p in image.proposals]
-        config = self.make_config(count_cap=3)
+        config = RefinementConfig(count_cap=3)
         result = select_pseudo_gt(image, "cat", scores, config)
         assert len(result.selected) == 3  # min(count=4, cap=3)
-        capped = select_pseudo_gt(image, "cat", scores, self.make_config(count_cap=10))
+        capped = select_pseudo_gt(image, "cat", scores, RefinementConfig(count_cap=10))
         assert len(capped.selected) == 4
 
     def test_baseline_takes_single_top_region(self):
@@ -156,7 +154,7 @@ class TestSelectPseudoGt:
             ],
             count=3,
         )
-        config = self.make_config(count_guided=False)
+        config = RefinementConfig(count_guided=False)
         result = select_pseudo_gt(image, "cat", [0.9, 0.8], config)
         assert result == SelectionResult((0,), 0.9, True)
 
@@ -171,7 +169,7 @@ class TestSelectPseudoGt:
             ],
             count=2,
         )
-        config = self.make_config(threshold=1.0)
+        config = RefinementConfig(threshold=1.0)
         result = select_pseudo_gt(image, "cat", [0.9, 0.85, 0.5], config)
         assert result.selected == (0, 2)
 
@@ -179,16 +177,16 @@ class TestSelectPseudoGt:
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)], count=1)
         image.counts["cat"] = 0
         with pytest.raises(ValueError):
-            select_pseudo_gt(image, "cat", [0.9], self.make_config())
+            select_pseudo_gt(image, "cat", [0.9], RefinementConfig())
 
     def test_score_alignment_checked(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
         with pytest.raises(ValueError):
-            select_pseudo_gt(image, "cat", [0.9, 0.1], self.make_config())
+            select_pseudo_gt(image, "cat", [0.9, 0.1], RefinementConfig())
 
     def test_no_proposals_gives_empty_incomplete_result(self):
         image = one_image([], count=2)
-        result = select_pseudo_gt(image, "cat", [], self.make_config())
+        result = select_pseudo_gt(image, "cat", [], RefinementConfig())
         assert result == SelectionResult((), 0.0, False)
 
     def test_count_above_post_nms_regions_is_incomplete(self):
@@ -202,7 +200,7 @@ class TestSelectPseudoGt:
             ],
             count=3,
         )
-        config = self.make_config()
+        config = RefinementConfig()
         scores = [0.9, 0.85, 0.5]
         overlaps = image_overlaps(image, config.nms_threshold, config.threshold)
         for cached in (None, overlaps):
@@ -213,62 +211,62 @@ class TestSelectPseudoGt:
     def test_out_of_range_score_rejected(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
         with pytest.raises(ValueError):
-            select_pseudo_gt(image, "cat", [1.5], self.make_config())
+            select_pseudo_gt(image, "cat", [1.5], RefinementConfig())
 
     def test_overlaps_for_other_thresholds_rejected(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        config = self.make_config()
+        config = RefinementConfig()
         stale = image_overlaps(image, 0.5, config.threshold)
         with pytest.raises(ValueError):
             select_pseudo_gt(image, "cat", [0.9], config, stale)
 
-    @pytest.mark.parametrize("plus_one", [False, True])
+    @pytest.mark.parametrize("rescored", [False, True])
     @pytest.mark.parametrize("count_guided", [True, False])
-    def test_matches_public_nms_then_greedy(self, plus_one, count_guided):
+    def test_matches_public_nms_then_greedy(self, rescored, count_guided):
         # Cached masks give what the public functions give on the same
-        # regions, under both extent conventions.
+        # regions, for the stored scores and for a retrained scorer's, which
+        # rank the proposals differently over the same masks.
         world = generate_world(30, 3, seed=12)
-        config = self.make_config(count_guided=count_guided)
-        with plus_one_convention(plus_one):
-            for record in world:
-                overlaps = image_overlaps(record, config.nms_threshold, config.threshold)
-                for name in record.positive_classes():
-                    scores = [p.scores.get(name, 0.0) for p in record.proposals]
-                    regions = [
-                        ScoredRegion(p.box, s, p.region_id)
-                        for p, s in zip(record.proposals, scores)
-                    ]
-                    target = min(record.counts[name], config.count_cap) if count_guided else 1
-                    expected = crs_greedy(
-                        SelectionProblem(
-                            tuple(nms(regions, config.nms_threshold)), target, config.threshold
-                        )
+        config = RefinementConfig(count_guided=count_guided)
+        table = score_table(world, trained_scorer(world) if rescored else None)
+        for record in world:
+            overlaps = image_overlaps(record, config.nms_threshold, config.threshold)
+            for name in record.positive_classes():
+                scores = table[record.image_id][name]
+                regions = [
+                    ScoredRegion(p.box, s, p.region_id)
+                    for p, s in zip(record.proposals, scores)
+                ]
+                target = min(record.counts[name], config.count_cap) if count_guided else 1
+                expected = crs_greedy(
+                    SelectionProblem(
+                        tuple(nms(regions, config.nms_threshold)), target, config.threshold
                     )
-                    result = select_pseudo_gt(record, name, scores, config, overlaps)
-                    assert result == expected
+                )
+                result = select_pseudo_gt(record, name, scores, config, overlaps)
+                assert result == expected
 
 
 class TestDetectionsFromScores:
-    @pytest.mark.parametrize("plus_one", [False, True])
-    def test_matches_public_nms(self, plus_one):
+    @pytest.mark.parametrize("rescored", [False, True])
+    def test_matches_public_nms(self, rescored):
         world = generate_world(20, 3, seed=5)
-        scores = score_table(world, None)
-        with plus_one_convention(plus_one):
-            overlaps = [image_overlaps(r, 0.3, 0.1) for r in world]
-            cached = detections_from_scores(world, scores, 0.3, overlaps)
-            assert cached == detections_from_scores(world, scores, 0.3)
-            expected = [
-                (record.image_id, name, region.box, region.score)
-                for record in world
-                for name, class_scores in scores[record.image_id].items()
-                for region in nms(
-                    [
-                        ScoredRegion(p.box, s, p.region_id)
-                        for p, s in zip(record.proposals, class_scores)
-                    ],
-                    0.3,
-                )
-            ]
+        scores = score_table(world, trained_scorer(world) if rescored else None)
+        overlaps = [image_overlaps(r, 0.3, 0.1) for r in world]
+        cached = detections_from_scores(world, scores, 0.3, overlaps)
+        assert cached == detections_from_scores(world, scores, 0.3)
+        expected = [
+            (record.image_id, name, region.box, region.score)
+            for record in world
+            for name, class_scores in scores[record.image_id].items()
+            for region in nms(
+                [
+                    ScoredRegion(p.box, s, p.region_id)
+                    for p, s in zip(record.proposals, class_scores)
+                ],
+                0.3,
+            )
+        ]
         assert [(d.image_id, d.class_id, d.box, d.confidence) for d in cached] == expected
 
     def test_overlaps_must_match_the_world_and_threshold(self):
@@ -293,12 +291,11 @@ class TestRetrain:
         )
         pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
         scorer = retrain_scorer(pseudo_gt, [image])
-        assert scorer.trained
         assert_allclose(scorer.prototypes["cat"], [0.5, 0.5])
 
     def test_unselected_class_keeps_previous_prototype(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 2.0]))])
-        previous = CentroidScorer({"cat": np.array([3.0, 4.0])}, 2, trained=True)
+        previous = CentroidScorer({"cat": np.array([3.0, 4.0])}, 2)
         scorer = retrain_scorer({}, [image], previous=previous)
         assert_allclose(scorer.prototypes["cat"], [3.0, 4.0])
         # without a previous scorer the prototype is zero: neutral 0.5 scores
@@ -326,7 +323,7 @@ class TestRunAdr:
         assert report.iterations[0].report.purity is None
         for entry in report.iterations[1:]:
             assert entry.report.purity is not None
-        assert report.scorer is not None and report.scorer.trained
+        assert report.scorer is not None
         assert report.config == config
 
     def test_single_pass_baseline(self):

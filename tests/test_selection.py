@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from crskit.geometry import Box, asymmetric_overlap, iou, plus_one_convention
+from crskit.geometry import Box, asymmetric_overlap, iou
 from crskit.selection import (
     CapacityError,
     ScoredRegion,
@@ -17,7 +17,6 @@ from crskit.selection import (
     SelectionResult,
     crs_exact,
     crs_greedy,
-    filter_by_min_size,
     nms,
 )
 
@@ -96,16 +95,18 @@ def reference_greedy(problem: SelectionProblem) -> SelectionResult:
 
 
 @st.composite
-def grid_regions(draw) -> tuple[ScoredRegion, ...]:
-    """Integer-pixel boxes on a small canvas, so that touching boxes and
-    one-pixel gaps, where the extent conventions disagree, are common."""
+def canvas_regions(draw, integer_grid: bool) -> tuple[ScoredRegion, ...]:
+    """Boxes on a small canvas. On the integer grid, identical, nested and
+    touching boxes, and overlaps exactly at a threshold, are common."""
     n = draw(st.integers(1, 10))
+    coord = st.integers(0, 20) if integer_grid else st.floats(0.0, 20.0)
+    side = st.integers(1, 12) if integer_grid else st.floats(0.5, 12.0)
     regions = []
     for region_id in range(n):
-        x = draw(st.integers(0, 20))
-        y = draw(st.integers(0, 20))
-        w = draw(st.integers(1, 12))
-        h = draw(st.integers(1, 12))
+        x = draw(coord)
+        y = draw(coord)
+        w = draw(side)
+        h = draw(side)
         score = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0))
         regions.append(ScoredRegion(Box(x, y, x + w, y + h), score, region_id))
     return tuple(regions)
@@ -204,32 +205,27 @@ class TestNms:
 
 
 class TestAgainstScalarReference:
-    """The mask walks agree with loops over the scalar kernels, under both
-    extent conventions."""
+    """The mask walks agree with loops over the scalar kernels."""
 
-    @pytest.mark.parametrize("plus_one", [False, True])
+    @pytest.mark.parametrize("integer_grid", [False, True])
     @given(
-        regions=grid_regions(),
+        data=st.data(),
         threshold=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]),
         count=st.integers(1, 4),
     )
-    def test_nms_and_greedy_match_reference(self, plus_one, regions, threshold, count):
-        with plus_one_convention(plus_one):
-            assert nms(regions, threshold) == reference_nms(regions, threshold)
-            problem = SelectionProblem(regions, count, threshold)
-            assert crs_greedy(problem) == reference_greedy(problem)
+    def test_nms_and_greedy_match_reference(self, integer_grid, data, threshold, count):
+        regions = data.draw(canvas_regions(integer_grid))
+        assert nms(regions, threshold) == reference_nms(regions, threshold)
+        problem = SelectionProblem(regions, count, threshold)
+        assert crs_greedy(problem) == reference_greedy(problem)
 
-    def test_conventions_disagree_on_touching_boxes(self):
-        # Under the inclusive-pixel rule the shared edge is an 11-pixel
-        # strip, so the right box conflicts with the left one.
+    def test_touching_boxes_never_conflict(self):
+        # Boxes that share only an edge do not intersect.
         left = ScoredRegion(Box(0, 0, 10, 10), 0.9, 0)
         right = ScoredRegion(Box(10, 0, 20, 10), 0.8, 1)
         problem = SelectionProblem((left, right), count=2, threshold=0.05)
         assert crs_greedy(problem).selected == (0, 1)
         assert nms([left, right], 0.04) == [left, right]
-        with plus_one_convention():
-            assert crs_greedy(problem).selected == (0,)
-            assert nms([left, right], 0.04) == [left]
 
 
 class TestWorkedExample:
@@ -378,23 +374,3 @@ class TestResultInvariants:
             ):
                 assert_allclose(result.total_score, expected, rtol=0, atol=1e-12)
                 assert result.complete
-
-
-class TestFilterByMinSize:
-    def test_boundary_area_is_kept(self):
-        small = ScoredRegion(Box(0, 0, 5, 5), 0.5, 0)  # area 25
-        tiny = ScoredRegion(Box(0, 0, 4, 5), 0.5, 1)  # area 20
-        assert filter_by_min_size([small, tiny], 25.0) == [small]
-        assert filter_by_min_size([small, tiny], 20.0) == [small, tiny]
-
-    def test_order_preserved(self):
-        regions = [
-            ScoredRegion(Box(0, 0, 10, 10), 0.2, 0),
-            ScoredRegion(Box(0, 0, 2, 2), 0.9, 1),
-            ScoredRegion(Box(0, 0, 8, 8), 0.5, 2),
-        ]
-        assert [r.region_id for r in filter_by_min_size(regions, 16.0)] == [0, 2]
-
-    def test_negative_min_area_rejected(self):
-        with pytest.raises(ValueError):
-            filter_by_min_size([], -1.0)
