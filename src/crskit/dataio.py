@@ -336,13 +336,16 @@ class RunConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise DatasetError(f"config: unknown keys: {sorted(unknown)}")
+        values = {}
         for name, value in data.items():
             kind = type(getattr(cls, name))
             allowed = (int, float) if kind is float else kind
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
                 raise DatasetError(f"config: {name}: expected {_EXPECTED[kind]}")
+            # An integer for a float field becomes the float a flag would give.
+            values[name] = float(value) if kind is float else value
         try:
-            return cls(**data)
+            return cls(**values)
         except ValueError as exc:
             raise DatasetError(f"config: {exc}") from exc
 

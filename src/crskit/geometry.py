@@ -1,7 +1,8 @@
 """Axis-aligned box geometry: areas, intersection, IoU, and directed overlap.
 
 The scalar kernels work on ``Box`` objects; ``pairwise_overlaps`` computes the
-same quantities for every pair of an ``(n, 4)`` box array at once.
+same quantities for every pair of an ``(n, 4)`` box array at once, and
+``paired_overlaps`` for the matching rows of two such arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "iou",
     "asymmetric_overlap",
     "pairwise_overlaps",
+    "paired_overlaps",
     "hull",
 ]
 
@@ -111,6 +113,33 @@ def asymmetric_overlap(selected: Box, candidate: Box) -> float:
     return inter / area(candidate)
 
 
+def _overlaps(
+    lo_a: np.ndarray,
+    hi_a: np.ndarray,
+    area_a: np.ndarray,
+    lo_b: np.ndarray,
+    hi_b: np.ndarray,
+    area_b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    # IoU and directed overlap (a selected, b the candidate) of broadcast box
+    # pairs, with the scalar kernels' elementwise operations in their order.
+    overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    iw, ih = overlap[..., 0], overlap[..., 1]
+    inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+    overlapping = inter != 0.0
+    union = area_a + area_b - inter
+    ious = np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
+    directed = np.divide(inter, area_b, out=np.zeros_like(inter), where=overlapping)
+    return ious, directed
+
+
+def _corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    lo, hi = b[:, :2], b[:, 2:]
+    sides = hi - lo
+    return lo, hi, sides[:, 0] * sides[:, 1]
+
+
 def pairwise_overlaps(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """IoU and directed-overlap matrices for an ``(n, 4)`` array of corner boxes.
 
@@ -119,19 +148,17 @@ def pairwise_overlaps(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     candidate), bit for bit: the same elementwise operations in the same
     order.
     """
-    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    lo, hi = b[:, :2], b[:, 2:]
-    sides = hi - lo
-    areas = sides[:, 0] * sides[:, 1]
-    # [i, j, axis]: extent of the intersection of boxes i and j along x and y.
-    overlap = np.minimum(hi[:, None], hi) - np.maximum(lo[:, None], lo)
-    iw, ih = overlap[..., 0], overlap[..., 1]
-    inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
-    overlapping = inter != 0.0
-    union = areas[:, None] + areas - inter
-    ious = np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
-    directed = np.divide(inter, areas, out=np.zeros_like(inter), where=overlapping)
-    return ious, directed
+    lo, hi, areas = _corners(boxes)
+    return _overlaps(lo[:, None], hi[:, None], areas[:, None], lo, hi, areas)
+
+
+def paired_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and directed overlap of row k of ``a`` with row k of ``b``, two ``(n, 4)`` arrays.
+
+    ``ious[k]`` is ``iou(a_k, b_k)`` and ``directed[k]`` is
+    ``asymmetric_overlap(a_k, b_k)``, bit for bit, as in ``pairwise_overlaps``.
+    """
+    return _overlaps(*_corners(a), *_corners(b))
 
 
 def hull(boxes: Iterable[Box]) -> Box:

@@ -6,10 +6,14 @@ nearest-centroid cosine scorer on the selected features, and rescores every
 proposal for the next round. With ``count_guided`` off, selection degrades to
 the single top-scoring region per image and class.
 
-Boxes never change during a run, and the suppression and selection thresholds
-are fixed by the run's config, so ``run_adr`` computes each image's pairwise
-overlaps once, as conflict masks (``ImageOverlaps``), and every selection and
-evaluation of the run walks those masks in the current score order.
+Boxes and ground truth never change during a run, and the suppression and
+selection thresholds are fixed by the run's config, so ``run_adr`` computes
+each image's pairwise overlaps once, as conflict masks (``ImageOverlaps``),
+and every selection and evaluation of the run walks those masks in the current
+score order. It likewise builds each image's ground-truth overlaps once
+(``GroundTruthTable``): every evaluation feeds the suppression survivors to
+``evaluation.assemble_report`` as per-class columns, with no ``Detection``
+objects, and every purity count reads the same table.
 """
 
 from __future__ import annotations
@@ -17,11 +21,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import Detection, EvalReport, build_report, is_pure
+from .evaluation import (
+    ClassColumns,
+    Detection,
+    EvalReport,
+    TruthRows,
+    assemble_report,
+    truth_rows,
+)
 from .geometry import pairwise_overlaps
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
@@ -40,10 +51,12 @@ __all__ = [
     "RefinementConfig",
     "CentroidScorer",
     "ImageOverlaps",
+    "GroundTruthTable",
     "IterationReport",
     "RefinementReport",
     "score_proposals",
     "image_overlaps",
+    "ground_truth_table",
     "select_pseudo_gt",
     "retrain_scorer",
     "selection_purity",
@@ -188,6 +201,50 @@ def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
         raise ValueError(f"{image.image_id}: score must be in [0, 1], got {bad}")
 
 
+@dataclass(frozen=True)
+class GroundTruthTable:
+    """Every image's proposals against its ground truth, indexed like the world.
+
+    ``rows[k]`` holds image k's ``evaluation.TruthRows`` per class with
+    ground truth there, by proposal position, at the match IoU and under the
+    run's CorLoc variant; ``positions[k]`` maps its region ids to positions.
+    ``rank[k]`` is image k's position in image_id order.
+    """
+
+    image_ids: tuple[str, ...]
+    rank: tuple[int, ...]
+    rows: tuple[dict[str, TruthRows], ...]
+    positions: tuple[dict[int, int], ...]
+
+
+def ground_truth_table(
+    world: Sequence[ImageRecord], corloc_variant: str = "iou50"
+) -> GroundTruthTable:
+    """Match every proposal of ``world`` against its image's ground truth."""
+    image_ids = tuple(record.image_id for record in world)
+    if len(set(image_ids)) != len(image_ids):
+        raise ValueError("image_ids must be unique within a world")
+    rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
+    return GroundTruthTable(
+        image_ids=image_ids,
+        rank=tuple(rank[image_id] for image_id in image_ids),
+        rows=tuple(
+            truth_rows(
+                (([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world),
+                corloc_variant,
+            )
+        ),
+        positions=tuple(
+            {p.region_id: i for i, p in enumerate(record.proposals)} for record in world
+        ),
+    )
+
+
+def _check_table(table: GroundTruthTable, world: Sequence[ImageRecord]) -> None:
+    if table.image_ids != tuple(record.image_id for record in world):
+        raise ValueError("ground-truth table was built for another world or image order")
+
+
 def select_pseudo_gt(
     image: ImageRecord,
     class_id: str,
@@ -298,20 +355,28 @@ class RefinementReport:
 def selection_purity(
     pseudo_gt: Mapping[str, Mapping[str, SelectionResult]],
     world: Sequence[ImageRecord],
+    table: GroundTruthTable | None = None,
 ) -> float | None:
-    """Pooled purity (``evaluation.is_pure``) of selected regions across all images and classes."""
+    """Pooled purity of selected regions across all images and classes.
+
+    A region is pure when exactly one ground-truth box of its class reaches
+    the match IoU with it (``evaluation.is_pure``), read from ``table``, the
+    world's ground-truth overlaps, which is built here when not given.
+    """
+    if table is None:
+        table = ground_truth_table(world)
+    _check_table(table, world)
     total = 0
     pure = 0
-    for record in world:
+    for record, rows, positions in zip(world, table.rows, table.positions):
         selections = pseudo_gt.get(record.image_id)
         if not selections:
             continue
-        by_id = record.proposal_map()
         for class_id, result in selections.items():
-            gt = record.gt_boxes.get(class_id, [])
+            matches = rows[class_id].matches if class_id in rows else {}
             for region_id in result.selected:
                 total += 1
-                pure += int(is_pure(by_id[region_id].box, gt))
+                pure += int(len(matches.get(positions[region_id], ())) == 1)
     if total == 0:
         return None
     return pure / total
@@ -333,6 +398,25 @@ def score_table(
     return {record.image_id: score_proposals(scorer, record) for record in world}
 
 
+def _survivors(
+    world: Sequence[ImageRecord],
+    scores: Mapping[str, Mapping[str, Sequence[float]]],
+    nms_threshold: float,
+    overlaps: Sequence[ImageOverlaps],
+) -> Iterator[tuple[int, str, Sequence[float], list[int]]]:
+    """Image position, class, scores and suppression survivors of every scored class."""
+    if len(overlaps) != len(world):
+        raise ValueError(f"got overlaps for {len(overlaps)} of {len(world)} images")
+    for position, (record, masks) in enumerate(zip(world, overlaps)):
+        if masks.nms_threshold != nms_threshold:
+            raise ValueError(f"{record.image_id}: overlaps were built for another NMS threshold")
+        for name, class_scores in scores[record.image_id].items():
+            _check_scores(record, class_scores)
+            yield position, name, class_scores, suppress(
+                rank_order(class_scores, masks.by_id), masks.suppress
+            )
+
+
 def detections_from_scores(
     world: Sequence[ImageRecord],
     scores: Mapping[str, Mapping[str, Sequence[float]]],
@@ -350,24 +434,47 @@ def detections_from_scores(
             image_overlaps(record, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
             for record in world
         ]
-    if len(overlaps) != len(world):
-        raise ValueError(f"got overlaps for {len(overlaps)} of {len(world)} images")
-    out = []
-    for record, masks in zip(world, overlaps):
-        if masks.nms_threshold != nms_threshold:
-            raise ValueError(f"{record.image_id}: overlaps were built for another NMS threshold")
-        for name, class_scores in scores[record.image_id].items():
-            _check_scores(record, class_scores)
-            for i in suppress(rank_order(class_scores, masks.by_id), masks.suppress):
-                out.append(
-                    Detection(
-                        image_id=record.image_id,
-                        class_id=name,
-                        box=record.proposals[i].box,
-                        confidence=class_scores[i],
-                    )
-                )
-    return out
+    return [
+        Detection(
+            image_id=world[position].image_id,
+            class_id=name,
+            box=world[position].proposals[i].box,
+            confidence=class_scores[i],
+        )
+        for position, name, class_scores, kept in _survivors(
+            world, scores, nms_threshold, overlaps
+        )
+        for i in kept
+    ]
+
+
+def _class_columns(
+    world: Sequence[ImageRecord],
+    scores: Mapping[str, Mapping[str, Sequence[float]]],
+    nms_threshold: float,
+    overlaps: Sequence[ImageOverlaps],
+    table: GroundTruthTable,
+) -> dict[str, ClassColumns]:
+    """The suppression survivors ``detections_from_scores`` lists, as per-class columns."""
+    columns: dict[str, ClassColumns] = {}
+    for position, name, class_scores, kept in _survivors(world, scores, nms_threshold, overlaps):
+        if not kept:
+            continue
+        col = columns.get(name)
+        if col is None:
+            col = columns[name] = ClassColumns()
+        base = len(col.confidence)
+        col.confidence.extend([class_scores[i] for i in kept])
+        col.image.extend([table.rank[position]] * len(kept))
+        rows = table.rows[position].get(name)
+        if rows is None:
+            continue
+        for t, i in enumerate(kept):
+            if i in rows.matches:
+                col.matches[base + t] = rows.matches[i]
+            if i in rows.hits:
+                col.hits.append(base + t)
+    return columns
 
 
 def run_adr(
@@ -386,20 +493,20 @@ def run_adr(
     """
     if not world:
         raise ValueError("cannot refine an empty world")
-    gt = {record.image_id: dict(record.gt_boxes) for record in world}
+    gt = {record.image_id: record.gt_boxes for record in world}
     overlaps = [
         image_overlaps(record, config.nms_threshold, config.threshold)
         for record in world
     ]
+    table = ground_truth_table(world, corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
     scores = score_table(world, scorer)
 
     def evaluate(purity_value: float | None) -> EvalReport:
-        return build_report(
-            detections_from_scores(world, scores, config.nms_threshold, overlaps),
+        return assemble_report(
+            _class_columns(world, scores, config.nms_threshold, overlaps, table),
             gt,
-            corloc_variant=corloc_variant,
             ap_mode=ap_mode,
             purity_value=purity_value,
         )
@@ -418,7 +525,7 @@ def run_adr(
                 pseudo_gt[record.image_id] = picks
         scorer = retrain_scorer(pseudo_gt, world, previous=scorer)
         scores = score_table(world, scorer)
-        purity_value = selection_purity(pseudo_gt, world)
+        purity_value = selection_purity(pseudo_gt, world, table)
         report.iterations.append(
             IterationReport(iteration=iteration, report=evaluate(purity_value))
         )

@@ -274,6 +274,18 @@ class TestConfigHandling:
         assert code == 1
         assert err == "error: config: k: expected an integer\n"
 
+    def test_integer_config_values_match_float_flags(self, tmp_path, capsys):
+        # {"T": 1} in a file and --T 1 are the same run and write the same bytes.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(dumps_json({"T": 1, "nms_threshold": 1}))
+        code, from_file, _ = run(capsys, "select", "--input", FIXTURE,
+                                 "--config", str(config_path))
+        assert code == 0
+        code, from_flags, _ = run(capsys, "select", "--input", FIXTURE,
+                                  "--T", "1", "--nms-threshold", "1")
+        assert code == 0
+        assert from_file == from_flags
+
     def test_voc_plus_one_flag_is_a_usage_error(self, capsys):
         assert run(capsys, "select", "--input", FIXTURE, "--voc-plus-one")[0] == 2
 

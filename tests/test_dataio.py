@@ -327,7 +327,9 @@ class TestRunConfig:
             RunConfig.from_dict(data)
 
     def test_from_dict_takes_an_integer_for_a_float_field(self):
-        assert RunConfig.from_dict({"T": 1, "nms_threshold": 0.5}).T == 1
+        config = RunConfig.from_dict({"T": 1, "nms_threshold": 0.5})
+        assert config.T == 1
+        assert type(config.T) is float
 
     def test_out_of_range_value_names_the_refinement_field(self):
         with pytest.raises(DatasetError, match=r"^config: threshold must be in \(0, 1\]"):

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from crskit import evaluation
 from crskit.evaluation import (
     Detection,
+    EvalReport,
     average_precision,
     build_report,
     corloc,
     count_bucket,
+    is_pure,
     match_detections,
     purity,
     slice_by_count,
+    truth_rows,
 )
-from crskit.geometry import Box
+from crskit.geometry import Box, iou
+from crskit.refinement import RefinementConfig, detections_from_scores, run_adr, score_table
+from crskit.world import generate_world
 
 GT_UNIT = Box(0, 0, 10, 10)
 
@@ -53,6 +61,15 @@ class TestMatching:
         d1 = det("img", 0.9, Box(0, 0, 10, 10))
         d2 = det("img", 0.8, Box(1.5, 0, 13.5, 10))
         assert match_detections([d1, d2], gt) == [True, True]
+
+    def test_takes_the_best_candidate_not_the_first(self):
+        g1 = Box(0, 0, 10, 10)
+        g2 = Box(2, 0, 12, 10)
+        # d1 reaches both (IoU 2/3 with g1, 1 with g2) and takes g2, leaving
+        # g1 for d2, which reaches only g1 (IoU 2/3; 3/7 with g2).
+        d1 = det("img", 0.9, Box(2, 0, 12, 10))
+        d2 = det("img", 0.8, Box(-2, 0, 8, 10))
+        assert match_detections([d1, d2], {"img": [g1, g2]}) == [True, True]
 
     def test_ranking_by_confidence_then_image(self):
         gt = {"a": [GT_UNIT], "b": [GT_UNIT]}
@@ -243,3 +260,171 @@ class TestReports:
         assert report.mean_ap is None
         assert report.mean_corloc is None
         assert slice_by_count([], {}) == {}
+
+
+# Reference implementation: Detection-based loops over the scalar ``iou``,
+# which the array core must equal exactly. Ranking is confidence descending,
+# ties by image_id, then input position.
+
+
+def reference_ranked(detections):
+    order = sorted(
+        range(len(detections)),
+        key=lambda i: (-detections[i].confidence, detections[i].image_id, i),
+    )
+    return [detections[i] for i in order]
+
+
+def reference_match(detections, gt_boxes, iou_threshold=0.5):
+    taken = set()
+    flags = []
+    for d in reference_ranked(detections):
+        best_iou, best_index = 0.0, -1
+        for j, g in enumerate(gt_boxes.get(d.image_id, ())):
+            value = iou(d.box, g)
+            if (d.image_id, j) not in taken and value >= iou_threshold and value > best_iou:
+                best_iou, best_index = value, j
+        if best_index >= 0:
+            taken.add((d.image_id, best_index))
+        flags.append(best_index >= 0)
+    return flags
+
+
+def reference_hit(det, boxes, variant):
+    if variant == "iou50":
+        return any(iou(det.box, g) >= 0.5 for g in boxes)
+    cx, cy = det.box.center
+    return any(g.contains_point(cx, cy) for g in boxes)
+
+
+def reference_report(detections, gt, corloc_variant="iou50", ap_mode="11pt"):
+    names = sorted(
+        {c for per_class in gt.values() for c in per_class} | {d.class_id for d in detections}
+    )
+    per_class_ap, per_class_corloc, absent = {}, {}, []
+    for name in names:
+        class_gt = {i: list(p[name]) for i, p in gt.items() if p.get(name)}
+        dets = [d for d in detections if d.class_id == name]
+        num_gt = sum(len(v) for v in class_gt.values())
+        per_class_ap[name] = average_precision(reference_match(dets, class_gt), num_gt, ap_mode)
+        if num_gt == 0:
+            absent.append(name)
+            continue
+        tops = {}
+        for d in reference_ranked(dets):
+            tops.setdefault(d.image_id, d)
+        correct = sum(
+            reference_hit(tops[i], boxes, corloc_variant)
+            for i, boxes in class_gt.items()
+            if i in tops
+        )
+        per_class_corloc[name] = correct / len(class_gt)
+    present = [v for name, v in per_class_ap.items() if name not in absent]
+    corlocs = list(per_class_corloc.values())
+    return EvalReport(
+        per_class_ap=per_class_ap,
+        per_class_corloc=per_class_corloc,
+        mean_ap=sum(present) / len(present) if present else None,
+        mean_corloc=sum(corlocs) / len(corlocs) if corlocs else None,
+        absent_classes=tuple(absent),
+    )
+
+
+def reference_slices(detections, gt, corloc_variant="iou50", ap_mode="11pt"):
+    members = {}
+    for image_id, per_class in gt.items():
+        for name, boxes in per_class.items():
+            if boxes:
+                members.setdefault(count_bucket(len(boxes)), set()).add((image_id, name))
+    return {
+        bucket: reference_report(
+            [d for d in detections if (d.image_id, d.class_id) in pairs],
+            {
+                image_id: {n: b for n, b in per_class.items() if (image_id, n) in pairs}
+                for image_id, per_class in gt.items()
+            },
+            corloc_variant,
+            ap_mode,
+        )
+        for bucket, pairs in sorted(members.items())
+    }
+
+
+def tied_world():
+    """A world built to stress the ranking and the report's edge cases.
+
+    Scores sit on a quarter grid, so confidences tie within and across
+    images; the images run in reverse image_id order, so input position and
+    image_id disagree on ties; "ghost" is scored but has no ground truth,
+    "unscored" has ground truth but no scores, and one image has no
+    proposals.
+    """
+    world = generate_world(40, 3, seed=21)[::-1]
+    for record in world:
+        for p in record.proposals:
+            p.scores = {name: round(s * 4) / 4 for name, s in p.scores.items()}
+    world[0].counts["ghost"] = 0
+    world[1].gt_boxes["unscored"] = [Box(0, 0, 20, 20)]
+    world[2].proposals = []
+    return world
+
+
+box_coords = st.integers(0, 6)
+grid_boxes = st.tuples(box_coords, box_coords, st.integers(1, 4), st.integers(1, 4)).map(
+    lambda t: Box(t[0], t[1], t[0] + t[2], t[1] + t[3])
+)
+
+
+class TestAgainstReference:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("ab"), st.integers(0, 4), grid_boxes), max_size=14
+        ),
+        st.dictionaries(st.sampled_from("abc"), st.lists(grid_boxes, max_size=4)),
+    )
+    def test_match_detections(self, raw, gt_boxes):
+        detections = [det(i, c / 4, box) for i, c, box in raw]
+        assert match_detections(detections, gt_boxes) == reference_match(detections, gt_boxes)
+
+    @pytest.mark.parametrize("corloc_variant", ["iou50", "center"])
+    def test_truth_rows_do_not_depend_on_batching(self, corloc_variant, monkeypatch):
+        images = [
+            ([p.box.as_tuple() for p in record.proposals], record.gt_boxes)
+            for record in generate_world(30, 3, seed=4)
+        ]
+        one_by_one = [truth_rows([image], corloc_variant)[0] for image in images]
+        monkeypatch.setattr(evaluation, "PAIRS_PER_BATCH", 64)
+        assert truth_rows(images, corloc_variant) == one_by_one
+
+    @given(grid_boxes, st.lists(grid_boxes, max_size=4))
+    def test_is_pure(self, box, gt_boxes):
+        assert is_pure(box, gt_boxes) == (sum(iou(box, g) >= 0.5 for g in gt_boxes) == 1)
+
+    @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])
+    def test_public_reports(self, corloc_variant, ap_mode):
+        world = tied_world()
+        gt = {record.image_id: dict(record.gt_boxes) for record in world}
+        detections = detections_from_scores(world, score_table(world, None), 0.3)
+        kwargs = {"corloc_variant": corloc_variant, "ap_mode": ap_mode}
+        expected = reference_report(detections, gt, **kwargs)
+        assert expected.absent_classes == ("ghost",)
+        assert expected.per_class_ap["unscored"] == 0.0
+        assert build_report(detections, gt, **kwargs) == expected
+        assert slice_by_count(detections, gt, **kwargs) == reference_slices(detections, gt, **kwargs)
+
+    @pytest.mark.parametrize("count_guided", [True, False])
+    @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])
+    def test_run_adr_evaluation(self, count_guided, corloc_variant, ap_mode):
+        # Iteration 0 evaluates the initial scores, iteration 1 the final scorer's.
+        world = tied_world()
+        gt = {record.image_id: dict(record.gt_boxes) for record in world}
+        report = run_adr(
+            world,
+            RefinementConfig(iterations=1, count_guided=count_guided),
+            corloc_variant=corloc_variant,
+            ap_mode=ap_mode,
+        )
+        for entry, scorer in zip(report.iterations, (None, report.scorer)):
+            detections = detections_from_scores(world, score_table(world, scorer), 0.3)
+            expected = reference_report(detections, gt, corloc_variant, ap_mode)
+            assert replace(entry.report, purity=None) == expected

@@ -15,6 +15,7 @@ from crskit.geometry import (
     hull,
     intersection_area,
     iou,
+    paired_overlaps,
     pairwise_overlaps,
 )
 
@@ -172,6 +173,15 @@ class TestPairwiseOverlaps:
                 # hex() tells every bit apart, signed zeros included
                 assert float(ious[i, j]).hex() == iou(a, b).hex()
                 assert float(directed[i, j]).hex() == asymmetric_overlap(a, b).hex()
+        # paired_overlaps: row k of the boxes against row k of the reversed boxes.
+        others = members[::-1]
+        ious, directed = paired_overlaps(
+            [b.as_tuple() for b in members], [b.as_tuple() for b in others]
+        )
+        assert ious.shape == directed.shape == (len(members),)
+        for k, (a, b) in enumerate(zip(members, others)):
+            assert float(ious[k]).hex() == iou(a, b).hex()
+            assert float(directed[k]).hex() == asymmetric_overlap(a, b).hex()
 
     def test_touching_boxes_do_not_overlap(self):
         ious, directed = pairwise_overlaps([(0, 0, 10, 10), (10, 0, 20, 10)])

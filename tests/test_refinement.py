@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from crskit.evaluation import is_pure
 from crskit.geometry import Box
 from crskit.refinement import (
     CentroidScorer,
     FeatureDimensionError,
     RefinementConfig,
     detections_from_scores,
+    ground_truth_table,
     image_overlaps,
     retrain_scorer,
     run_adr,
@@ -380,6 +382,71 @@ class TestSelectionPurity:
     def test_undefined_without_selections(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
         assert selection_purity({}, [image]) is None
+
+
+def is_pure_purity(pseudo_gt, world):
+    """Pooled purity by ``evaluation.is_pure``, region by region."""
+    verdicts = [
+        is_pure(record.proposal_map()[region_id].box, record.gt_boxes.get(name, []))
+        for record in world
+        for name, result in pseudo_gt.get(record.image_id, {}).items()
+        for region_id in result.selected
+    ]
+    return sum(verdicts) / len(verdicts) if verdicts else None
+
+
+class TestGroundTruthTable:
+    def test_table_for_another_world_rejected(self):
+        world = generate_world(4, 2, seed=2)
+        for other in (world[:3], world[::-1]):
+            with pytest.raises(ValueError):
+                selection_purity({}, world, ground_truth_table(other))
+
+    def test_duplicate_image_ids_rejected(self):
+        world = generate_world(2, 2, seed=2)
+        world[1].image_id = world[0].image_id
+        with pytest.raises(ValueError):
+            ground_truth_table(world)
+
+    @pytest.mark.parametrize("dog_boxes", [None, []])
+    def test_counted_class_without_ground_truth_is_impure(self, dog_boxes):
+        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
+        image.counts["dog"] = 1
+        if dog_boxes is not None:
+            image.gt_boxes["dog"] = dog_boxes
+        picked = SelectionResult((0,), 0.9, True)
+        pseudo_gt = {"img_0": {"cat": picked, "dog": picked}}
+        table = ground_truth_table([image])
+        assert selection_purity(pseudo_gt, [image], table) == 0.5
+        assert is_pure_purity(pseudo_gt, [image]) == 0.5
+
+    def test_box_straddling_two_boxes_is_impure(self):
+        # IoU exactly 0.5 with both neighbours: covers two, not one.
+        image = one_image(
+            [proposal(0, Box(0, 0, 20, 10), 0.9), proposal(1, Box(10, 0, 20, 10), 0.8)],
+            count=2,
+        )
+        image.gt_boxes["cat"] = [Box(0, 0, 10, 10), Box(10, 0, 20, 10)]
+        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
+        table = ground_truth_table([image])
+        assert selection_purity(pseudo_gt, [image], table) == 0.5
+        assert is_pure_purity(pseudo_gt, [image]) == 0.5
+
+    @pytest.mark.parametrize("count_guided", [True, False])
+    def test_purity_matches_is_pure_on_real_selections(self, count_guided):
+        world = generate_world(30, 3, seed=13)
+        config = RefinementConfig(count_guided=count_guided)
+        scores = score_table(world, None)
+        pseudo_gt = {
+            record.image_id: {
+                name: select_pseudo_gt(record, name, scores[record.image_id][name], config)
+                for name in record.positive_classes()
+            }
+            for record in world
+        }
+        expected = is_pure_purity(pseudo_gt, world)
+        assert selection_purity(pseudo_gt, world, ground_truth_table(world)) == expected
+        assert selection_purity(pseudo_gt, world) == expected
 
 
 def test_count_guidance_beats_baseline_across_seeds():
