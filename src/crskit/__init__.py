@@ -17,7 +17,6 @@ from .evaluation import (
     build_report,
     corloc,
     match_detections,
-    purity,
     slice_by_count,
 )
 from .geometry import (

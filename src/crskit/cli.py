@@ -26,7 +26,14 @@ from .dataio import DatasetError, RunConfig
 from .evaluation import build_report, slice_by_count
 from .geometry import Box
 from .refinement import detections_from_scores, run_adr, score_table
-from .selection import ScoredRegion, SelectionProblem, crs_exact, crs_greedy, nms
+from .selection import (
+    DEFAULT_ENUMERATION_CAP,
+    ScoredRegion,
+    SelectionProblem,
+    crs_exact,
+    crs_greedy,
+    nms,
+)
 from .world import DEFAULT_FEATURE_DIM, generate_world
 
 logger = logging.getLogger("crskit.cli")
@@ -226,8 +233,10 @@ def _random_problem(
 def cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
     if args.instances < 1:
         raise DatasetError(f"--instances must be >= 1, got {args.instances}")
-    if args.max_regions < 2:
-        raise DatasetError(f"--max-regions must be >= 2, got {args.max_regions}")
+    if not 2 <= args.max_regions <= DEFAULT_ENUMERATION_CAP:
+        raise DatasetError(
+            f"--max-regions must be in [2, {DEFAULT_ENUMERATION_CAP}], got {args.max_regions}"
+        )
     if args.max_count < 1:
         raise DatasetError(f"--max-count must be >= 1, got {args.max_count}")
     rng = np.random.default_rng(config.seed)
@@ -301,7 +310,10 @@ def _format_metric(value: Any) -> str:
         return "-"
     if not isinstance(value, (int, float)):
         raise DatasetError(f"report: expected a number or null, got {value!r}")
-    return f"{value:.4f}"
+    try:
+        return f"{float(value):.4f}"
+    except OverflowError:
+        raise DatasetError("report: expected a number, got an integer beyond float range") from None
 
 
 def _expect(value: Any, kind: type, path: str) -> Any:
@@ -313,13 +325,7 @@ def _expect(value: Any, kind: type, path: str) -> Any:
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
-    import json
-
-    with open(args.input, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"report: malformed JSON: {exc}") from exc
+    data = dataio.load_json(args.input, "report")
     lines = []
     if isinstance(data, dict) and "iterations" in data:
         lines.append("iteration  mean_ap  mean_corloc  purity")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "load_detections",
     "save_detections",
     "load_run_config",
+    "load_json",
     "record_to_dict",
     "record_from_dict",
     "eval_report_to_dict",
@@ -75,9 +76,36 @@ def _require_keys(
 def _number(value: Any, line: int | None, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(line, path, f"expected a number, got {type(value).__name__}")
-    if not np.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(line, path, "expected a finite number, got an integer beyond float range")
+    if not np.isfinite(number):
         _fail(line, path, f"expected a finite number, got {value}")
-    return float(value)
+    return number
+
+
+def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """Number and parse each non-blank line of a UTF-8 JSON Lines file."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("utf-8")
+                if not text.strip():
+                    continue
+                data = json.loads(text)
+            # ValueError covers bad bytes and overlong integers; RecursionError, deep nesting.
+            except (ValueError, RecursionError) as exc:
+                raise DatasetError(f"line {line_no}: malformed JSON: {exc}") from exc
+            yield line_no, data
+
+
+def load_json(path: str | Path, context: str) -> Any:
+    """Parse a UTF-8 JSON file; unparsable input fails as ``<context>: malformed JSON``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"{context}: malformed JSON: {exc}") from exc
 
 
 def _box(value: Any, line: int | None, path: str) -> Box:
@@ -226,19 +254,12 @@ def load_dataset(path: str | Path) -> list[ImageRecord]:
     """Load a JSON Lines dataset, reporting the first violation by line."""
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: malformed JSON: {exc}") from exc
-            record = record_from_dict(data, line=line_no)
-            if record.image_id in seen:
-                _fail(line_no, "image_id", f"duplicate image_id {record.image_id!r}")
-            seen.add(record.image_id)
-            records.append(record)
+    for line_no, data in _json_lines(path):
+        record = record_from_dict(data, line=line_no)
+        if record.image_id in seen:
+            _fail(line_no, "image_id", f"duplicate image_id {record.image_id!r}")
+        seen.add(record.image_id)
+        records.append(record)
     return records
 
 
@@ -250,38 +271,31 @@ def save_dataset(records: Iterable[ImageRecord], path: str | Path) -> None:
 
 def load_detections(path: str | Path) -> list[Detection]:
     detections = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {line_no}: malformed JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                _fail(line_no, "detection", "expected a JSON object")
-            _require_keys(
-                data,
-                allowed={"image_id", "class_id", "box", "confidence"},
-                required={"image_id", "class_id", "box", "confidence"},
-                line=line_no,
-                path="detection",
+    for line_no, data in _json_lines(path):
+        if not isinstance(data, dict):
+            _fail(line_no, "detection", "expected a JSON object")
+        _require_keys(
+            data,
+            allowed={"image_id", "class_id", "box", "confidence"},
+            required={"image_id", "class_id", "box", "confidence"},
+            line=line_no,
+            path="detection",
+        )
+        if not isinstance(data["image_id"], str):
+            _fail(line_no, "image_id", "expected a string")
+        if not isinstance(data["class_id"], str):
+            _fail(line_no, "class_id", "expected a string")
+        confidence = _number(data["confidence"], line_no, "confidence")
+        if not 0.0 <= confidence <= 1.0:
+            _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
+        detections.append(
+            Detection(
+                image_id=data["image_id"],
+                class_id=data["class_id"],
+                box=_box(data["box"], line_no, "box"),
+                confidence=confidence,
             )
-            if not isinstance(data["image_id"], str):
-                _fail(line_no, "image_id", "expected a string")
-            if not isinstance(data["class_id"], str):
-                _fail(line_no, "class_id", "expected a string")
-            confidence = _number(data["confidence"], line_no, "confidence")
-            if not 0.0 <= confidence <= 1.0:
-                _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
-            detections.append(
-                Detection(
-                    image_id=data["image_id"],
-                    class_id=data["class_id"],
-                    box=_box(data["box"], line_no, "box"),
-                    confidence=confidence,
-                )
-            )
+        )
     return detections
 
 
@@ -343,7 +357,7 @@ class RunConfig:
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
                 raise DatasetError(f"config: {name}: expected {_EXPECTED[kind]}")
             # An integer for a float field becomes the float a flag would give.
-            values[name] = float(value) if kind is float else value
+            values[name] = _number(value, None, f"config: {name}") if kind is float else value
         try:
             return cls(**values)
         except ValueError as exc:
@@ -364,12 +378,7 @@ class RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"config: malformed JSON: {exc}") from exc
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(load_json(path, "config"))
 
 
 def eval_report_to_dict(report: EvalReport) -> dict[str, Any]:

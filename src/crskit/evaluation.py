@@ -2,23 +2,24 @@
 
 Ground truth is passed as ``image_id -> class_id -> [Box, ...]``; only classes
 with at least one box anywhere count toward the mean metrics, the rest are
-reported as absent.
+reported as absent. A detection matches a ground-truth box at the PASCAL
+criterion, IoU >= 0.5 (``MATCH_IOU``).
 
 Every metric works from match rows (``truth_rows``): for each box of an image
 and each class with ground truth there, the ground-truth indices its IoU
-reaches the match threshold with, best first, and whether it localizes an
-instance for CorLoc. One ranking, one greedy matching walk and one report
-assembly (``assemble_report``) then work from per-class detection columns
-(``ClassColumns``). ``build_report``, ``match_detections`` and
-``slice_by_count`` turn their ``Detection`` lists into those columns; the
-refinement loop builds its rows once per run, because its boxes and ground
-truth never change, and its columns from the suppression survivors directly.
+reaches 0.5 with, best first, and whether it localizes an instance for
+CorLoc. ``evaluate_picks`` turns picks of a ``TruthTable`` (the rows of a set
+of images) into per-class columns, ranks each class once, runs one greedy
+matching walk and assembles the report. ``build_report``, ``slice_by_count``
+and ``match_detections`` build a table over their ``Detection`` lists on each
+call; the refinement loop builds one over its proposals once per run and
+picks its suppression survivors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,17 +28,18 @@ from .geometry import Box, paired_overlaps
 __all__ = [
     "AP_MODES",
     "CORLOC_VARIANTS",
+    "MATCH_IOU",
     "Detection",
     "TruthRows",
-    "ClassColumns",
+    "TruthTable",
     "EvalReport",
     "truth_rows",
+    "truth_table",
+    "evaluate_picks",
     "match_detections",
     "average_precision",
     "corloc",
     "is_pure",
-    "purity",
-    "assemble_report",
     "build_report",
     "slice_by_count",
     "count_bucket",
@@ -50,6 +52,8 @@ PAIRS_PER_BATCH = 4096
 
 # One image for ``truth_rows``: its corner boxes and its ground truth by class.
 ImageTruth = tuple[Sequence[tuple[float, float, float, float]], Mapping[str, Sequence[Box]]]
+# A pick: a table image, a class, its picked box positions, confidences by box position.
+Pick = tuple[int, str, Sequence[int], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,9 @@ class TruthRows:
     """The boxes of one image against the image's ground truth of one class.
 
     ``matches[i]`` lists the ground-truth indices whose IoU with box i reaches
-    the match threshold, highest IoU first and ties by index: the order in
-    which greedy matching tries them. Boxes without such an index are left
-    out. ``hits`` holds the boxes that localize an instance under the CorLoc
-    variant.
+    0.5, highest IoU first and ties by index: the order in which greedy
+    matching tries them. Boxes without such an index are left out. ``hits``
+    holds the boxes that localize an instance under the CorLoc variant.
     """
 
     matches: dict[int, list[int]]
@@ -82,18 +85,15 @@ class TruthRows:
 
 
 def truth_rows(
-    images: Iterable[ImageTruth],
-    corloc_variant: str = "iou50",
-    iou_threshold: float = MATCH_IOU,
+    images: Iterable[ImageTruth], corloc_variant: str = "iou50"
 ) -> list[dict[str, TruthRows]]:
     """Match rows of each image's corner boxes, per class with ground truth there.
 
     ``images`` pairs each image's boxes with its ground truth. The IoU of
     every box with every ground-truth box of its image comes from
     ``geometry.paired_overlaps``, so it is ``iou(box, gt_box)`` bit for bit.
-    The ``iou50`` CorLoc hit is an IoU of at least 0.5 with some ground-truth
-    box, whatever ``iou_threshold`` is; ``center`` asks that the box's center
-    lie inside one, boundary included.
+    The ``iou50`` CorLoc hit is a match candidate; ``center`` asks that the
+    box's center lie inside a ground-truth box, boundary included.
     """
     if corloc_variant not in CORLOC_VARIANTS:
         raise ValueError(f"unknown corloc variant: {corloc_variant!r}")
@@ -106,17 +106,13 @@ def truth_rows(
         # Batches of a few thousand pairs keep the per-pair temporaries (about
         # 150 bytes a pair) small at a handful of numpy calls per batch.
         if pairs >= PAIRS_PER_BATCH:
-            out.extend(_batch_rows(batch, corloc_variant, iou_threshold))
+            out.extend(_batch_rows(batch, corloc_variant))
             batch, pairs = [], 0
-    out.extend(_batch_rows(batch, corloc_variant, iou_threshold))
+    out.extend(_batch_rows(batch, corloc_variant))
     return out
 
 
-def _batch_rows(
-    images: Sequence[ImageTruth],
-    corloc_variant: str,
-    iou_threshold: float,
-) -> list[dict[str, TruthRows]]:
+def _batch_rows(images: Sequence[ImageTruth], corloc_variant: str) -> list[dict[str, TruthRows]]:
     out: list[dict[str, TruthRows]] = []
     groups: list[TruthRows] = []
     boxes: list[tuple[float, float, float, float]] = []
@@ -156,34 +152,61 @@ def _batch_rows(
     group = np.asarray(gt_group, dtype=int)[pair_gt]
     index = np.asarray(gt_index, dtype=int)[pair_gt]
     ious, _ = paired_overlaps(b[pair_box], g)
-    candidate = np.flatnonzero(ious >= iou_threshold)
+    candidate = np.flatnonzero(ious >= MATCH_IOU)
+    if corloc_variant == "iou50":
+        hit = candidate
+    else:
+        cx = ((b[:, 0] + b[:, 2]) / 2.0)[pair_box]
+        cy = ((b[:, 1] + b[:, 3]) / 2.0)[pair_box]
+        hit = np.flatnonzero(
+            (g[:, 0] <= cx) & (cx <= g[:, 2]) & (g[:, 1] <= cy) & (cy <= g[:, 3])
+        )
     # IoU descending, then ground-truth index: the order greedy matching tries.
     candidate = candidate[np.lexsort((index[candidate], -ious[candidate]))]
     for k, i, j in zip(
         group[candidate].tolist(), position[candidate].tolist(), index[candidate].tolist()
     ):
         groups[k].matches.setdefault(i, []).append(j)
-    if corloc_variant == "iou50":
-        hit = ious >= MATCH_IOU
-    else:
-        cx = ((b[:, 0] + b[:, 2]) / 2.0)[pair_box]
-        cy = ((b[:, 1] + b[:, 3]) / 2.0)[pair_box]
-        hit = (g[:, 0] <= cx) & (cx <= g[:, 2]) & (g[:, 1] <= cy) & (cy <= g[:, 3])
-    hit = np.flatnonzero(hit)
     for k, i in zip(group[hit].tolist(), position[hit].tolist()):
         groups[k].hits.add(i)
     return out
 
 
+@dataclass(frozen=True)
+class TruthTable:
+    """The match rows of a set of images, indexed by table image.
+
+    ``rows[k]`` holds image k's ``TruthRows`` per class with ground truth
+    there, by box position; ``rank[k]`` is image k's position in image_id
+    order, the ranking's tie-break.
+    """
+
+    image_ids: tuple[str, ...]
+    rank: tuple[int, ...]
+    rows: tuple[dict[str, TruthRows], ...]
+
+
+def truth_table(
+    image_ids: Sequence[str], images: Iterable[ImageTruth], corloc_variant: str = "iou50"
+) -> TruthTable:
+    """Match rows of ``images``, the boxes and ground truth of the named images."""
+    if len(set(image_ids)) != len(image_ids):
+        raise ValueError("image_ids must be unique within a table")
+    rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
+    return TruthTable(
+        image_ids=tuple(image_ids),
+        rank=tuple(rank[image_id] for image_id in image_ids),
+        rows=tuple(truth_rows(images, corloc_variant)),
+    )
+
+
 @dataclass
 class ClassColumns:
-    """One class's detections as columns, in input order.
+    """One class's picked boxes as columns, in pick order.
 
-    ``image`` holds each detection's image rank: its image_id's position in
-    sorted order, the ranking's tie-break. ``matches`` maps the position of
-    each detection with match candidates to them (a ``TruthRows.matches``
-    entry); ``hits`` lists the positions of detections that localize an
-    instance.
+    ``image`` holds each box's image rank, the ranking's tie-break. ``matches``
+    maps the position of each box with match candidates to them; ``hits``
+    lists the positions of boxes that localize an instance.
     """
 
     confidence: list[float] = field(default_factory=list)
@@ -229,74 +252,75 @@ def _localized(columns: ClassColumns, order: np.ndarray) -> int:
     return int(np.count_nonzero(hit[order[first]]))
 
 
-def _detection_rows(
-    detections: Sequence[Detection],
-    gt: Mapping[str, Mapping[str, Sequence[Box]]],
-    iou_threshold: float,
-    corloc_variant: str,
-) -> tuple[list[int], list[list[int] | None], list[bool]]:
-    """Image rank, match candidates and CorLoc hit of every detection."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    rank = {image_id: r for r, image_id in enumerate(sorted({d.image_id for d in detections}))}
-    members: dict[str, list[int]] = {}
-    for k, d in enumerate(detections):
-        if gt.get(d.image_id, {}).get(d.class_id):
-            members.setdefault(d.image_id, []).append(k)
-    matches: list[list[int] | None] = [None] * len(detections)
-    hits = [False] * len(detections)
-    images = (
-        ([detections[k].box.as_tuple() for k in ks], gt[image_id])
-        for image_id, ks in members.items()
-    )
-    for ks, rows in zip(
-        members.values(), truth_rows(images, corloc_variant, iou_threshold)
-    ):
-        for t, k in enumerate(ks):
-            class_rows = rows[detections[k].class_id]
-            matches[k] = class_rows.matches.get(t)
-            hits[k] = t in class_rows.hits
-    return [rank[d.image_id] for d in detections], matches, hits
-
-
-def _columns(
-    detections: Sequence[Detection],
-    keep: Sequence[int],
-    rows: tuple[list[int], list[list[int] | None], list[bool]],
-) -> dict[str, ClassColumns]:
-    rank, matches, hits = rows
+def _columns(table: TruthTable, picks: Iterable[Pick]) -> dict[str, ClassColumns]:
     columns: dict[str, ClassColumns] = {}
-    for k in keep:
-        d = detections[k]
-        col = columns.get(d.class_id)
+    for k, name, kept, confidences in picks:
+        if not kept:
+            continue
+        col = columns.get(name)
         if col is None:
-            col = columns[d.class_id] = ClassColumns()
-        position = len(col.confidence)
-        col.confidence.append(d.confidence)
-        col.image.append(rank[k])
-        if matches[k]:
-            col.matches[position] = matches[k]
-        if hits[k]:
-            col.hits.append(position)
+            col = columns[name] = ClassColumns()
+        base = len(col.confidence)
+        col.confidence.extend([confidences[i] for i in kept])
+        col.image.extend([table.rank[k]] * len(kept))
+        rows = table.rows[k].get(name)
+        if rows is None:
+            continue
+        for t, i in enumerate(kept):
+            if i in rows.matches:
+                col.matches[base + t] = rows.matches[i]
+            if i in rows.hits:
+                col.hits.append(base + t)
     return columns
 
 
-def match_detections(
+def _detection_picks(
     detections: Sequence[Detection],
-    gt_boxes: Mapping[str, Sequence[Box]],
-    iou_threshold: float = MATCH_IOU,
+    gt: Mapping[str, Mapping[str, Sequence[Box]]],
+    corloc_variant: str,
+) -> tuple[TruthTable, list[Pick]]:
+    """A table over the detections' boxes, and one pick per image and class.
+
+    Only detections of classes with ground truth in their image become table
+    boxes; the image's others follow them in its confidences. Picks keep the
+    input order within an image and class.
+    """
+    by_image: dict[str, dict[str, list[Detection]]] = {}
+    for d in detections:
+        by_image.setdefault(d.image_id, {}).setdefault(d.class_id, []).append(d)
+    picks: list[Pick] = []
+
+    def images() -> Iterator[ImageTruth]:
+        # The table takes these a batch at a time, so few boxes are held at once;
+        # the picks are filled as it goes.
+        for k, (image_id, by_class) in enumerate(by_image.items()):
+            image_gt = gt.get(image_id, {})
+            boxes: list[tuple[float, float, float, float]] = []
+            confidences: list[float] = []
+            for name, dets in sorted(by_class.items(), key=lambda item: not image_gt.get(item[0])):
+                first = len(confidences)
+                confidences.extend(d.confidence for d in dets)
+                picks.append((k, name, range(first, len(confidences)), confidences))
+                if image_gt.get(name):
+                    boxes.extend(d.box.as_tuple() for d in dets)
+            yield boxes, image_gt
+
+    return truth_table(list(by_image), images(), corloc_variant), picks
+
+
+def match_detections(
+    detections: Sequence[Detection], gt_boxes: Mapping[str, Sequence[Box]]
 ) -> list[bool]:
     """Greedy TP/FP assignment for one class, returned in rank order.
 
     Each detection matches the highest-IoU unmatched ground-truth box of its
-    image when that IoU reaches the threshold; every ground-truth box absorbs
-    at most one detection, so duplicates become false positives.
+    image when that IoU reaches 0.5; every ground-truth box absorbs at most
+    one detection, so duplicates become false positives.
     """
     # One class: every detection is matched against its image's boxes.
     single = [replace(d, class_id="") for d in detections]
     gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
-    rows = _detection_rows(single, gt, iou_threshold, "iou50")
-    columns = _columns(single, range(len(single)), rows).get("", ClassColumns())
+    columns = _columns(*_detection_picks(single, gt, "iou50")).get("", ClassColumns())
     return _match(columns, _rank(columns))
 
 
@@ -360,27 +384,14 @@ def corloc(
     return sum(bool(r[""].hits) for r in rows) / len(positives)
 
 
-def is_pure(box: Box, gt_boxes: Sequence[Box], iou_threshold: float = MATCH_IOU) -> bool:
-    """True when ``box`` reaches the IoU threshold against exactly one ground-truth box.
+def is_pure(box: Box, gt_boxes: Sequence[Box]) -> bool:
+    """True when ``box`` reaches IoU 0.5 with exactly one ground-truth box.
 
     Merged hulls (no single box covered well) and near-duplicates straddling
     two boxes are both impure.
     """
-    (rows,) = truth_rows([([box.as_tuple()], {"": gt_boxes})], iou_threshold=iou_threshold)
+    (rows,) = truth_rows([([box.as_tuple()], {"": gt_boxes})])
     return "" in rows and len(rows[""].matches.get(0, ())) == 1
-
-
-def purity(
-    selected: Sequence[Box], gt_boxes: Sequence[Box], iou_threshold: float = MATCH_IOU
-) -> float | None:
-    """Fraction of selected boxes that are pure (``is_pure``).
-
-    Undefined (None) for an empty selection.
-    """
-    if not selected:
-        return None
-    pure = sum(1 for box in selected if is_pure(box, gt_boxes, iou_threshold))
-    return pure / len(selected)
 
 
 @dataclass
@@ -388,8 +399,8 @@ class EvalReport:
     """Per-class and averaged detection metrics.
 
     Classes never seen in the ground truth get AP 0 and are listed in
-    ``absent_classes`` instead of entering the means. ``purity`` is carried
-    through from selection when the caller provides it.
+    ``absent_classes`` instead of entering the means. ``purity`` is the
+    refinement loop's selection purity; other reports leave it None.
     """
 
     per_class_ap: dict[str, float] = field(default_factory=dict)
@@ -401,19 +412,20 @@ class EvalReport:
     buckets: dict[str, "EvalReport"] | None = None
 
 
-def assemble_report(
-    columns: Mapping[str, ClassColumns],
+def evaluate_picks(
+    table: TruthTable,
+    picks: Iterable[Pick],
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     *,
     ap_mode: str = "11pt",
-    purity_value: float | None = None,
 ) -> EvalReport:
-    """Aggregate per-class detection columns against ground truth into an EvalReport.
+    """Aggregate picked boxes of ``table`` against ground truth into an EvalReport.
 
-    The columns' match candidates and hits must come from ``gt``. Every class
-    with detections or named in ``gt`` gets an AP; one without ground-truth
-    boxes is absent, with AP 0 and no CorLoc.
+    The table's rows must come from ``gt``. Every class with picks or named
+    in ``gt`` gets an AP; one without ground-truth boxes is absent, with AP 0
+    and no CorLoc.
     """
+    columns = _columns(table, picks)
     # Ground-truth boxes and positive images per class with any boxes.
     gt_counts: dict[str, tuple[int, int]] = {}
     for per_class in gt.values():
@@ -421,14 +433,11 @@ def assemble_report(
             if boxes:
                 num_gt, positives = gt_counts.get(name, (0, 0))
                 gt_counts[name] = (num_gt + len(boxes), positives + 1)
-    class_names = sorted(
-        {name for per_class in gt.values() for name in per_class}
-        | {name for name, col in columns.items() if col.confidence}
-    )
-    report = EvalReport(purity=purity_value)
-    per_class_ap = {}
-    per_class_corloc = {}
-    absent = []
+    # _columns makes a column only for a class with at least one pick.
+    class_names = sorted({name for per_class in gt.values() for name in per_class} | set(columns))
+    per_class_ap: dict[str, float] = {}
+    per_class_corloc: dict[str, float] = {}
+    absent: list[str] = []
     for name in class_names:
         num_gt, positives = gt_counts.get(name, (0, 0))
         if num_gt == 0:
@@ -440,33 +449,27 @@ def assemble_report(
         order = _rank(col)
         per_class_ap[name] = average_precision(_match(col, order), num_gt, ap_mode)
         per_class_corloc[name] = _localized(col, order) / positives
-    report.per_class_ap = per_class_ap
-    report.per_class_corloc = per_class_corloc
-    report.absent_classes = tuple(absent)
-    present_ap = [v for name, v in per_class_ap.items() if name not in report.absent_classes]
-    report.mean_ap = sum(present_ap) / len(present_ap) if present_ap else None
-    values = list(per_class_corloc.values())
-    report.mean_corloc = sum(values) / len(values) if values else None
-    return report
+    present_ap = [v for name, v in per_class_ap.items() if name not in absent]
+    corlocs = list(per_class_corloc.values())
+    return EvalReport(
+        per_class_ap=per_class_ap,
+        per_class_corloc=per_class_corloc,
+        mean_ap=sum(present_ap) / len(present_ap) if present_ap else None,
+        mean_corloc=sum(corlocs) / len(corlocs) if corlocs else None,
+        absent_classes=tuple(absent),
+    )
 
 
 def build_report(
     detections: Sequence[Detection],
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     *,
-    iou_threshold: float = MATCH_IOU,
     corloc_variant: str = "iou50",
     ap_mode: str = "11pt",
-    purity_value: float | None = None,
 ) -> EvalReport:
     """Aggregate detections against ground truth into an EvalReport."""
-    rows = _detection_rows(detections, gt, iou_threshold, corloc_variant)
-    return assemble_report(
-        _columns(detections, range(len(detections)), rows),
-        gt,
-        ap_mode=ap_mode,
-        purity_value=purity_value,
-    )
+    table, picks = _detection_picks(detections, gt, corloc_variant)
+    return evaluate_picks(table, picks, gt, ap_mode=ap_mode)
 
 
 def count_bucket(count: int) -> str:
@@ -480,7 +483,6 @@ def slice_by_count(
     detections: Sequence[Detection],
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     *,
-    iou_threshold: float = MATCH_IOU,
     corloc_variant: str = "iou50",
     ap_mode: str = "11pt",
 ) -> dict[str, EvalReport]:
@@ -489,29 +491,23 @@ def slice_by_count(
     An (image, class) pair lands in the bucket of its ground-truth count;
     empty buckets are omitted from the result.
     """
-    members: dict[str, set[tuple[str, str]]] = {}
-    for image_id, per_class in gt.items():
-        for name, boxes in per_class.items():
-            if boxes:
-                members.setdefault(count_bucket(len(boxes)), set()).add(
-                    (image_id, name)
-                )
-    rows = _detection_rows(detections, gt, iou_threshold, corloc_variant)
+    bucket_of = {
+        (image_id, name): count_bucket(len(boxes))
+        for image_id, per_class in gt.items()
+        for name, boxes in per_class.items()
+        if boxes
+    }
+    table, picks = _detection_picks(detections, gt, corloc_variant)
     reports = {}
-    for bucket in sorted(members):
-        pairs = members[bucket]
+    for bucket in sorted(set(bucket_of.values())):
         bucket_gt = {
             image_id: {
                 name: boxes
                 for name, boxes in per_class.items()
-                if (image_id, name) in pairs
+                if bucket_of.get((image_id, name)) == bucket
             }
             for image_id, per_class in gt.items()
         }
-        keep = [
-            k for k, d in enumerate(detections) if (d.image_id, d.class_id) in pairs
-        ]
-        reports[bucket] = assemble_report(
-            _columns(detections, keep, rows), bucket_gt, ap_mode=ap_mode
-        )
+        bucket_picks = [p for p in picks if bucket_of.get((table.image_ids[p[0]], p[1])) == bucket]
+        reports[bucket] = evaluate_picks(table, bucket_picks, bucket_gt, ap_mode=ap_mode)
     return reports

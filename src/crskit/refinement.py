@@ -10,29 +10,23 @@ Boxes and ground truth never change during a run, and the suppression and
 selection thresholds are fixed by the run's config, so ``run_adr`` computes
 each image's pairwise overlaps once, as conflict masks (``ImageOverlaps``),
 and every selection and evaluation of the run walks those masks in the current
-score order. It likewise builds each image's ground-truth overlaps once
-(``GroundTruthTable``): every evaluation feeds the suppression survivors to
-``evaluation.assemble_report`` as per-class columns, with no ``Detection``
-objects, and every purity count reads the same table.
+score order. It likewise matches every proposal against its image's ground
+truth once (``ground_truth_table``): every evaluation passes the suppression
+survivors to ``evaluation.evaluate_picks`` as picks of that table, with no
+``Detection`` objects, and every purity count reads the same table. Only the
+initial scores are checked; the scorer's are valid by construction.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import (
-    ClassColumns,
-    Detection,
-    EvalReport,
-    TruthRows,
-    assemble_report,
-    truth_rows,
-)
+from .evaluation import Detection, EvalReport, TruthTable, evaluate_picks, truth_table
 from .geometry import pairwise_overlaps
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
@@ -51,7 +45,6 @@ __all__ = [
     "RefinementConfig",
     "CentroidScorer",
     "ImageOverlaps",
-    "GroundTruthTable",
     "IterationReport",
     "RefinementReport",
     "score_proposals",
@@ -201,48 +194,26 @@ def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
         raise ValueError(f"{image.image_id}: score must be in [0, 1], got {bad}")
 
 
-@dataclass(frozen=True)
-class GroundTruthTable:
-    """Every image's proposals against its ground truth, indexed like the world.
-
-    ``rows[k]`` holds image k's ``evaluation.TruthRows`` per class with
-    ground truth there, by proposal position, at the match IoU and under the
-    run's CorLoc variant; ``positions[k]`` maps its region ids to positions.
-    ``rank[k]`` is image k's position in image_id order.
-    """
-
-    image_ids: tuple[str, ...]
-    rank: tuple[int, ...]
-    rows: tuple[dict[str, TruthRows], ...]
-    positions: tuple[dict[int, int], ...]
+def _check_score_table(
+    world: Sequence[ImageRecord], scores: Mapping[str, Mapping[str, Sequence[float]]]
+) -> None:
+    for record in world:
+        for class_scores in scores[record.image_id].values():
+            _check_scores(record, class_scores)
 
 
 def ground_truth_table(
     world: Sequence[ImageRecord], corloc_variant: str = "iou50"
-) -> GroundTruthTable:
-    """Match every proposal of ``world`` against its image's ground truth."""
-    image_ids = tuple(record.image_id for record in world)
-    if len(set(image_ids)) != len(image_ids):
-        raise ValueError("image_ids must be unique within a world")
-    rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
-    return GroundTruthTable(
-        image_ids=image_ids,
-        rank=tuple(rank[image_id] for image_id in image_ids),
-        rows=tuple(
-            truth_rows(
-                (([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world),
-                corloc_variant,
-            )
-        ),
-        positions=tuple(
-            {p.region_id: i for i, p in enumerate(record.proposals)} for record in world
-        ),
+) -> TruthTable:
+    """Match every proposal of ``world`` against its image's ground truth.
+
+    Table image k is ``world[k]``, its box positions proposal positions.
+    """
+    return truth_table(
+        [record.image_id for record in world],
+        (([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world),
+        corloc_variant,
     )
-
-
-def _check_table(table: GroundTruthTable, world: Sequence[ImageRecord]) -> None:
-    if table.image_ids != tuple(record.image_id for record in world):
-        raise ValueError("ground-truth table was built for another world or image order")
 
 
 def select_pseudo_gt(
@@ -355,7 +326,7 @@ class RefinementReport:
 def selection_purity(
     pseudo_gt: Mapping[str, Mapping[str, SelectionResult]],
     world: Sequence[ImageRecord],
-    table: GroundTruthTable | None = None,
+    table: TruthTable | None = None,
 ) -> float | None:
     """Pooled purity of selected regions across all images and classes.
 
@@ -365,13 +336,15 @@ def selection_purity(
     """
     if table is None:
         table = ground_truth_table(world)
-    _check_table(table, world)
+    if table.image_ids != tuple(record.image_id for record in world):
+        raise ValueError("ground-truth table was built for another world or image order")
     total = 0
     pure = 0
-    for record, rows, positions in zip(world, table.rows, table.positions):
+    for record, rows in zip(world, table.rows):
         selections = pseudo_gt.get(record.image_id)
         if not selections:
             continue
+        positions = {p.region_id: i for i, p in enumerate(record.proposals)}
         for class_id, result in selections.items():
             matches = rows[class_id].matches if class_id in rows else {}
             for region_id in result.selected:
@@ -403,18 +376,19 @@ def _survivors(
     scores: Mapping[str, Mapping[str, Sequence[float]]],
     nms_threshold: float,
     overlaps: Sequence[ImageOverlaps],
-) -> Iterator[tuple[int, str, Sequence[float], list[int]]]:
-    """Image position, class, scores and suppression survivors of every scored class."""
+) -> Iterator[tuple[int, str, list[int], Sequence[float]]]:
+    """Image position, class, suppression survivors and scores of every scored class.
+
+    These are picks of the world's table; the scores must have been checked.
+    """
     if len(overlaps) != len(world):
         raise ValueError(f"got overlaps for {len(overlaps)} of {len(world)} images")
     for position, (record, masks) in enumerate(zip(world, overlaps)):
         if masks.nms_threshold != nms_threshold:
             raise ValueError(f"{record.image_id}: overlaps were built for another NMS threshold")
         for name, class_scores in scores[record.image_id].items():
-            _check_scores(record, class_scores)
-            yield position, name, class_scores, suppress(
-                rank_order(class_scores, masks.by_id), masks.suppress
-            )
+            kept = suppress(rank_order(class_scores, masks.by_id), masks.suppress)
+            yield position, name, kept, class_scores
 
 
 def detections_from_scores(
@@ -428,6 +402,7 @@ def detections_from_scores(
     ``overlaps`` holds one entry per image of ``world``, in the same order,
     built at ``nms_threshold``; it is computed here when not given.
     """
+    _check_score_table(world, scores)
     if overlaps is None:
         # Only the suppression masks are read; any selection threshold will do.
         overlaps = [
@@ -441,40 +416,11 @@ def detections_from_scores(
             box=world[position].proposals[i].box,
             confidence=class_scores[i],
         )
-        for position, name, class_scores, kept in _survivors(
+        for position, name, kept, class_scores in _survivors(
             world, scores, nms_threshold, overlaps
         )
         for i in kept
     ]
-
-
-def _class_columns(
-    world: Sequence[ImageRecord],
-    scores: Mapping[str, Mapping[str, Sequence[float]]],
-    nms_threshold: float,
-    overlaps: Sequence[ImageOverlaps],
-    table: GroundTruthTable,
-) -> dict[str, ClassColumns]:
-    """The suppression survivors ``detections_from_scores`` lists, as per-class columns."""
-    columns: dict[str, ClassColumns] = {}
-    for position, name, class_scores, kept in _survivors(world, scores, nms_threshold, overlaps):
-        if not kept:
-            continue
-        col = columns.get(name)
-        if col is None:
-            col = columns[name] = ClassColumns()
-        base = len(col.confidence)
-        col.confidence.extend([class_scores[i] for i in kept])
-        col.image.extend([table.rank[position]] * len(kept))
-        rows = table.rows[position].get(name)
-        if rows is None:
-            continue
-        for t, i in enumerate(kept):
-            if i in rows.matches:
-                col.matches[base + t] = rows.matches[i]
-            if i in rows.hits:
-                col.hits.append(base + t)
-    return columns
 
 
 def run_adr(
@@ -502,14 +448,11 @@ def run_adr(
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
     scores = score_table(world, scorer)
+    _check_score_table(world, scores)
 
     def evaluate(purity_value: float | None) -> EvalReport:
-        return assemble_report(
-            _class_columns(world, scores, config.nms_threshold, overlaps, table),
-            gt,
-            ap_mode=ap_mode,
-            purity_value=purity_value,
-        )
+        picks = _survivors(world, scores, config.nms_threshold, overlaps)
+        return replace(evaluate_picks(table, picks, gt, ap_mode=ap_mode), purity=purity_value)
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):

@@ -114,6 +114,11 @@ class TestOracle:
     def test_rejects_bad_sizes(self, capsys):
         assert run(capsys, "oracle", "--instances", "0")[0] == 1
         assert run(capsys, "oracle", "--max-regions", "1")[0] == 1
+        # Above the exhaustive solver's cap, every seed fails the same way.
+        for seed in ("0", "1"):
+            code, _, err = run(capsys, "oracle", "--instances", "1", "--max-regions", "21",
+                               "--seed", seed)
+            assert (code, err) == (1, "error: --max-regions must be in [2, 20], got 21\n")
 
 
 @pytest.fixture()
@@ -239,6 +244,22 @@ class TestReport:
         assert out == ""
         assert re.match(f"error: report: .*{message}", err)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"per_class_ap": {"cat": 1%s}}' % (b"0" * 400), "beyond float range"),
+            (b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
+            (b'{"per_class_ap": {"caf\xe9": 0.5}}', "malformed JSON"),
+        ],
+        ids=["huge-integer", "deep-nesting", "latin-1"],
+    )
+    def test_rejects_unparsable_report(self, tmp_path, capsys, content, message):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "report", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert re.match(f"error: report: .*{message}", err)
+
 
 class TestConfigHandling:
     def test_flag_overrides_config_file(self, tmp_path, capsys):
@@ -302,6 +323,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "select", "--input", str(tmp_path / "nope.jsonl"))
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["nms", "select", "refine"])
+    def test_unparsable_dataset_exits_one(self, tmp_path, capsys, command):
+        line = json.loads(MERGED_FIXTURE.read_text().splitlines()[0])
+        line["proposals"][0]["box"][2] = 10**400
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code == 1
+        assert err.startswith("error: line 1: proposals[0].box[2]: expected a finite number")
 
 
 def test_log_env_enables_progress_messages(tmp_path, monkeypatch, capsys):

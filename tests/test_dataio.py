@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crskit.dataio import (
     DatasetError,
@@ -249,6 +252,136 @@ class TestDetectionsValidation:
         )
         with pytest.raises(DatasetError, match=r"confidence: must be in \[0, 1\]"):
             load_detections(path)
+
+
+HUGE = 10**400  # an integer literal beyond float range
+
+
+def minimal_detection() -> dict:
+    return {"image_id": "img_0", "class_id": "cat", "box": [0, 0, 10, 10], "confidence": 0.9}
+
+
+def with_value(data: dict, path: tuple, value) -> dict:
+    copy = json.loads(json.dumps(data))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return copy
+
+
+RECORD_FIELDS = [
+    ("format_version",),
+    ("image_id",),
+    ("classes",),
+    ("classes", "cat"),
+    ("classes", "cat", "count"),
+    ("classes", "cat", "gt_boxes"),
+    ("classes", "cat", "gt_boxes", 0),
+    ("classes", "cat", "gt_boxes", 0, 2),
+    ("proposals",),
+    ("proposals", 0),
+    ("proposals", 0, "region_id"),
+    ("proposals", 0, "box"),
+    ("proposals", 0, "box", 1),
+    ("proposals", 0, "scores"),
+    ("proposals", 0, "scores", "cat"),
+    ("proposals", 0, "feature"),
+    ("proposals", 0, "provenance"),
+]
+DETECTION_FIELDS = [("image_id",), ("class_id",), ("box",), ("box", 3), ("confidence",)]
+# Unbounded integers rarely leave float range, so those get their own branch.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**300, max_value=10**500)
+    | st.floats()
+    | st.text(max_size=4)
+)
+
+
+class TestUnparsableInput:
+    """Whatever a file holds, loaders fail only with located DatasetErrors."""
+
+    @pytest.mark.parametrize(
+        "path, located",
+        [
+            (("proposals", 0, "box", 2), r"proposals\[0\]\.box\[2\]"),
+            (("classes", "cat", "gt_boxes", 0, 3), r"classes\.cat\.gt_boxes\[0\]\[3\]"),
+            (("proposals", 0, "scores", "cat"), r"proposals\[0\]\.scores\.cat"),
+            (("proposals", 0, "feature"), r"proposals\[0\]\.feature\[0\]"),
+        ],
+    )
+    def test_dataset_integer_beyond_float_range(self, tmp_path, path, located):
+        record = minimal_record()
+        record["proposals"][0]["feature"] = [0.5, 1.0]
+        value = [HUGE, 1.0] if path[-1] == "feature" else HUGE
+        file = tmp_path / "big.jsonl"
+        file.write_text(json.dumps(with_value(record, path, value)) + "\n")
+        with pytest.raises(DatasetError, match=f"^line 1: {located}: expected a finite number"):
+            load_dataset(file)
+
+    @pytest.mark.parametrize("key, located", [("confidence", "confidence"), ("box", r"box\[0\]")])
+    def test_detection_integer_beyond_float_range(self, tmp_path, key, located):
+        detection = minimal_detection()
+        detection[key] = [HUGE, 0, 10, 10] if key == "box" else HUGE
+        file = tmp_path / "big.jsonl"
+        file.write_text(json.dumps(detection) + "\n")
+        with pytest.raises(DatasetError, match=f"^line 1: {located}: expected a finite number"):
+            load_detections(file)
+
+    def test_config_integer_beyond_float_range(self, tmp_path):
+        with pytest.raises(DatasetError, match=r"^config: T: expected a finite number"):
+            RunConfig.from_dict({"T": HUGE})
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps({"nms_threshold": HUGE}))
+        with pytest.raises(DatasetError, match=r"^config: nms_threshold: expected a finite"):
+            load_run_config(file)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"image_id": "caf\xe9"}', b"1" * 5000],
+        ids=["deep-nesting", "latin-1", "too-many-digits"],
+    )
+    @pytest.mark.parametrize(
+        "loader, located",
+        [
+            (load_dataset, "line 2: malformed JSON"),
+            (load_detections, "line 2: malformed JSON"),
+            (load_run_config, "config: malformed JSON"),
+        ],
+        ids=["dataset", "detections", "config"],
+    )
+    def test_unparsable_text(self, tmp_path, content, loader, located):
+        # The JSON Lines loaders see the bad line after a blank first line.
+        file = tmp_path / "bad.json"
+        file.write_bytes(b"\n" + content + b"\n")
+        with pytest.raises(DatasetError, match=f"^{located}"):
+            loader(file)
+
+    @given(
+        st.sampled_from(
+            [(minimal_record(), load_dataset, path) for path in RECORD_FIELDS]
+            + [(minimal_detection(), load_detections, path) for path in DETECTION_FIELDS]
+        ),
+        JSON_LEAVES
+        | st.recursive(
+            JSON_LEAVES,
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=4), children, max_size=4),
+            max_leaves=12,
+        ),
+    )
+    def test_any_value_in_one_field(self, case, value):
+        data, loader, path = case
+        with tempfile.TemporaryDirectory() as directory:
+            file = Path(directory) / "one.jsonl"
+            file.write_text(json.dumps(with_value(data, path, value)) + "\n")
+            try:
+                loader(file)
+            except DatasetError as exc:
+                assert str(exc).startswith("line 1: ")
 
 
 class TestRunConfig:

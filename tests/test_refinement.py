@@ -280,6 +280,14 @@ class TestDetectionsFromScores:
         with pytest.raises(ValueError):
             detections_from_scores(world, scores, 0.3, stale)
 
+    def test_out_of_range_score_rejected(self):
+        world = generate_world(3, 2, seed=1)
+        scores = score_table(world, None)
+        name = next(iter(scores[world[1].image_id]))
+        scores[world[1].image_id][name][0] = 1.5
+        with pytest.raises(ValueError, match="score must be in"):
+            detections_from_scores(world, scores, 0.3)
+
 
 class TestRetrain:
     def test_prototype_is_mean_of_selected_features(self):
@@ -347,6 +355,15 @@ class TestRunAdr:
     def test_empty_world_rejected(self):
         with pytest.raises(ValueError):
             run_adr([], RefinementConfig())
+
+    def test_out_of_range_initial_score_rejected(self):
+        # A count-0 class is never selected, so only the check of the
+        # initial scores sees its score.
+        world = generate_world(4, 2, seed=8)
+        world[2].counts["ghost"] = 0
+        world[2].proposals[0].scores["ghost"] = 1.5
+        with pytest.raises(ValueError, match="score must be in"):
+            run_adr(world, RefinementConfig(iterations=1))
 
     def test_image_without_proposals(self):
         world = generate_world(8, 2, seed=9)
