@@ -32,7 +32,10 @@ from .selection import (
     SelectionProblem,
     crs_exact,
     crs_greedy,
-    nms,
+    greedy_walk,
+    image_overlaps,
+    rank_order,
+    suppress,
 )
 from .world import DEFAULT_FEATURE_DIM, generate_world
 
@@ -151,13 +154,12 @@ def cmd_nms(args: argparse.Namespace, config: RunConfig) -> int:
     world = dataio.load_dataset(args.input)
     images: dict[str, Any] = {}
     for record in world:
+        masks = image_overlaps(record, config.nms_threshold, config.T)
         per_class = {}
         for name in record.positive_classes():
-            regions = [
-                ScoredRegion(box=p.box, score=p.scores.get(name, 0.0), region_id=p.region_id)
-                for p in record.proposals
-            ]
-            per_class[name] = [r.region_id for r in nms(regions, config.nms_threshold)]
+            scores = [p.scores.get(name, 0.0) for p in record.proposals]
+            kept = suppress(rank_order(scores, masks.by_id), masks.suppress)
+            per_class[name] = [record.proposals[i].region_id for i in kept]
         images[record.image_id] = per_class
     payload = {
         "format_version": dataio.FORMAT_VERSION,
@@ -172,30 +174,18 @@ def cmd_select(args: argparse.Namespace, config: RunConfig) -> int:
     world = dataio.load_dataset(args.input)
     images: dict[str, Any] = {}
     for record in world:
+        masks = image_overlaps(record, config.nms_threshold, config.T)
         per_class = {}
         for name in record.positive_classes():
-            if not record.proposals:
-                per_class[name] = {
-                    "selected": [],
-                    "boxes": [],
-                    "total_score": 0.0,
-                    "complete": False,
-                }
-                continue
-            regions = tuple(
-                ScoredRegion(box=p.box, score=p.scores.get(name, 0.0), region_id=p.region_id)
-                for p in record.proposals
-            )
+            scores = [p.scores.get(name, 0.0) for p in record.proposals]
             target = min(record.counts[name], config.k) if config.count_guided else 1
-            result = crs_greedy(
-                SelectionProblem(regions=regions, count=target, threshold=config.T)
-            )
-            by_id = record.proposal_map()
+            order = rank_order(scores, masks.by_id)
+            chosen, total = greedy_walk(order, scores, masks.conflict, target)
             per_class[name] = {
-                "selected": list(result.selected),
-                "boxes": [list(by_id[i].box.as_tuple()) for i in result.selected],
-                "total_score": result.total_score,
-                "complete": result.complete,
+                "selected": [record.proposals[i].region_id for i in chosen],
+                "boxes": [list(record.proposals[i].box.as_tuple()) for i in chosen],
+                "total_score": total,
+                "complete": len(chosen) == target,
             }
         images[record.image_id] = per_class
     payload = {

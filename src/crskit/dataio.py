@@ -325,6 +325,7 @@ class RunConfig:
     """File and CLI-level run parameters; unknown keys are rejected.
 
     ``T`` and ``k`` are ``RefinementConfig``'s ``threshold`` and ``count_cap``.
+    ``k`` is at most ``COUNT_UI_CAP``, a dataset's largest count; ``seed`` is >= 0.
     """
 
     T: float = RefinementConfig.threshold
@@ -338,6 +339,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.refinement_config()  # validates the fields the two configs share
+        if self.k > COUNT_UI_CAP:
+            raise ValueError(f"k must be at most {COUNT_UI_CAP}, got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.corloc_variant not in CORLOC_VARIANTS:
             raise ValueError(f"unknown corloc variant: {self.corloc_variant!r}")
         if self.ap_mode not in AP_MODES:

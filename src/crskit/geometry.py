@@ -7,6 +7,7 @@ same quantities for every pair of an ``(n, 4)`` box array at once, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,12 +27,12 @@ __all__ = [
 
 
 class GeometryError(ValueError):
-    """Raised for degenerate boxes (non-positive width or height)."""
+    """Raised for degenerate boxes: non-positive or overflowing width or height."""
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in corner format with strictly positive extent."""
+    """Axis-aligned rectangle in corner format with strictly positive, finite extent."""
 
     x1: float
     y1: float
@@ -44,6 +45,11 @@ class Box:
         if not (self.x2 > self.x1 and self.y2 > self.y1):
             raise GeometryError(
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+            )
+        # Infinite coordinates, overflowing sides or area: overlap ratios would be NaN.
+        if not math.isfinite(self.width * self.height):
+            raise GeometryError(
+                f"box ({self.x1}, {self.y1}, {self.x2}, {self.y2}) has a non-finite extent"
             )
 
     @property

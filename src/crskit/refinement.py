@@ -7,14 +7,15 @@ proposal for the next round. With ``count_guided`` off, selection degrades to
 the single top-scoring region per image and class.
 
 Boxes and ground truth never change during a run, and the suppression and
-selection thresholds are fixed by the run's config, so ``run_adr`` computes
-each image's pairwise overlaps once, as conflict masks (``ImageOverlaps``),
-and every selection and evaluation of the run walks those masks in the current
-score order. It likewise matches every proposal against its image's ground
-truth once (``ground_truth_table``): every evaluation passes the suppression
-survivors to ``evaluation.evaluate_picks`` as picks of that table, with no
-``Detection`` objects, and every purity count reads the same table. Only the
-initial scores are checked; the scorer's are valid by construction.
+selection thresholds are fixed by the run's config, so ``run_adr``, like every
+dataset-level caller, builds each image's conflict masks once
+(``selection.image_overlaps``), and every selection and evaluation of the run
+walks those masks in the current score order. It likewise matches every
+proposal against its image's ground truth once (``ground_truth_table``): every
+evaluation passes the suppression survivors to ``evaluation.evaluate_picks``
+as picks of that table, with no ``Detection`` objects, and every purity count
+reads the same table. Only the initial scores are checked; the scorer's are
+valid by construction.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .evaluation import Detection, EvalReport, TruthTable, evaluate_picks, truth_table
-from .geometry import pairwise_overlaps
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
+    ImageOverlaps,
     SelectionResult,
-    conflict_masks,
     greedy_walk,
+    image_overlaps,
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
     rank_order,
     suppress,
@@ -44,11 +45,9 @@ __all__ = [
     "FeatureDimensionError",
     "RefinementConfig",
     "CentroidScorer",
-    "ImageOverlaps",
     "IterationReport",
     "RefinementReport",
     "score_proposals",
-    "image_overlaps",
     "ground_truth_table",
     "select_pseudo_gt",
     "retrain_scorer",
@@ -61,6 +60,8 @@ __all__ = [
 logger = logging.getLogger("crskit.refinement")
 
 DEFAULT_ITERATIONS = 3
+# Trajectories settle in a few iterations; a larger count is a mistake, not a run.
+MAX_ITERATIONS = 100
 
 
 class FeatureDimensionError(ValueError):
@@ -79,8 +80,8 @@ class RefinementConfig:
     count_guided: bool = True
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}], got {self.iterations}")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.count_cap < 1:
@@ -147,42 +148,6 @@ def score_proposals(
     return out
 
 
-@dataclass(frozen=True)
-class ImageOverlaps:
-    """One image's proposal overlaps as conflict masks, indexed by proposal position.
-
-    ``by_id`` lists the positions in region_id order (the rank tie-break).
-    ``suppress[i]`` marks the proposals whose IoU with proposal i reaches
-    ``nms_threshold``; ``conflict[j]`` marks the proposals that, once
-    selected, keep proposal j out because its directed overlap with them
-    reaches ``threshold``. See ``selection.conflict_masks``.
-    """
-
-    nms_threshold: float
-    threshold: float
-    by_id: tuple[int, ...]
-    suppress: list[int]
-    conflict: list[int]
-
-
-def image_overlaps(
-    image: ImageRecord, nms_threshold: float, threshold: float
-) -> ImageOverlaps:
-    """Compute the suppression and selection conflict masks of one image."""
-    ids = [p.region_id for p in image.proposals]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
-    ious, directed = pairwise_overlaps([p.box.as_tuple() for p in image.proposals])
-    return ImageOverlaps(
-        nms_threshold=nms_threshold,
-        threshold=threshold,
-        by_id=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
-        suppress=conflict_masks(ious, nms_threshold),
-        # Row j of the transpose holds the overlaps of every member with candidate j.
-        conflict=conflict_masks(directed.T, threshold),
-    )
-
-
 def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
     if len(class_scores) != len(image.proposals):
         raise ValueError(
@@ -235,8 +200,6 @@ def select_pseudo_gt(
     if count < 1:
         raise ValueError(f"{image.image_id}: class {class_id!r} has no counted instances")
     _check_scores(image, class_scores)
-    if not image.proposals:
-        return SelectionResult(selected=(), total_score=0.0, complete=False)
     if overlaps is None:
         overlaps = image_overlaps(image, config.nms_threshold, config.threshold)
     elif (overlaps.nms_threshold, overlaps.threshold) != (config.nms_threshold, config.threshold):
@@ -374,18 +337,14 @@ def score_table(
 def _survivors(
     world: Sequence[ImageRecord],
     scores: Mapping[str, Mapping[str, Sequence[float]]],
-    nms_threshold: float,
     overlaps: Sequence[ImageOverlaps],
 ) -> Iterator[tuple[int, str, list[int], Sequence[float]]]:
     """Image position, class, suppression survivors and scores of every scored class.
 
-    These are picks of the world's table; the scores must have been checked.
+    These are picks of the world's table, ``overlaps`` holds its images' masks
+    in order, and the scores must have been checked.
     """
-    if len(overlaps) != len(world):
-        raise ValueError(f"got overlaps for {len(overlaps)} of {len(world)} images")
     for position, (record, masks) in enumerate(zip(world, overlaps)):
-        if masks.nms_threshold != nms_threshold:
-            raise ValueError(f"{record.image_id}: overlaps were built for another NMS threshold")
         for name, class_scores in scores[record.image_id].items():
             kept = suppress(rank_order(class_scores, masks.by_id), masks.suppress)
             yield position, name, kept, class_scores
@@ -395,20 +354,11 @@ def detections_from_scores(
     world: Sequence[ImageRecord],
     scores: Mapping[str, Mapping[str, Sequence[float]]],
     nms_threshold: float,
-    overlaps: Sequence[ImageOverlaps] | None = None,
 ) -> list[Detection]:
-    """Suppression survivors of every image and scored class, as detections.
-
-    ``overlaps`` holds one entry per image of ``world``, in the same order,
-    built at ``nms_threshold``; it is computed here when not given.
-    """
+    """Suppression survivors of every image and scored class, as detections."""
     _check_score_table(world, scores)
-    if overlaps is None:
-        # Only the suppression masks are read; any selection threshold will do.
-        overlaps = [
-            image_overlaps(record, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
-            for record in world
-        ]
+    # Only the suppression masks are read; any selection threshold will do.
+    overlaps = [image_overlaps(r, nms_threshold, DEFAULT_OVERLAP_THRESHOLD) for r in world]
     return [
         Detection(
             image_id=world[position].image_id,
@@ -416,9 +366,7 @@ def detections_from_scores(
             box=world[position].proposals[i].box,
             confidence=class_scores[i],
         )
-        for position, name, kept, class_scores in _survivors(
-            world, scores, nms_threshold, overlaps
-        )
+        for position, name, kept, class_scores in _survivors(world, scores, overlaps)
         for i in kept
     ]
 
@@ -451,7 +399,7 @@ def run_adr(
     _check_score_table(world, scores)
 
     def evaluate(purity_value: float | None) -> EvalReport:
-        picks = _survivors(world, scores, config.nms_threshold, overlaps)
+        picks = _survivors(world, scores, overlaps)
         return replace(evaluate_picks(table, picks, gt, ap_mode=ap_mode), purity=purity_value)
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))

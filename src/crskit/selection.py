@@ -10,10 +10,11 @@ verification oracle for the greedy path.
 
 Suppression and greedy selection are index walks over per-region conflict
 bitmasks (``conflict_masks``): overlaps are compared with the threshold once,
-when the masks are built, and the walks only test and set bits. ``nms`` and
-``crs_greedy`` build the masks from their inputs; the refinement loop builds
-them once per image and run, because boxes and thresholds stay fixed there,
-and calls the same walks (``suppress``, ``greedy_walk``).
+when the masks are built, and the walks only test and set bits. Every
+dataset-level caller (refinement, ``crskit nms``/``select``) builds each image's
+masks once (``image_overlaps``) and walks them per class (``rank_order``,
+``suppress``, ``greedy_walk``); ``nms`` and ``crs_greedy`` build the masks of
+one ``ScoredRegion`` problem and walk them the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import Box, pairwise_overlaps
+from .world import ImageRecord
 
 __all__ = [
     "DEFAULT_OVERLAP_THRESHOLD",
@@ -34,7 +36,9 @@ __all__ = [
     "ScoredRegion",
     "SelectionProblem",
     "SelectionResult",
+    "ImageOverlaps",
     "conflict_masks",
+    "image_overlaps",
     "rank_order",
     "suppress",
     "greedy_walk",
@@ -113,6 +117,42 @@ def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
     """One bitmask per row: bit k of row i is set when ``overlap[i, k]`` is not below ``threshold``."""
     hits = np.packbits(~(overlap < threshold), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in hits]
+
+
+@dataclass(frozen=True)
+class ImageOverlaps:
+    """One image's proposal overlaps as conflict masks, indexed by proposal position.
+
+    ``by_id`` lists the positions in region_id order (the rank tie-break).
+    ``suppress[i]`` marks the proposals whose IoU with proposal i reaches
+    ``nms_threshold``; ``conflict[j]`` marks the proposals that, once
+    selected, keep proposal j out because its directed overlap with them
+    reaches ``threshold``. See ``conflict_masks``.
+    """
+
+    nms_threshold: float
+    threshold: float
+    by_id: tuple[int, ...]
+    suppress: list[int]
+    conflict: list[int]
+
+
+def image_overlaps(
+    image: ImageRecord, nms_threshold: float, threshold: float
+) -> ImageOverlaps:
+    """Compute the suppression and selection conflict masks of one image."""
+    ids = [p.region_id for p in image.proposals]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
+    ious, directed = pairwise_overlaps([p.box.as_tuple() for p in image.proposals])
+    return ImageOverlaps(
+        nms_threshold=nms_threshold,
+        threshold=threshold,
+        by_id=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
+        suppress=conflict_masks(ious, nms_threshold),
+        # Row j of the transpose holds the overlaps of every member with candidate j.
+        conflict=conflict_masks(directed.T, threshold),
+    )
 
 
 def rank_order(scores: Sequence[float], by_id: Sequence[int]) -> list[int]:
@@ -248,9 +288,7 @@ def _feasible_order(
 
 
 def crs_exact(
-    problem: SelectionProblem,
-    constraint_mode: str = "directional",
-    max_regions: int = DEFAULT_ENUMERATION_CAP,
+    problem: SelectionProblem, constraint_mode: str = "directional"
 ) -> SelectionResult:
     """Exhaustive reference solver for the greedy selector.
 
@@ -263,14 +301,15 @@ def crs_exact(
     order only. Directional is therefore a looser upper bound on greedy; it
     can admit a high-scoring merged hull after the tight boxes inside it, an
     order greedy never tries while the hull outranks them. The result order
-    is an admissible insertion order, so it certifies feasibility.
+    is an admissible insertion order, so it certifies feasibility. More than
+    ``DEFAULT_ENUMERATION_CAP`` regions raise ``CapacityError``.
     """
     if constraint_mode not in ("directional", "symmetric"):
         raise ValueError(f"unknown constraint_mode: {constraint_mode!r}")
     n = len(problem.regions)
-    if n > max_regions:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
-            f"{n} regions exceed the enumeration cap of {max_regions}"
+            f"{n} regions exceed the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
         )
     if n == 0:
         raise ValueError("cannot select from an empty region list")

@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import logging
 import re
+import warnings
 
 import pytest
 
 from crskit.cli import cli_dispatch
-from crskit.dataio import dumps_json, load_dataset, load_detections
+from crskit.dataio import dumps_json, load_dataset, load_detections, save_dataset
+from crskit.selection import ScoredRegion, SelectionProblem, crs_greedy, nms
+from crskit.world import generate_world
 
 from conftest import MERGED_FIXTURE
 
@@ -99,6 +102,57 @@ class TestNms:
         code, out, _ = run(capsys, "nms", "--input", FIXTURE, "--nms-threshold", "0.5")
         assert code == 0
         assert json.loads(out)["images"]["demo_0000"]["class_0"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "flags, T, k, count_guided",
+    [([], 0.1, 3, True), (["--no-count-guided", "--k", "2", "--T", "0.3"], 0.3, 2, False)],
+)
+def test_nms_and_select_match_the_object_api(tmp_path, capsys, flags, T, k, count_guided):
+    # The commands walk each image's conflict masks once per image; the
+    # reference solves one ScoredRegion problem per image and positive class.
+    world = generate_world(30, 3, seed=4)
+    for record in world:
+        # Positions run against region_id order and rounded scores often
+        # tie, so the region_id tie-break decides many ranks.
+        record.proposals.reverse()
+        for p in record.proposals:
+            p.scores = {name: round(score, 1) for name, score in p.scores.items()}
+    world[7].proposals = []
+    path = tmp_path / "world.jsonl"
+    save_dataset(world, path)
+    world = load_dataset(path)
+    expected_nms = {}
+    expected_select = {}
+    for record in world:
+        expected_nms[record.image_id] = {}
+        expected_select[record.image_id] = {}
+        for name in record.positive_classes():
+            regions = tuple(
+                ScoredRegion(p.box, p.scores.get(name, 0.0), p.region_id)
+                for p in record.proposals
+            )
+            expected_nms[record.image_id][name] = [r.region_id for r in nms(regions)]
+            if not regions:
+                entry = {"selected": [], "boxes": [], "total_score": 0.0, "complete": False}
+            else:
+                target = min(record.counts[name], k) if count_guided else 1
+                result = crs_greedy(SelectionProblem(regions, target, T))
+                by_id = record.proposal_map()
+                entry = {
+                    "selected": list(result.selected),
+                    "boxes": [list(by_id[i].box.as_tuple()) for i in result.selected],
+                    "total_score": result.total_score,
+                    "complete": result.complete,
+                }
+            expected_select[record.image_id][name] = entry
+    assert expected_select[world[7].image_id]  # the empty image has a positive class
+    code, out, _ = run(capsys, "nms", "--input", str(path), *flags)
+    assert code == 0
+    assert json.loads(out)["images"] == expected_nms
+    code, out, _ = run(capsys, "select", "--input", str(path), *flags)
+    assert code == 0
+    assert json.loads(out)["images"] == expected_select
 
 
 class TestOracle:
@@ -333,6 +387,36 @@ class TestExitCodes:
         code, _, err = run(capsys, command, "--input", str(path))
         assert code == 1
         assert err.startswith("error: line 1: proposals[0].box[2]: expected a finite number")
+
+    @pytest.mark.parametrize("command", ["nms", "select"])
+    def test_overflowing_box_exits_one_without_warnings(self, tmp_path, capsys, command):
+        # The box's width is inf, so its overlaps would be NaN.
+        line = json.loads(MERGED_FIXTURE.read_text().splitlines()[0])
+        line["proposals"][0]["box"] = [-1e308, 0, 1e308, 10]
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, command, "--input", str(path))
+        assert code == 1
+        assert err.startswith("error: line 1: proposals[0].box: box ")
+        assert "non-finite extent" in err
+        assert not caught
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["refine", "--iterations", "9" * 400], "iterations must be in [1, 100], got 999"),
+            (["select", "--k", "16"], "k must be at most 15, got 16"),
+            (["gen", "--images", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_unbounded_integer_flag_exits_one(self, capsys, flags, message):
+        if flags[0] != "gen":
+            flags = [*flags, "--input", FIXTURE]
+        code, _, err = run(capsys, *flags)
+        assert code == 1
+        assert err.startswith(f"error: config: {message}")
 
 
 def test_log_env_enables_progress_messages(tmp_path, monkeypatch, capsys):

@@ -131,6 +131,14 @@ class TestRecordValidation:
         with pytest.raises(DatasetError, match=r"line 3: classes\.cat\.gt_boxes\[0\]"):
             record_from_dict(data, line=3)
 
+    def test_rejects_overflowing_box_with_field_path(self):
+        data = minimal_record()
+        data["proposals"][0]["box"] = [-1e308, 0, 1e308, 10]
+        with pytest.raises(
+            DatasetError, match=r"^line 2: proposals\[0\]\.box: box .* has a non-finite extent$"
+        ):
+            record_from_dict(data, line=2)
+
     def test_rejects_duplicate_region_id(self):
         data = minimal_record()
         data["proposals"].append(
@@ -467,6 +475,24 @@ class TestRunConfig:
     def test_out_of_range_value_names_the_refinement_field(self):
         with pytest.raises(DatasetError, match=r"^config: threshold must be in \(0, 1\]"):
             RunConfig.from_dict({"T": 0.0})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"iterations": 10**400}, r"iterations must be in \[1, 100\], got 1000"),
+            ({"iterations": 101}, r"iterations must be in \[1, 100\], got 101"),
+            ({"k": 16}, r"k must be at most 15, got 16"),
+            ({"k": 10**400}, r"k must be at most 15, got 1000"),
+            ({"seed": -1}, r"seed must be >= 0, got -1"),
+        ],
+    )
+    def test_from_dict_bounds_integer_fields(self, data, message):
+        with pytest.raises(DatasetError, match=f"^config: {message}"):
+            RunConfig.from_dict(data)
+
+    def test_integer_bounds_are_inclusive(self):
+        config = RunConfig.from_dict({"iterations": 100, "k": 15, "seed": 10**400})
+        assert (config.iterations, config.k, config.seed) == (100, 15, 10**400)
 
     def test_voc_plus_one_is_an_unknown_key(self):
         with pytest.raises(DatasetError, match=r"unknown keys: \['voc_plus_one'\]"):

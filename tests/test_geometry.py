@@ -51,6 +51,19 @@ class TestFrozenValues:
         with pytest.raises(GeometryError):
             Box(0, 0, 10, -1)
 
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            (float("-inf"), 0, 10, 10),  # infinite coordinate
+            (-1e308, 0, 1e308, 10),  # width overflows
+            (0, -1e308, 10, 1e308),  # height overflows
+            (0, 0, 1e200, 1e200),  # finite sides, area overflows
+        ],
+    )
+    def test_non_finite_extent_rejected(self, coords):
+        with pytest.raises(GeometryError, match="non-finite extent"):
+            Box(*coords)
+
     def test_half_overlap_intersection(self):
         # overlap strip is 5 wide, 10 tall
         assert intersection_area(Box(0, 0, 10, 10), Box(5, 0, 15, 10)) == 50.0

@@ -14,7 +14,6 @@ from crskit.refinement import (
     RefinementConfig,
     detections_from_scores,
     ground_truth_table,
-    image_overlaps,
     retrain_scorer,
     run_adr,
     score_proposals,
@@ -27,6 +26,7 @@ from crskit.selection import (
     SelectionProblem,
     SelectionResult,
     crs_greedy,
+    image_overlaps,
     nms,
 )
 from crskit.world import ImageRecord, Proposal, generate_world
@@ -254,9 +254,7 @@ class TestDetectionsFromScores:
     def test_matches_public_nms(self, rescored):
         world = generate_world(20, 3, seed=5)
         scores = score_table(world, trained_scorer(world) if rescored else None)
-        overlaps = [image_overlaps(r, 0.3, 0.1) for r in world]
-        cached = detections_from_scores(world, scores, 0.3, overlaps)
-        assert cached == detections_from_scores(world, scores, 0.3)
+        detections = detections_from_scores(world, scores, 0.3)
         expected = [
             (record.image_id, name, region.box, region.score)
             for record in world
@@ -269,16 +267,7 @@ class TestDetectionsFromScores:
                 0.3,
             )
         ]
-        assert [(d.image_id, d.class_id, d.box, d.confidence) for d in cached] == expected
-
-    def test_overlaps_must_match_the_world_and_threshold(self):
-        world = generate_world(3, 2, seed=1)
-        scores = score_table(world, None)
-        with pytest.raises(ValueError):
-            detections_from_scores(world, scores, 0.3, [image_overlaps(world[0], 0.3, 0.1)])
-        stale = [image_overlaps(record, 0.5, 0.1) for record in world]
-        with pytest.raises(ValueError):
-            detections_from_scores(world, scores, 0.3, stale)
+        assert [(d.image_id, d.class_id, d.box, d.confidence) for d in detections] == expected
 
     def test_out_of_range_score_rejected(self):
         world = generate_world(3, 2, seed=1)

@@ -155,8 +155,8 @@ class TestValidation:
         )
         with pytest.raises(CapacityError):
             crs_exact(SelectionProblem(regions, count=2))
-        # raising the cap makes the same instance solvable
-        result = crs_exact(SelectionProblem(regions, count=2), max_regions=21)
+        # one region fewer is within the cap and solved
+        result = crs_exact(SelectionProblem(regions[:20], count=2))
         assert result.complete
 
     def test_unknown_constraint_mode(self):
