@@ -3,7 +3,6 @@
 from .dataio import (
     COUNT_UI_CAP,
     DatasetError,
-    RunConfig,
     load_dataset,
     load_detections,
     load_run_config,

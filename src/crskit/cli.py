@@ -22,10 +22,10 @@ from typing import Any
 import numpy as np
 
 from . import dataio
-from .dataio import DatasetError, RunConfig
+from .dataio import DatasetError
 from .evaluation import build_report, slice_by_count
 from .geometry import Box
-from .refinement import detections_from_scores, run_adr, score_table
+from .refinement import RefinementConfig, abbreviate, detections_from_scores, run_adr, score_table
 from .selection import (
     DEFAULT_ENUMERATION_CAP,
     ScoredRegion,
@@ -40,6 +40,9 @@ from .selection import (
 from .world import DEFAULT_FEATURE_DIM, generate_world
 
 logger = logging.getLogger("crskit.cli")
+
+# 500 instances take about a second, so this many is already a long run.
+MAX_ORACLE_INSTANCES = 100_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,15 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    base = dataio.load_run_config(args.config) if args.config else RunConfig()
-    merged = base.to_dict()
+def _resolve_config(args: argparse.Namespace) -> RefinementConfig:
+    base = dataio.load_run_config(args.config) if args.config else RefinementConfig()
     # Every config key has a flag of the same name.
-    for name in merged:
-        value = getattr(args, name)
-        if value is not None:
-            merged[name] = value
-    return RunConfig.from_dict(merged)
+    flags = {key: getattr(args, key) for key in dataio.CONFIG_KEYS}
+    return dataio.config_from_dict({k: v for k, v in flags.items() if v is not None}, base)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,7 +135,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_gen(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_gen(args: argparse.Namespace, config: RefinementConfig) -> int:
     if args.images < 1:
         raise DatasetError(f"--images must be >= 1, got {args.images}")
     if args.classes < 1:
@@ -150,11 +149,11 @@ def cmd_gen(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_nms(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.input)
     images: dict[str, Any] = {}
     for record in world:
-        masks = image_overlaps(record, config.nms_threshold, config.T)
+        masks = image_overlaps(record, config.nms_threshold, config.threshold)
         per_class = {}
         for name in record.positive_classes():
             scores = [p.scores.get(name, 0.0) for p in record.proposals]
@@ -170,15 +169,15 @@ def cmd_nms(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_select(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_select(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.input)
     images: dict[str, Any] = {}
     for record in world:
-        masks = image_overlaps(record, config.nms_threshold, config.T)
+        masks = image_overlaps(record, config.nms_threshold, config.threshold)
         per_class = {}
         for name in record.positive_classes():
             scores = [p.scores.get(name, 0.0) for p in record.proposals]
-            target = min(record.counts[name], config.k) if config.count_guided else 1
+            target = config.count_target(record.counts[name])
             order = rank_order(scores, masks.by_id)
             chosen, total = greedy_walk(order, scores, masks.conflict, target)
             per_class[name] = {
@@ -190,8 +189,8 @@ def cmd_select(args: argparse.Namespace, config: RunConfig) -> int:
         images[record.image_id] = per_class
     payload = {
         "format_version": dataio.FORMAT_VERSION,
-        "T": config.T,
-        "k": config.k,
+        "T": config.threshold,
+        "k": config.count_cap,
         "count_guided": config.count_guided,
         "images": images,
     }
@@ -220,21 +219,25 @@ def _random_problem(
     return SelectionProblem(regions=tuple(regions), count=count, threshold=threshold)
 
 
-def cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.instances < 1:
-        raise DatasetError(f"--instances must be >= 1, got {args.instances}")
-    if not 2 <= args.max_regions <= DEFAULT_ENUMERATION_CAP:
+def cmd_oracle(args: argparse.Namespace, config: RefinementConfig) -> int:
+    cap = DEFAULT_ENUMERATION_CAP
+    if not 1 <= args.instances <= MAX_ORACLE_INSTANCES:
         raise DatasetError(
-            f"--max-regions must be in [2, {DEFAULT_ENUMERATION_CAP}], got {args.max_regions}"
+            f"--instances must be in [1, {MAX_ORACLE_INSTANCES}], got {abbreviate(args.instances)}"
         )
-    if args.max_count < 1:
-        raise DatasetError(f"--max-count must be >= 1, got {args.max_count}")
+    if not 2 <= args.max_regions <= cap:
+        raise DatasetError(
+            f"--max-regions must be in [2, {cap}], got {abbreviate(args.max_regions)}"
+        )
+    # No problem has more regions than the cap, so a larger count selects the same sets.
+    if not 1 <= args.max_count <= cap:
+        raise DatasetError(f"--max-count must be in [1, {cap}], got {abbreviate(args.max_count)}")
     rng = np.random.default_rng(config.seed)
     matches = 0
     exceeds = 0
     gaps = []
     for _ in range(args.instances):
-        problem = _random_problem(rng, args.max_regions, args.max_count, config.T)
+        problem = _random_problem(rng, args.max_regions, args.max_count, config.threshold)
         greedy = crs_greedy(problem)
         exact = crs_exact(problem, constraint_mode="directional")
         gap = exact.total_score - greedy.total_score
@@ -245,7 +248,7 @@ def cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
             exceeds += 1
     payload = {
         "format_version": dataio.FORMAT_VERSION,
-        "T": config.T,
+        "T": config.threshold,
         "instances": args.instances,
         "max_regions": args.max_regions,
         "max_count": args.max_count,
@@ -263,34 +266,28 @@ def _require_features(world) -> None:
         raise DatasetError("refinement needs proposal features, none found in the dataset")
 
 
-def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_refine(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.input)
     if not world:
         raise DatasetError("dataset is empty")
     _require_features(world)
-    refinement = config.refinement_config()
-    report = run_adr(
-        world, refinement, corloc_variant=config.corloc_variant, ap_mode=config.ap_mode
-    )
+    report = run_adr(world, config)
     _emit(dataio.dumps_json(dataio.refinement_report_to_dict(report)), args.out)
     if args.detections_out:
         scores = score_table(world, report.scorer)
-        detections = detections_from_scores(world, scores, refinement.nms_threshold)
+        detections = detections_from_scores(world, scores, config.nms_threshold)
         dataio.save_detections(detections, args.detections_out)
     return 0
 
 
-def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_eval(args: argparse.Namespace, config: RefinementConfig) -> int:
     detections = dataio.load_detections(args.detections)
     world = dataio.load_dataset(args.dataset)
     gt = {record.image_id: dict(record.gt_boxes) for record in world}
-    report = build_report(
-        detections, gt, corloc_variant=config.corloc_variant, ap_mode=config.ap_mode
-    )
+    settings = {"corloc_variant": config.corloc_variant, "ap_mode": config.ap_mode}
+    report = build_report(detections, gt, **settings)
     if args.by_count:
-        report.buckets = slice_by_count(
-            detections, gt, corloc_variant=config.corloc_variant, ap_mode=config.ap_mode
-        )
+        report.buckets = slice_by_count(detections, gt, **settings)
     _emit(dataio.dumps_json(dataio.eval_report_to_dict(report)), args.out)
     return 0
 
@@ -314,7 +311,7 @@ def _expect(value: Any, kind: type, path: str) -> Any:
     return value
 
 
-def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_report(args: argparse.Namespace, config: RefinementConfig) -> int:
     data = dataio.load_json(args.input, "report")
     lines = []
     if isinstance(data, dict) and "iterations" in data:

@@ -13,27 +13,32 @@ Datasets are JSON Lines: one image record per line, schema version 1.
 Detections are JSON Lines of ``{"image_id", "class_id", "box", "confidence"}``.
 Serialization is canonical (sorted keys, fixed separators), so writing the
 same data twice produces identical bytes.
+
+A run config file is a JSON object keyed by the CLI's flag names that loads as
+a ``RefinementConfig``; ``CONFIG_KEYS`` maps its keys to fields for the
+loader, the CLI's flag merge and the refinement report's config block.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import AP_MODES, CORLOC_VARIANTS, Detection, EvalReport
+from .evaluation import Detection, EvalReport
 from .geometry import Box, GeometryError
-from .refinement import RefinementConfig, RefinementReport
+from .refinement import RefinementConfig, RefinementReport, abbreviate
 from .world import ImageRecord, Proposal
 
 __all__ = [
     "FORMAT_VERSION",
     "COUNT_UI_CAP",
     "DatasetError",
-    "RunConfig",
+    "CONFIG_KEYS",
+    "config_from_dict",
     "load_dataset",
     "save_dataset",
     "load_detections",
@@ -315,75 +320,50 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
             )
 
 
+# A config file's keys, which are also the CLI's flag names, and the
+# RefinementConfig fields they set: only T and k differ from their field's name.
+_KEY_OF_FIELD = {"threshold": "T", "count_cap": "k"}
+CONFIG_KEYS = {_KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(RefinementConfig)}
 # Config values must have their field's JSON type: bool is an int subclass,
 # so only bool fields take true/false, and float fields take any number.
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """File and CLI-level run parameters; unknown keys are rejected.
+def config_from_dict(data: Any, base: RefinementConfig = RefinementConfig()) -> RefinementConfig:
+    """``base`` with the values of a parsed config file (or of CLI flags) set.
 
-    ``T`` and ``k`` are ``RefinementConfig``'s ``threshold`` and ``count_cap``.
-    ``k`` is at most ``COUNT_UI_CAP``, a dataset's largest count; ``seed`` is >= 0.
+    Unknown keys are rejected. Beyond ``RefinementConfig``'s own checks, ``k``
+    is at most ``COUNT_UI_CAP``, a dataset's largest count, and ``seed`` is >= 0.
     """
-
-    T: float = RefinementConfig.threshold
-    k: int = RefinementConfig.count_cap
-    nms_threshold: float = RefinementConfig.nms_threshold
-    iterations: int = RefinementConfig.iterations
-    seed: int = RefinementConfig.seed
-    count_guided: bool = RefinementConfig.count_guided
-    corloc_variant: str = "iou50"
-    ap_mode: str = "11pt"
-
-    def __post_init__(self) -> None:
-        self.refinement_config()  # validates the fields the two configs share
-        if self.k > COUNT_UI_CAP:
-            raise ValueError(f"k must be at most {COUNT_UI_CAP}, got {self.k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.corloc_variant not in CORLOC_VARIANTS:
-            raise ValueError(f"unknown corloc variant: {self.corloc_variant!r}")
-        if self.ap_mode not in AP_MODES:
-            raise ValueError(f"unknown AP mode: {self.ap_mode!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        if not isinstance(data, Mapping):
-            raise DatasetError("config: expected a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise DatasetError(f"config: unknown keys: {sorted(unknown)}")
-        values = {}
-        for name, value in data.items():
-            kind = type(getattr(cls, name))
-            allowed = (int, float) if kind is float else kind
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-                raise DatasetError(f"config: {name}: expected {_EXPECTED[kind]}")
-            # An integer for a float field becomes the float a flag would give.
-            values[name] = _number(value, None, f"config: {name}") if kind is float else value
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            raise DatasetError(f"config: {exc}") from exc
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    def refinement_config(self) -> RefinementConfig:
-        return RefinementConfig(
-            iterations=self.iterations,
-            threshold=self.T,
-            count_cap=self.k,
-            nms_threshold=self.nms_threshold,
-            seed=self.seed,
-            count_guided=self.count_guided,
+    if not isinstance(data, Mapping):
+        raise DatasetError("config: expected a JSON object")
+    unknown = set(data) - set(CONFIG_KEYS)
+    if unknown:
+        raise DatasetError(f"config: unknown keys: {sorted(unknown)}")
+    values = {}
+    for key, value in data.items():
+        name = CONFIG_KEYS[key]
+        kind = type(getattr(RefinementConfig, name))
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise DatasetError(f"config: {key}: expected {_EXPECTED[kind]}")
+        # An integer for a float field becomes the float a flag would give.
+        values[name] = _number(value, None, f"config: {key}") if kind is float else value
+    try:
+        config = replace(base, **values)
+    except ValueError as exc:
+        raise DatasetError(f"config: {exc}") from exc
+    if config.count_cap > COUNT_UI_CAP:
+        raise DatasetError(
+            f"config: k must be at most {COUNT_UI_CAP}, got {abbreviate(config.count_cap)}"
         )
+    if config.seed < 0:
+        raise DatasetError(f"config: seed must be >= 0, got {abbreviate(config.seed)}")
+    return config
 
 
-def load_run_config(path: str | Path) -> RunConfig:
-    return RunConfig.from_dict(load_json(path, "config"))
+def load_run_config(path: str | Path) -> RefinementConfig:
+    return config_from_dict(load_json(path, "config"))
 
 
 def eval_report_to_dict(report: EvalReport) -> dict[str, Any]:
@@ -403,17 +383,16 @@ def eval_report_to_dict(report: EvalReport) -> dict[str, Any]:
 
 
 def refinement_report_to_dict(report: RefinementReport) -> dict[str, Any]:
-    config = report.config
+    # The config block records the selection and loop settings only; adding
+    # the evaluation settings would change the bytes of every report.
+    config = {
+        key: getattr(report.config, name)
+        for key, name in CONFIG_KEYS.items()
+        if key not in ("corloc_variant", "ap_mode")
+    }
     payload: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
-        "config": {
-            "iterations": config.iterations,
-            "T": config.threshold,
-            "k": config.count_cap,
-            "nms_threshold": config.nms_threshold,
-            "seed": config.seed,
-            "count_guided": config.count_guided,
-        },
+        "config": config,
         "iterations": [
             {"iteration": entry.iteration, **eval_report_to_dict(entry.report)}
             for entry in report.iterations

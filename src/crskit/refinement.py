@@ -6,6 +6,10 @@ nearest-centroid cosine scorer on the selected features, and rescores every
 proposal for the next round. With ``count_guided`` off, selection degrades to
 the single top-scoring region per image and class.
 
+``RefinementConfig`` is the one run config, evaluation settings included;
+``crskit.dataio`` reads it from config files and CLI flags, whose ``T`` and
+``k`` name its ``threshold`` and ``count_cap``.
+
 Boxes and ground truth never change during a run, and the suppression and
 selection thresholds are fixed by the run's config, so ``run_adr``, like every
 dataset-level caller, builds each image's conflict masks once
@@ -27,7 +31,15 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import Detection, EvalReport, TruthTable, evaluate_picks, truth_table
+from .evaluation import (
+    AP_MODES,
+    CORLOC_VARIANTS,
+    Detection,
+    EvalReport,
+    TruthTable,
+    evaluate_picks,
+    truth_table,
+)
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
@@ -68,9 +80,15 @@ class FeatureDimensionError(ValueError):
     """Raised when a feature does not match the scorer's dimension."""
 
 
+def abbreviate(value: int) -> str:
+    """``value`` for an error message: past 20 characters, its start and digit count."""
+    text = str(value)
+    return text if len(text) <= 20 else f"{text[:10]}... ({len(text.lstrip('-'))} digits)"
+
+
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Knobs for the refinement loop; ``seed`` is only recorded in the report."""
+    """A run's selection, loop and evaluation settings; ``seed`` is only reported."""
 
     iterations: int = DEFAULT_ITERATIONS
     threshold: float = DEFAULT_OVERLAP_THRESHOLD
@@ -78,18 +96,28 @@ class RefinementConfig:
     nms_threshold: float = DEFAULT_NMS_THRESHOLD
     seed: int = 0
     count_guided: bool = True
+    corloc_variant: str = "iou50"
+    ap_mode: str = "11pt"
 
     def __post_init__(self) -> None:
         if not 1 <= self.iterations <= MAX_ITERATIONS:
-            raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}], got {self.iterations}")
+            raise ValueError(
+                f"iterations must be in [1, {MAX_ITERATIONS}], got {abbreviate(self.iterations)}"
+            )
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.count_cap < 1:
-            raise ValueError(f"count_cap must be >= 1, got {self.count_cap}")
+            raise ValueError(f"count_cap must be >= 1, got {abbreviate(self.count_cap)}")
         if not 0.0 < self.nms_threshold <= 1.0:
-            raise ValueError(
-                f"nms_threshold must be in (0, 1], got {self.nms_threshold}"
-            )
+            raise ValueError(f"nms_threshold must be in (0, 1], got {self.nms_threshold}")
+        if self.corloc_variant not in CORLOC_VARIANTS:
+            raise ValueError(f"unknown corloc variant: {self.corloc_variant!r}")
+        if self.ap_mode not in AP_MODES:
+            raise ValueError(f"unknown AP mode: {self.ap_mode!r}")
+
+    def count_target(self, count: int) -> int:
+        """Regions to select where an image counts ``count`` instances of a class."""
+        return min(count, self.count_cap) if self.count_guided else 1
 
 
 @dataclass
@@ -190,11 +218,10 @@ def select_pseudo_gt(
 ) -> SelectionResult:
     """Pick pseudo ground truth for one image and class from current scores.
 
-    Suppression runs first, then count-constrained selection with the count
-    capped at ``config.count_cap``; without count guidance a single region is
-    requested. An image without proposals yields an empty, incomplete result.
-    ``overlaps`` are the image's masks at the config's thresholds, computed
-    here when not given.
+    Suppression runs first, then count-constrained selection of
+    ``config.count_target(count)`` regions. An image without proposals yields
+    an empty, incomplete result. ``overlaps`` are the image's masks at the
+    config's thresholds, computed here when not given.
     """
     count = image.counts.get(class_id, 0)
     if count < 1:
@@ -205,7 +232,7 @@ def select_pseudo_gt(
     elif (overlaps.nms_threshold, overlaps.threshold) != (config.nms_threshold, config.threshold):
         raise ValueError(f"{image.image_id}: overlaps were built for other thresholds")
     kept = suppress(rank_order(class_scores, overlaps.by_id), overlaps.suppress)
-    target = min(count, config.count_cap) if config.count_guided else 1
+    target = config.count_target(count)
     chosen, total = greedy_walk(kept, class_scores, overlaps.conflict, target)
     return SelectionResult(
         selected=tuple(image.proposals[i].region_id for i in chosen),
@@ -371,19 +398,14 @@ def detections_from_scores(
     ]
 
 
-def run_adr(
-    world: Sequence[ImageRecord],
-    config: RefinementConfig,
-    *,
-    corloc_variant: str = "iou50",
-    ap_mode: str = "11pt",
-) -> RefinementReport:
+def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> RefinementReport:
     """Run the alternating refinement loop over a dataset.
 
     The report carries one entry per iteration plus an entry 0 for the
     initial scores; each entry holds detection metrics for the scores current
     at that point and, from iteration 1 on, the purity of the pseudo ground
-    truth selected in that iteration.
+    truth selected in that iteration. ``config`` also sets the CorLoc variant
+    and AP mode of every evaluation.
     """
     if not world:
         raise ValueError("cannot refine an empty world")
@@ -392,7 +414,7 @@ def run_adr(
         image_overlaps(record, config.nms_threshold, config.threshold)
         for record in world
     ]
-    table = ground_truth_table(world, corloc_variant)
+    table = ground_truth_table(world, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
     scores = score_table(world, scorer)
@@ -400,7 +422,9 @@ def run_adr(
 
     def evaluate(purity_value: float | None) -> EvalReport:
         picks = _survivors(world, scores, overlaps)
-        return replace(evaluate_picks(table, picks, gt, ap_mode=ap_mode), purity=purity_value)
+        return replace(
+            evaluate_picks(table, picks, gt, ap_mode=config.ap_mode), purity=purity_value
+        )
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):

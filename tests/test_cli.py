@@ -10,7 +10,14 @@ import warnings
 import pytest
 
 from crskit.cli import cli_dispatch
-from crskit.dataio import dumps_json, load_dataset, load_detections, save_dataset
+from crskit.dataio import (
+    dumps_json,
+    load_dataset,
+    load_detections,
+    refinement_report_to_dict,
+    save_dataset,
+)
+from crskit.refinement import RefinementConfig, run_adr
 from crskit.selection import ScoredRegion, SelectionProblem, crs_greedy, nms
 from crskit.world import generate_world
 
@@ -173,6 +180,17 @@ class TestOracle:
             code, _, err = run(capsys, "oracle", "--instances", "1", "--max-regions", "21",
                                "--seed", seed)
             assert (code, err) == (1, "error: --max-regions must be in [2, 20], got 21\n")
+        # A run of this many instances would not finish; numpy cannot draw a
+        # count this large, and no problem has more than 20 regions to select.
+        code, _, err = run(capsys, "oracle", "--instances", "99999999999999999999")
+        assert (code, err) == (
+            1, "error: --instances must be in [1, 100000], got 99999999999999999999\n"
+        )
+        for count in ("21", "99999999999999999999999"):
+            code, _, err = run(capsys, "oracle", "--instances", "1", "--max-count", count)
+            assert code == 1
+            assert err.startswith("error: --max-count must be in [1, 20], got ")
+        assert run(capsys, "oracle", "--instances", "1", "--max-count", "20")[0] == 0
 
 
 @pytest.fixture()
@@ -240,6 +258,31 @@ class TestRefineAndEval:
         payload = json.loads(out)
         assert payload["buckets"]
         assert set(payload["buckets"]) <= {"1", "2", "3", "4+"}
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
+    def test_evaluation_settings_reach_the_refinement(self, tmp_path, capsys, from_file):
+        # On this world each of the two settings changes the report on its own.
+        path = tmp_path / "world.jsonl"
+        assert run(capsys, "gen", "--images", "10", "--dim", "16", "--seed", "7",
+                   "--out", str(path))[0] == 0
+        if from_file:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(dumps_json({"corloc_variant": "center", "ap_mode": "area"}))
+            flags = ["--config", str(config_path)]
+        else:
+            flags = ["--corloc-variant", "center", "--ap-mode", "area"]
+        code, out, _ = run(capsys, "refine", "--input", str(path), *flags)
+        assert code == 0
+        world = load_dataset(path)
+        reports = {
+            (variant, mode): dumps_json(refinement_report_to_dict(run_adr(
+                world, RefinementConfig(corloc_variant=variant, ap_mode=mode)
+            )))
+            for variant in ("iou50", "center")
+            for mode in ("11pt", "area")
+        }
+        assert out == reports["center", "area"]
+        assert len(set(reports.values())) == 4
 
     def test_refine_requires_features(self, tmp_path, capsys):
         code, _, err = run(capsys, "refine", "--input", FIXTURE)
@@ -409,6 +452,7 @@ class TestExitCodes:
             (["refine", "--iterations", "9" * 400], "iterations must be in [1, 100], got 999"),
             (["select", "--k", "16"], "k must be at most 15, got 16"),
             (["gen", "--images", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["select", "--k", "9" * 400], "k must be at most 15, got 9999999999... (400 digits)"),
         ],
     )
     def test_unbounded_integer_flag_exits_one(self, capsys, flags, message):
@@ -417,6 +461,8 @@ class TestExitCodes:
         code, _, err = run(capsys, *flags)
         assert code == 1
         assert err.startswith(f"error: config: {message}")
+        # A value of any length is echoed on a short line.
+        assert len(err) < 100
 
 
 def test_log_env_enables_progress_messages(tmp_path, monkeypatch, capsys):

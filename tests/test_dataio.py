@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crskit.dataio import (
+    CONFIG_KEYS,
     DatasetError,
-    RunConfig,
+    config_from_dict,
     dumps_json,
     dumps_jsonl_line,
     load_dataset,
@@ -24,6 +25,7 @@ from crskit.dataio import (
 )
 from crskit.evaluation import Detection
 from crskit.geometry import Box
+from crskit.refinement import RefinementConfig
 from crskit.world import generate_world
 
 from conftest import MERGED_FIXTURE
@@ -341,7 +343,7 @@ class TestUnparsableInput:
 
     def test_config_integer_beyond_float_range(self, tmp_path):
         with pytest.raises(DatasetError, match=r"^config: T: expected a finite number"):
-            RunConfig.from_dict({"T": HUGE})
+            config_from_dict({"T": HUGE})
         file = tmp_path / "config.json"
         file.write_text(json.dumps({"nms_threshold": HUGE}))
         with pytest.raises(DatasetError, match=r"^config: nms_threshold: expected a finite"):
@@ -394,22 +396,40 @@ class TestUnparsableInput:
 
 class TestRunConfig:
     def test_defaults(self):
-        config = RunConfig()
-        assert config.T == 0.1
-        assert config.k == 3
+        config = config_from_dict({})
+        assert config == RefinementConfig()
+        assert config.threshold == 0.1
+        assert config.count_cap == 3
         assert config.nms_threshold == 0.3
         assert config.iterations == 3
         assert config.count_guided
         assert config.corloc_variant == "iou50"
         assert config.ap_mode == "11pt"
 
-    def test_dict_round_trip(self):
-        config = RunConfig(T=0.4, k=2, seed=9, count_guided=False, ap_mode="area")
-        assert RunConfig.from_dict(config.to_dict()) == config
+    def test_dict_round_trip(self, tmp_path):
+        config = RefinementConfig(
+            iterations=5,
+            threshold=0.4,
+            count_cap=2,
+            nms_threshold=0.45,
+            seed=9,
+            count_guided=False,
+            corloc_variant="center",
+            ap_mode="area",
+        )
+        data = {key: getattr(config, name) for key, name in CONFIG_KEYS.items()}
+        assert sorted(data) == sorted(
+            ["T", "k", "nms_threshold", "iterations", "seed", "count_guided",
+             "corloc_variant", "ap_mode"]
+        )
+        assert all(data[key] != getattr(RefinementConfig(), CONFIG_KEYS[key]) for key in data)
+        path = tmp_path / "config.json"
+        path.write_text(dumps_json(data))
+        assert load_run_config(path) == config_from_dict(data) == config
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DatasetError, match=r"config: unknown keys: \['threshold'\]"):
-            RunConfig.from_dict({"threshold": 0.2})
+            config_from_dict({"threshold": 0.2})
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -424,30 +444,20 @@ class TestRunConfig:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RunConfig(**kwargs)
+        with pytest.raises(DatasetError, match="^config: "):
+            config_from_dict(kwargs)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(dumps_json({"T": 0.5, "seed": 3}))
         config = load_run_config(path)
-        assert config.T == 0.5 and config.seed == 3 and config.k == 3
+        assert config.threshold == 0.5 and config.seed == 3 and config.count_cap == 3
 
     def test_load_rejects_malformed_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{nope")
         with pytest.raises(DatasetError, match=r"config: malformed JSON"):
             load_run_config(path)
-
-    def test_refinement_config_conversion(self):
-        config = RunConfig(T=0.2, k=2, nms_threshold=0.4, iterations=5, seed=7)
-        refinement = config.refinement_config()
-        assert refinement.threshold == 0.2
-        assert refinement.count_cap == 2
-        assert refinement.nms_threshold == 0.4
-        assert refinement.iterations == 5
-        assert refinement.seed == 7
-        assert refinement.count_guided
 
     @pytest.mark.parametrize(
         "data, message",
@@ -465,16 +475,16 @@ class TestRunConfig:
     )
     def test_from_dict_rejects_wrongly_typed_values(self, data, message):
         with pytest.raises(DatasetError, match=f"^config: {message}$"):
-            RunConfig.from_dict(data)
+            config_from_dict(data)
 
     def test_from_dict_takes_an_integer_for_a_float_field(self):
-        config = RunConfig.from_dict({"T": 1, "nms_threshold": 0.5})
-        assert config.T == 1
-        assert type(config.T) is float
+        config = config_from_dict({"T": 1, "nms_threshold": 0.5})
+        assert config.threshold == 1
+        assert type(config.threshold) is float
 
     def test_out_of_range_value_names_the_refinement_field(self):
         with pytest.raises(DatasetError, match=r"^config: threshold must be in \(0, 1\]"):
-            RunConfig.from_dict({"T": 0.0})
+            config_from_dict({"T": 0.0})
 
     @pytest.mark.parametrize(
         "data, message",
@@ -488,15 +498,15 @@ class TestRunConfig:
     )
     def test_from_dict_bounds_integer_fields(self, data, message):
         with pytest.raises(DatasetError, match=f"^config: {message}"):
-            RunConfig.from_dict(data)
+            config_from_dict(data)
 
     def test_integer_bounds_are_inclusive(self):
-        config = RunConfig.from_dict({"iterations": 100, "k": 15, "seed": 10**400})
-        assert (config.iterations, config.k, config.seed) == (100, 15, 10**400)
+        config = config_from_dict({"iterations": 100, "k": 15, "seed": 10**400})
+        assert (config.iterations, config.count_cap, config.seed) == (100, 15, 10**400)
 
     def test_voc_plus_one_is_an_unknown_key(self):
         with pytest.raises(DatasetError, match=r"unknown keys: \['voc_plus_one'\]"):
-            RunConfig.from_dict({"voc_plus_one": False})
+            config_from_dict({"voc_plus_one": False})
 
 
 def test_fixture_content_is_the_documented_example():

@@ -415,12 +415,13 @@ class TestAgainstReference:
         # Iteration 0 evaluates the initial scores, iteration 1 the final scorer's.
         world = tied_world()
         gt = {record.image_id: dict(record.gt_boxes) for record in world}
-        report = run_adr(
-            world,
-            RefinementConfig(iterations=1, count_guided=count_guided),
+        config = RefinementConfig(
+            iterations=1,
+            count_guided=count_guided,
             corloc_variant=corloc_variant,
             ap_mode=ap_mode,
         )
+        report = run_adr(world, config)
         for entry, scorer in zip(report.iterations, (None, report.scorer)):
             detections = detections_from_scores(world, score_table(world, scorer), 0.3)
             expected = reference_report(detections, gt, corloc_variant, ap_mode)

@@ -60,6 +60,7 @@ class TestConfig:
         assert config.count_cap == 3
         assert config.nms_threshold == 0.3
         assert config.count_guided
+        assert (config.corloc_variant, config.ap_mode) == ("iou50", "11pt")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,11 +71,17 @@ class TestConfig:
             {"count_cap": 0},
             {"nms_threshold": 0.0},
             {"nms_threshold": 1.5},
+            {"corloc_variant": "largest"},
+            {"ap_mode": "coco"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RefinementConfig(**kwargs)
+
+    def test_count_target(self):
+        assert [RefinementConfig(count_cap=3).count_target(n) for n in (1, 3, 5)] == [1, 3, 3]
+        assert RefinementConfig(count_guided=False).count_target(5) == 1
 
 
 class TestScorer:
