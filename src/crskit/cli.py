@@ -5,6 +5,13 @@ Subcommands: ``gen`` (synthetic dataset), ``nms`` (suppression survivors),
 (greedy vs exhaustive agreement), ``refine`` (alternating refinement),
 ``eval`` (detections against ground truth), ``report`` (render a report).
 
+Each command takes ``--config FILE`` and the flags of the run settings it
+reads (``SETTING_FLAGS``): ``gen`` the seed, ``nms`` the NMS IoU, ``select``
+``T``, ``k`` and count guidance, ``oracle`` ``T`` and the seed, ``eval`` the
+CorLoc variant and AP mode, ``refine`` all eight; ``report`` none, and no
+``--config``. A config file may set any key, is checked whole, and each
+command reads its own settings from it; the command's flags win over it.
+
 Diagnostics go to stderr, data to ``--out`` or stdout. Exit codes: 0 on
 success, 1 for validation or data errors, 2 for usage errors. Set the
 ``CRSKIT_LOG`` environment variable (DEBUG, INFO, ...) for progress logging.
@@ -22,10 +29,12 @@ from typing import Any
 import numpy as np
 
 from . import dataio
-from .dataio import DatasetError
-from .evaluation import build_report, slice_by_count
+from .dataio import COUNT_UI_CAP, DatasetError
+from .evaluation import AP_MODES, CORLOC_VARIANTS, build_report, slice_by_count
 from .geometry import Box
-from .refinement import RefinementConfig, abbreviate, detections_from_scores, run_adr, score_table
+from .refinement import (
+    MAX_ITERATIONS, RefinementConfig, abbreviate, detections_from_scores, run_adr, score_table
+)
 from .selection import (
     DEFAULT_ENUMERATION_CAP,
     ScoredRegion,
@@ -43,61 +52,66 @@ logger = logging.getLogger("crskit.cli")
 
 # 500 instances take about a second, so this many is already a long run.
 MAX_ORACLE_INSTANCES = 100_000
+# gen's size caps: 10x the benchmark's 1000-image world, and PASCAL VOC's 20 classes.
+MAX_GEN_IMAGES = 10_000
+MAX_GEN_CLASSES = 20
+MAX_GEN_DIM = 64
+
+# Each run setting's flag, keyed by its config key (dataio.CONFIG_KEYS). A
+# command takes --config and the flags of the settings it reads.
+_DEFAULTS = RefinementConfig()
+SETTING_FLAGS: dict[str, dict[str, Any]] = {
+    "T": dict(type=float, help=f"overlap threshold in (0, 1], default {_DEFAULTS.threshold}"),
+    "k": dict(type=int, help=f"count cap in [1, {COUNT_UI_CAP}], default {_DEFAULTS.count_cap}"),
+    "nms_threshold": dict(type=float, help=f"NMS IoU in (0, 1], default {_DEFAULTS.nms_threshold}"),
+    "iterations": dict(type=int, help=f"in [1, {MAX_ITERATIONS}], default {_DEFAULTS.iterations}"),
+    "seed": dict(type=int, help=f"random seed >= 0, default {_DEFAULTS.seed}"),
+    "count_guided": dict(
+        action=argparse.BooleanOptionalAction, help="min(count, k) regions or the top 1; default on"
+    ),
+    "corloc_variant": dict(choices=CORLOC_VARIANTS, help=f"default {_DEFAULTS.corloc_variant}"),
+    "ap_mode": dict(choices=AP_MODES, help=f"AP interpolation, default {_DEFAULTS.ap_mode}"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="run config JSON file")
-    common.add_argument("--T", type=float, default=None, help="overlap threshold")
-    common.add_argument("--k", type=int, default=None, help="count cap")
-    common.add_argument("--nms-threshold", type=float, default=None, dest="nms_threshold")
-    common.add_argument("--iterations", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument(
-        "--count-guided",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="count_guided",
-    )
-    common.add_argument(
-        "--corloc-variant", choices=("iou50", "center"), default=None, dest="corloc_variant"
-    )
-    common.add_argument("--ap-mode", choices=("11pt", "area"), default=None, dest="ap_mode")
-
     parser = argparse.ArgumentParser(
         prog="crskit", description="Count-guided region selection toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a synthetic dataset")
-    p.add_argument("--images", type=int, required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--dim", type=int, default=DEFAULT_FEATURE_DIM)
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_gen)
+    def command(name, func, settings, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, settings=settings)
+        if settings:
+            p.add_argument("--config", metavar="FILE", help="run config JSON file (any keys)")
+        for key in settings:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **SETTING_FLAGS[key])
+        return p
 
-    p = sub.add_parser("nms", parents=[common], help="run suppression per image and class")
+    p = command("gen", cmd_gen, ("seed",), "generate a synthetic dataset")
+    p.add_argument("--images", type=int, required=True, help=f"in [1, {MAX_GEN_IMAGES}]")
+    p.add_argument("--classes", type=int, default=4, help=f"in [1, {MAX_GEN_CLASSES}]")
+    p.add_argument("--dim", type=int, default=DEFAULT_FEATURE_DIM, help=f"in [2, {MAX_GEN_DIM}]")
+    p.add_argument("--out", metavar="FILE")
+
+    p = command("nms", cmd_nms, ("nms_threshold",), "run suppression per image and class")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_nms)
 
-    p = sub.add_parser(
-        "select", parents=[common], help="count-constrained selection from stored scores"
-    )
+    p = command("select", cmd_select, ("T", "k", "count_guided"),
+                "count-constrained selection from stored scores")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser(
-        "oracle", parents=[common], help="compare greedy selection against the exhaustive solver"
-    )
+    p = command("oracle", cmd_oracle, ("T", "seed"),
+                "compare greedy selection against the exhaustive solver")
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--max-regions", type=int, default=12, dest="max_regions")
     p.add_argument("--max-count", type=int, default=4, dest="max_count")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("refine", parents=[common], help="run the refinement loop")
+    p = command("refine", cmd_refine, tuple(dataio.CONFIG_KEYS), "run the refinement loop")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
     p.add_argument(
@@ -106,25 +120,23 @@ def build_parser() -> argparse.ArgumentParser:
         dest="detections_out",
         help="also write final-iteration detections as JSON Lines",
     )
-    p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate detections against a dataset")
+    p = command("eval", cmd_eval, ("corloc_variant", "ap_mode"),
+                "evaluate detections against a dataset")
     p.add_argument("--detections", required=True, metavar="FILE")
     p.add_argument("--dataset", required=True, metavar="FILE")
     p.add_argument("--by-count", action="store_true", dest="by_count")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", parents=[common], help="render a report file as text")
+    p = command("report", cmd_report, (), "render a report file as text")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RefinementConfig:
     base = dataio.load_run_config(args.config) if args.config else RefinementConfig()
-    # Every config key has a flag of the same name.
-    flags = {key: getattr(args, key) for key in dataio.CONFIG_KEYS}
+    # Only the command's own settings have flags.
+    flags = {key: getattr(args, key) for key in args.settings}
     return dataio.config_from_dict({k: v for k, v in flags.items() if v is not None}, base)
 
 
@@ -135,11 +147,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_in(flag: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise DatasetError(f"{flag} must be in [{low}, {high}], got {abbreviate(value)}")
+
+
 def cmd_gen(args: argparse.Namespace, config: RefinementConfig) -> int:
-    if args.images < 1:
-        raise DatasetError(f"--images must be >= 1, got {args.images}")
-    if args.classes < 1:
-        raise DatasetError(f"--classes must be >= 1, got {args.classes}")
+    _require_in("--images", args.images, 1, MAX_GEN_IMAGES)
+    _require_in("--classes", args.classes, 1, MAX_GEN_CLASSES)
+    _require_in("--dim", args.dim, 2, MAX_GEN_DIM)
     world = generate_world(
         args.images, args.classes, feature_dim=args.dim, seed=config.seed
     )
@@ -221,17 +237,10 @@ def _random_problem(
 
 def cmd_oracle(args: argparse.Namespace, config: RefinementConfig) -> int:
     cap = DEFAULT_ENUMERATION_CAP
-    if not 1 <= args.instances <= MAX_ORACLE_INSTANCES:
-        raise DatasetError(
-            f"--instances must be in [1, {MAX_ORACLE_INSTANCES}], got {abbreviate(args.instances)}"
-        )
-    if not 2 <= args.max_regions <= cap:
-        raise DatasetError(
-            f"--max-regions must be in [2, {cap}], got {abbreviate(args.max_regions)}"
-        )
+    _require_in("--instances", args.instances, 1, MAX_ORACLE_INSTANCES)
+    _require_in("--max-regions", args.max_regions, 2, cap)
     # No problem has more regions than the cap, so a larger count selects the same sets.
-    if not 1 <= args.max_count <= cap:
-        raise DatasetError(f"--max-count must be in [1, {cap}], got {abbreviate(args.max_count)}")
+    _require_in("--max-count", args.max_count, 1, cap)
     rng = np.random.default_rng(config.seed)
     matches = 0
     exceeds = 0
@@ -311,7 +320,7 @@ def _expect(value: Any, kind: type, path: str) -> Any:
     return value
 
 
-def cmd_report(args: argparse.Namespace, config: RefinementConfig) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     data = dataio.load_json(args.input, "report")
     lines = []
     if isinstance(data, dict) and "iterations" in data:
@@ -366,8 +375,9 @@ def cli_dispatch(argv: list[str]) -> int:
         pkg_logger.addHandler(handler)
         pkg_logger.setLevel(getattr(logging, level.upper(), logging.WARNING))
     try:
-        config = _resolve_config(args)
-        return args.func(args, config)
+        if not args.settings:  # report reads no run setting
+            return args.func(args)
+        return args.func(args, _resolve_config(args))
     # DatasetError, GeometryError, CapacityError and FeatureDimensionError
     # are ValueErrors too.
     except (ValueError, OSError) as exc:

@@ -9,8 +9,9 @@ import warnings
 
 import pytest
 
-from crskit.cli import cli_dispatch
+from crskit.cli import build_parser, cli_dispatch
 from crskit.dataio import (
+    CONFIG_KEYS,
     dumps_json,
     load_dataset,
     load_detections,
@@ -60,6 +61,21 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--images", "0")
         assert code == 1
         assert err.startswith("error:")
+        # Oversized worlds fail at once instead of running until killed.
+        big = "99999999999"
+        for flag, value, bounds, echo in [
+            ("--images", big, "[1, 10000]", big),
+            ("--images", "9" * 30, "[1, 10000]", "9999999999... (30 digits)"),
+            ("--classes", big, "[1, 20]", big),
+            ("--classes", "20000000", "[1, 20]", "20000000"),
+            ("--dim", big, "[2, 64]", big),
+            ("--dim", "1000000", "[2, 64]", "1000000"),
+            ("--dim", "1", "[2, 64]", "1"),
+        ]:
+            # A repeated --images takes the last value.
+            code, out, err = run(capsys, "gen", "--images", "2", flag, value)
+            assert (code, out, err) == (1, "", f"error: {flag} must be in {bounds}, got {echo}\n")
+        assert run(capsys, "gen", "--images", "1", "--classes", "20", "--dim", "64")[0] == 0
 
 
 class TestSelect:
@@ -154,7 +170,8 @@ def test_nms_and_select_match_the_object_api(tmp_path, capsys, flags, T, k, coun
                 }
             expected_select[record.image_id][name] = entry
     assert expected_select[world[7].image_id]  # the empty image has a positive class
-    code, out, _ = run(capsys, "nms", "--input", str(path), *flags)
+    # nms reads none of select's settings, so it runs with its defaults.
+    code, out, _ = run(capsys, "nms", "--input", str(path))
     assert code == 0
     assert json.loads(out)["images"] == expected_nms
     code, out, _ = run(capsys, "select", "--input", str(path), *flags)
@@ -396,16 +413,94 @@ class TestConfigHandling:
         # {"T": 1} in a file and --T 1 are the same run and write the same bytes.
         config_path = tmp_path / "config.json"
         config_path.write_text(dumps_json({"T": 1, "nms_threshold": 1}))
-        code, from_file, _ = run(capsys, "select", "--input", FIXTURE,
-                                 "--config", str(config_path))
-        assert code == 0
-        code, from_flags, _ = run(capsys, "select", "--input", FIXTURE,
-                                  "--T", "1", "--nms-threshold", "1")
-        assert code == 0
-        assert from_file == from_flags
+        for command, flags in (("select", ["--T", "1"]), ("nms", ["--nms-threshold", "1"])):
+            code, from_file, _ = run(capsys, command, "--input", FIXTURE,
+                                     "--config", str(config_path))
+            assert code == 0
+            code, from_flags, _ = run(capsys, command, "--input", FIXTURE, *flags)
+            assert code == 0
+            assert from_file == from_flags
 
     def test_voc_plus_one_flag_is_a_usage_error(self, capsys):
         assert run(capsys, "select", "--input", FIXTURE, "--voc-plus-one")[0] == 2
+
+
+# The run settings each command reads, and a value for each setting's flag.
+COMMAND_SETTINGS = {
+    "gen": {"seed"},
+    "nms": {"nms_threshold"},
+    "select": {"T", "k", "count_guided"},
+    "oracle": {"T", "seed"},
+    "refine": set(CONFIG_KEYS),
+    "eval": {"corloc_variant", "ap_mode"},
+    "report": set(),
+}
+REQUIRED_ARGS = {
+    "gen": ["--images", "1"],
+    "oracle": [],
+    "eval": ["--detections", "d.jsonl", "--dataset", "w.jsonl"],
+}
+FLAG_ARGS = {
+    "T": (["--T", "0.3"], 0.3),
+    "k": (["--k", "2"], 2),
+    "nms_threshold": (["--nms-threshold", "0.4"], 0.4),
+    "iterations": (["--iterations", "2"], 2),
+    "seed": (["--seed", "5"], 5),
+    "count_guided": (["--no-count-guided"], False),
+    "corloc_variant": (["--corloc-variant", "center"], "center"),
+    "ap_mode": (["--ap-mode", "area"], "area"),
+}
+ALL_KEYS = {"T": 0.2, "k": 2, "nms_threshold": 0.4, "iterations": 2, "seed": 5,
+            "count_guided": False, "corloc_variant": "center", "ap_mode": "area"}
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    @pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+    def test_setting_flag_parses_only_where_read(self, capsys, command, key):
+        flags, value = FLAG_ARGS[key]
+        argv = [command, *REQUIRED_ARGS.get(command, ["--input", "w.jsonl"]), *flags]
+        if key in COMMAND_SETTINGS[command]:
+            assert getattr(build_parser().parse_args(argv), key) == value
+        else:
+            assert run(capsys, *argv)[0] == 2
+
+    def test_report_takes_no_config(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(dumps_json({}))
+        code, _, err = run(capsys, "report", "--input", "r.json", "--config", str(config_path))
+        assert code == 2
+        assert "unrecognized arguments: --config" in err
+
+    def test_one_config_file_serves_every_command(self, tmp_path, capsys):
+        config = tmp_path / "all.json"
+        config.write_text(dumps_json(ALL_KEYS))
+        world, dets = str(tmp_path / "w.jsonl"), str(tmp_path / "d.jsonl")
+        for argv in [
+            ["gen", "--images", "5", "--classes", "2", "--dim", "8", "--out", world],
+            ["nms", "--input", world],
+            ["select", "--input", world],
+            ["oracle", "--instances", "5"],
+            ["refine", "--input", world, "--detections-out", dets],
+            ["eval", "--detections", dets, "--dataset", world],
+        ]:
+            assert run(capsys, *argv, "--config", str(config))[0] == 0, argv
+
+    def test_a_file_sets_only_the_commands_own_settings(self, tmp_path, capsys):
+        config = tmp_path / "all.json"
+        config.write_text(dumps_json(ALL_KEYS))
+        gen = ["gen", "--images", "5", "--classes", "2"]
+        assert run(capsys, *gen, "--config", str(config)) == run(capsys, *gen, "--seed", "5")
+        nms = ["nms", "--input", FIXTURE]
+        from_file = run(capsys, *nms, "--config", str(config))
+        assert from_file == run(capsys, *nms, "--nms-threshold", "0.4")
+        assert from_file[0] == 0 and json.loads(from_file[1])["nms_threshold"] == 0.4
+
+    def test_every_key_of_a_file_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(dumps_json({"k": 99}))
+        code, _, err = run(capsys, "nms", "--input", FIXTURE, "--config", str(config))
+        assert (code, err) == (1, "error: config: k must be at most 15, got 99\n")
 
 
 class TestExitCodes:
