@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, settings, summary):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func, settings=settings)
+        p.set_defaults(func=func, settings=settings, parser=p)
         if settings:
             p.add_argument("--config", metavar="FILE", help="run config JSON file (any keys)")
         for key in settings:
@@ -159,8 +159,7 @@ def cmd_gen(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = generate_world(
         args.images, args.classes, feature_dim=args.dim, seed=config.seed
     )
-    lines = [dataio.dumps_jsonl_line(dataio.record_to_dict(r)) for r in world]
-    _emit("\n".join(lines) + "\n", args.out)
+    dataio.save_dataset(world, args.out or sys.stdout)
     logger.info("generated %d images", len(world))
     return 0
 
@@ -361,7 +360,9 @@ def cli_dispatch(argv: list[str]) -> int:
     """Parse and run one CLI invocation, returning the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the command's own usage
+            args.parser.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -268,10 +268,13 @@ def load_dataset(path: str | Path) -> list[ImageRecord]:
     return records
 
 
-def save_dataset(records: Iterable[ImageRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dumps_jsonl_line(record_to_dict(record)) + "\n")
+def save_dataset(records: Iterable[ImageRecord], target: str | Path | TextIO) -> None:
+    """Write each record's JSON line as it is produced to a file path or an open text stream."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8") as handle:
+            return save_dataset(records, handle)
+    for record in records:
+        target.write(dumps_jsonl_line(record_to_dict(record)) + "\n")
 
 
 def load_detections(path: str | Path) -> list[Detection]:

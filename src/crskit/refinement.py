@@ -18,8 +18,8 @@ walks those masks in the current score order. It likewise matches every
 proposal against its image's ground truth once (``ground_truth_table``): every
 evaluation passes the suppression survivors to ``evaluation.evaluate_picks``
 as picks of that table, with no ``Detection`` objects, and every purity count
-reads the same table. Only the initial scores are checked; the scorer's are
-valid by construction.
+reads the same table. ``run_adr`` checks the initial score table up front,
+and ``select_pseudo_gt`` checks every score list it is given, the scorer's too.
 """
 
 from __future__ import annotations

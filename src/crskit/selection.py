@@ -8,13 +8,13 @@ excluded no matter how small they are, while a large box drawn around a small
 chosen one is not. An exhaustive solver over the same objective doubles as a
 verification oracle for the greedy path.
 
-Suppression and greedy selection are index walks over per-region conflict
-bitmasks (``conflict_masks``): overlaps are compared with the threshold once,
-when the masks are built, and the walks only test and set bits. Every
-dataset-level caller (refinement, ``crskit nms``/``select``) builds each image's
-masks once (``image_overlaps``) and walks them per class (``rank_order``,
-``suppress``, ``greedy_walk``); ``nms`` and ``crs_greedy`` build the masks of
-one ``ScoredRegion`` problem and walk them the same way.
+Every solver only tests bits of per-region conflict masks (``conflict_masks``),
+which compare each overlap with the threshold once, when they are built.
+Dataset-level callers (refinement, ``crskit nms``/``select``) build each
+image's masks once (``image_overlaps``) and walk them per class (``rank_order``,
+``suppress``, ``greedy_walk``); ``nms``, ``crs_greedy`` and ``crs_exact`` build
+the masks of one ``ScoredRegion`` problem, and ``crs_exact`` finds directional
+insertion orders by peeling.
 """
 
 from __future__ import annotations
@@ -218,6 +218,16 @@ def nms(
     return [ranked[i] for i in kept]
 
 
+def _ranked_conflicts(problem: SelectionProblem) -> tuple[list[ScoredRegion], list[int]]:
+    """The problem's regions in rank order and their selection conflict masks."""
+    if not problem.regions:
+        raise ValueError("cannot select from an empty region list")
+    ranked = _by_rank(problem.regions)
+    _, directed = pairwise_overlaps(_box_array(ranked))
+    # Row j of the transpose holds the overlaps of every member with candidate j.
+    return ranked, conflict_masks(directed.T, problem.threshold)
+
+
 def crs_greedy(problem: SelectionProblem) -> SelectionResult:
     """Greedy count-constrained selection.
 
@@ -228,17 +238,9 @@ def crs_greedy(problem: SelectionProblem) -> SelectionResult:
     seed. When no region is compatible with any other this degrades to the
     single top-scoring region, flagged incomplete for count > 1.
     """
-    if not problem.regions:
-        raise ValueError("cannot select from an empty region list")
-    ranked = _by_rank(problem.regions)
-    _, directed = pairwise_overlaps(_box_array(ranked))
-    # Row j of the transpose holds the overlaps of every member with candidate j.
-    chosen, total = greedy_walk(
-        range(len(ranked)),
-        [r.score for r in ranked],
-        conflict_masks(directed.T, problem.threshold),
-        problem.count,
-    )
+    ranked, masks = _ranked_conflicts(problem)
+    scores = [r.score for r in ranked]
+    chosen, total = greedy_walk(range(len(ranked)), scores, masks, problem.count)
     return SelectionResult(
         selected=tuple(ranked[i].region_id for i in chosen),
         total_score=total,
@@ -247,44 +249,31 @@ def crs_greedy(problem: SelectionProblem) -> SelectionResult:
 
 
 def _feasible_order(
-    members: tuple[int, ...],
-    overlap: list[list[float]],
-    threshold: float,
-    symmetric: bool,
+    members: tuple[int, ...], masks: Sequence[int], symmetric: bool
 ) -> tuple[int, ...] | None:
     """Return an admissible insertion order for ``members``, or None.
 
-    ``overlap[i][j]`` is the directed overlap with i selected and j the
-    candidate. Symmetric mode demands every ordered pair stay below the
-    threshold, so membership alone decides; directional mode asks whether some
-    insertion order keeps each new region compatible with all earlier ones,
-    answered by reachability over subsets.
+    ``masks[j]`` has bit k set when j may not join a set holding k. Symmetric
+    mode admits the set only when no member's mask hits another member.
+    Directional mode peels: it takes the lowest-ranked member that no other
+    remaining member blocks as the last insertion, and repeats. It fails
+    exactly when the blocking relation has a cycle, and keeps rank order
+    whenever rank order is admissible.
     """
+    left = sum(1 << i for i in members)
     if symmetric:
-        ok = all(
-            overlap[i][j] < threshold for i in members for j in members if i != j
-        )
-        return members if ok else None
-    m = len(members)
-    full = (1 << m) - 1
-    orders: dict[int, tuple[int, ...]] = {0: ()}
-    for mask in range(full + 1):
-        prefix = orders.get(mask)
-        if prefix is None:
-            continue
-        if mask == full:
-            return tuple(members[k] for k in prefix)
-        for j in range(m):
-            bit = 1 << j
-            if mask & bit or (mask | bit) in orders:
-                continue
-            if all(
-                overlap[members[k]][members[j]] < threshold
-                for k in range(m)
-                if mask & (1 << k)
-            ):
-                orders[mask | bit] = prefix + (j,)
-    return None
+        return None if any(masks[i] & (left ^ (1 << i)) for i in members) else members
+    peeled = []
+    while left:
+        for i in reversed(members):
+            bit = 1 << i
+            if left & bit and not masks[i] & (left ^ bit):
+                break
+        else:
+            return None
+        peeled.append(i)
+        left ^= bit
+    return tuple(reversed(peeled))
 
 
 def crs_exact(
@@ -294,33 +283,29 @@ def crs_exact(
 
     Enumerates every subset of size up to ``count`` and returns the
     highest-scoring feasible one; ties prefer larger subsets, then the
-    rank-lexicographically earliest. ``constraint_mode`` picks what feasible
-    means: "symmetric" requires the directed overlap below the threshold for
-    both orders of every pair, "directional" only that some insertion order
-    exists. The greedy path enforces neither: it admits members in rank
-    order only. Directional is therefore a looser upper bound on greedy; it
-    can admit a high-scoring merged hull after the tight boxes inside it, an
-    order greedy never tries while the hull outranks them. The result order
-    is an admissible insertion order, so it certifies feasibility. More than
+    rank-lexicographically earliest. Feasibility tests bits of the conflict
+    masks ``crs_greedy`` walks. "symmetric" ``constraint_mode`` requires the
+    directed overlap below the threshold for both orders of every pair,
+    "directional" only that some insertion order exists, found by peeling
+    (``_feasible_order``). Greedy admits members in rank order only, so
+    directional is a looser upper bound on it: it can admit a high-scoring
+    merged hull after the tight boxes inside it, an order greedy never tries
+    while the hull outranks them. The result order is admissible, and rank
+    order whenever that is, so it certifies feasibility. More than
     ``DEFAULT_ENUMERATION_CAP`` regions raise ``CapacityError``.
     """
     if constraint_mode not in ("directional", "symmetric"):
         raise ValueError(f"unknown constraint_mode: {constraint_mode!r}")
     n = len(problem.regions)
     if n > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(
-            f"{n} regions exceed the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
-        )
-    if n == 0:
-        raise ValueError("cannot select from an empty region list")
-    ranked = _by_rank(problem.regions)
-    overlap = pairwise_overlaps(_box_array(ranked))[1].tolist()
+        raise CapacityError(f"{n} regions exceed the enumeration cap of {DEFAULT_ENUMERATION_CAP}")
+    ranked, masks = _ranked_conflicts(problem)
     symmetric = constraint_mode == "symmetric"
     best_key: tuple[float, int, tuple[int, ...]] | None = None
     best_order: tuple[int, ...] = ()
     for size in range(1, min(problem.count, n) + 1):
         for combo in itertools.combinations(range(n), size):
-            order = _feasible_order(combo, overlap, problem.threshold, symmetric)
+            order = _feasible_order(combo, masks, symmetric)
             if order is None:
                 continue
             total = sum(ranked[i].score for i in combo)

@@ -51,11 +51,18 @@ class TestGen:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_stdout_when_no_out_flag(self, capsys):
+    def test_stdout_when_no_out_flag(self, tmp_path, capsys):
         code, out, _ = run(capsys, "gen", "--images", "1", "--classes", "1")
         assert code == 0
         record = json.loads(out.splitlines()[0])
         assert record["format_version"] == 1
+        # stdout gets the bytes --out writes.
+        path = tmp_path / "w.jsonl"
+        argv = ["gen", "--images", "3", "--classes", "2", "--seed", "4"]
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == path.read_bytes()
 
     def test_rejects_nonpositive_images(self, capsys):
         code, _, err = run(capsys, "gen", "--images", "0")
@@ -463,7 +470,11 @@ class TestCommandSurface:
         if key in COMMAND_SETTINGS[command]:
             assert getattr(build_parser().parse_args(argv), key) == value
         else:
-            assert run(capsys, *argv)[0] == 2
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            # The usage shown is the command's, which lists the flags it takes.
+            assert err.startswith(f"usage: crskit {command} ")
+            assert f"crskit {command}: error: unrecognized arguments: {flags[0]}" in err
 
     def test_report_takes_no_config(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

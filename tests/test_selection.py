@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from crskit.geometry import Box, asymmetric_overlap, iou
 from crskit.selection import (
+    DEFAULT_NMS_THRESHOLD,
     CapacityError,
     ScoredRegion,
     SelectionProblem,
@@ -19,6 +20,7 @@ from crskit.selection import (
     crs_greedy,
     nms,
 )
+from crskit.world import generate_world
 
 # The worked fixture: a high-scoring hull over two instances plus one tight
 # box per instance. IoU(hull, left) = 40/100 = 0.4, IoU(left, right) = 0.
@@ -124,6 +126,21 @@ def random_problem(rng: np.random.Generator, max_regions: int = 7) -> SelectionP
     count = int(rng.integers(1, 5))
     threshold = float(rng.choice([0.1, 0.3, 0.5, 0.7, 1.0]))
     return SelectionProblem(tuple(regions), count, threshold)
+
+
+def real_problems(threshold: float, count_cap: int = 3) -> list[SelectionProblem]:
+    """The post-NMS problems refinement solves on a small world's initial scores."""
+    problems = []
+    for record in generate_world(40, 4, seed=7):
+        for name in record.positive_classes():
+            regions = [
+                ScoredRegion(p.box, p.scores.get(name, 0.0), p.region_id)
+                for p in record.proposals
+            ]
+            kept = tuple(nms(regions, DEFAULT_NMS_THRESHOLD))
+            count = min(record.counts[name], count_cap)
+            problems.append(SelectionProblem(kept, count, threshold))
+    return problems
 
 
 class TestValidation:
@@ -247,6 +264,19 @@ class TestWorkedExample:
             assert_allclose(result.total_score, 1.1)
             assert result.complete
 
+    def test_directional_inserts_the_hull_after_its_parts(self):
+        # At T = 0.5 the hull blocks each part (overlap 1.0) but a part does not
+        # block the hull (overlap 0.4), so only parts-then-hull is admissible.
+        problem = SelectionProblem((HULL, LEFT, RIGHT), count=3, threshold=0.5)
+        result = crs_exact(problem, constraint_mode="directional")
+        assert result.selected == (1, 2, 0)
+        assert_allclose(result.total_score, 2.0)
+        assert result.complete
+        for result in (crs_exact(problem, constraint_mode="symmetric"), crs_greedy(problem)):
+            assert result.selected == (1, 2)
+            assert_allclose(result.total_score, 1.1)
+            assert not result.complete
+
     def test_incompatible_pair_degrades_to_top_region(self):
         outer = ScoredRegion(Box(0, 0, 10, 10), 0.9, 0)
         inner = ScoredRegion(Box(1, 1, 9, 9), 0.8, 1)
@@ -268,8 +298,10 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("mode", ["directional", "symmetric"])
     def test_exact_matches_brute_force(self, mode):
         rng = np.random.default_rng(90210)
-        for _ in range(120):
-            problem = random_problem(rng)
+        # Random boxes, then the problems the pipeline actually produces.
+        problems = [random_problem(rng) for _ in range(120)]
+        problems += real_problems(0.1) + real_problems(0.5)
+        for problem in problems:
             expected = brute_force_total(
                 problem.regions, problem.count, problem.threshold, mode
             )
@@ -309,6 +341,14 @@ class TestResultInvariants:
                     assert (
                         asymmetric_overlap(earlier.box, later.box) < problem.threshold
                     )
+            # Every solver keeps rank order whenever rank order is admissible.
+            ranked = sorted(chosen, key=lambda r: (-r.score, r.region_id))
+            if all(
+                asymmetric_overlap(earlier.box, later.box) < problem.threshold
+                for j, later in enumerate(ranked)
+                for earlier in ranked[:j]
+            ):
+                assert result.selected == tuple(r.region_id for r in ranked)
 
     def test_deterministic_and_order_independent(self):
         rng = np.random.default_rng(5150)
