@@ -106,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("oracle", cmd_oracle, ("T", "seed"),
                 "compare greedy selection against the exhaustive solver")
-    p.add_argument("--instances", type=int, default=500)
-    p.add_argument("--max-regions", type=int, default=12, dest="max_regions")
-    p.add_argument("--max-count", type=int, default=4, dest="max_count")
+    cap = DEFAULT_ENUMERATION_CAP
+    p.add_argument("--instances", type=int, default=500, help=f"in [1, {MAX_ORACLE_INSTANCES}]")
+    p.add_argument("--max-regions", type=int, default=12, help=f"in [2, {cap}]")
+    p.add_argument("--max-count", type=int, default=4, help=f"in [1, {cap}]")
     p.add_argument("--out", metavar="FILE")
 
     p = command("refine", cmd_refine, tuple(dataio.CONFIG_KEYS), "run the refinement loop")
@@ -125,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "evaluate detections against a dataset")
     p.add_argument("--detections", required=True, metavar="FILE")
     p.add_argument("--dataset", required=True, metavar="FILE")
-    p.add_argument("--by-count", action="store_true", dest="by_count")
+    p.add_argument("--by-count", action="store_true",
+                   help="also split by ground-truth count: 1, 2, 3, 4+")
     p.add_argument("--out", metavar="FILE")
 
     p = command("report", cmd_report, (), "render a report file as text")
@@ -293,9 +295,7 @@ def cmd_eval(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.dataset)
     gt = {record.image_id: dict(record.gt_boxes) for record in world}
     settings = {"corloc_variant": config.corloc_variant, "ap_mode": config.ap_mode}
-    report = build_report(detections, gt, **settings)
-    if args.by_count:
-        report.buckets = slice_by_count(detections, gt, **settings)
+    report = (slice_by_count if args.by_count else build_report)(detections, gt, **settings)
     _emit(dataio.dumps_json(dataio.eval_report_to_dict(report)), args.out)
     return 0
 

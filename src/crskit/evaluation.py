@@ -10,10 +10,11 @@ and each class with ground truth there, the ground-truth indices its IoU
 reaches 0.5 with, best first, and whether it localizes an instance for
 CorLoc. ``evaluate_picks`` turns picks of a ``TruthTable`` (the rows of a set
 of images) into per-class columns, ranks each class once, runs one greedy
-matching walk and assembles the report. ``build_report``, ``slice_by_count``
-and ``match_detections`` build a table over their ``Detection`` lists on each
-call; the refinement loop builds one over its proposals once per run and
-picks its suppression survivors.
+matching walk and assembles the report. Each call of ``build_report``,
+``slice_by_count`` (that report with its count buckets), ``match_detections``
+or ``corloc`` (the report's CorLoc of one class) builds one table over its
+``Detection`` list; the refinement loop builds one over its proposals once per
+run and picks its suppression survivors.
 """
 
 from __future__ import annotations
@@ -225,8 +226,6 @@ def _match(columns: ClassColumns, order: np.ndarray) -> list[bool]:
     # Greedy TP/FP walk in rank order over the detections with candidates:
     # each takes its best untaken ground-truth box of its image.
     flags = [False] * len(order)
-    if not columns.matches:
-        return flags
     candidate = np.zeros(len(order), dtype=bool)
     candidate[list(columns.matches)] = True
     ranked = order.tolist()
@@ -244,8 +243,6 @@ def _match(columns: ClassColumns, order: np.ndarray) -> list[bool]:
 
 def _localized(columns: ClassColumns, order: np.ndarray) -> int:
     # Images whose top-ranked detection localizes an instance.
-    if not columns.hits:
-        return 0
     _, first = np.unique(np.asarray(columns.image)[order], return_index=True)
     hit = np.zeros(len(order), dtype=bool)
     hit[columns.hits] = True
@@ -353,9 +350,8 @@ def average_precision(
             total += float(over.max()) if over.size else 0.0
         return total / 11.0
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    # The envelope: the best precision at this recall or any higher one.
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
@@ -368,20 +364,13 @@ def corloc(
     """Fraction of positive images whose top detection localizes the class.
 
     ``iou50`` demands IoU of at least 0.5 with some ground-truth box;
-    ``center`` only that the detection's center falls inside one. Images
-    without ground truth are ignored; with no positive images the rate is
-    undefined and None is returned.
+    ``center`` only that the detection's center falls inside one. A detection
+    counts for the image it is filed under; images without ground truth are
+    ignored, and with no positive images the rate is undefined (None).
     """
-    positives = [image_id for image_id, boxes in gt_boxes.items() if boxes]
-    found = [
-        ([top_detections[image_id].box.as_tuple()], {"": gt_boxes[image_id]})
-        for image_id in positives
-        if top_detections.get(image_id) is not None
-    ]
-    rows = truth_rows(found, variant)
-    if not positives:
-        return None
-    return sum(bool(r[""].hits) for r in rows) / len(positives)
+    tops = [replace(d, image_id=key, class_id="") for key, d in top_detections.items() if d]
+    gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
+    return build_report(tops, gt, corloc_variant=variant).per_class_corloc.get("")
 
 
 def is_pure(box: Box, gt_boxes: Sequence[Box]) -> bool:
@@ -485,11 +474,11 @@ def slice_by_count(
     *,
     corloc_variant: str = "iou50",
     ap_mode: str = "11pt",
-) -> dict[str, EvalReport]:
-    """Split evaluation by ground-truth count buckets 1, 2, 3, and 4+.
+) -> EvalReport:
+    """``build_report``'s report, with ``buckets`` split by ground-truth count.
 
-    An (image, class) pair lands in the bucket of its ground-truth count;
-    empty buckets are omitted from the result.
+    An (image, class) pair lands in the bucket of its count, 1, 2, 3 or 4+;
+    empty buckets are omitted. One table serves the report and every bucket.
     """
     bucket_of = {
         (image_id, name): count_bucket(len(boxes))
@@ -498,7 +487,8 @@ def slice_by_count(
         if boxes
     }
     table, picks = _detection_picks(detections, gt, corloc_variant)
-    reports = {}
+    report = evaluate_picks(table, picks, gt, ap_mode=ap_mode)
+    report.buckets = {}
     for bucket in sorted(set(bucket_of.values())):
         bucket_gt = {
             image_id: {
@@ -509,5 +499,5 @@ def slice_by_count(
             for image_id, per_class in gt.items()
         }
         bucket_picks = [p for p in picks if bucket_of.get((table.image_ids[p[0]], p[1])) == bucket]
-        reports[bucket] = evaluate_picks(table, bucket_picks, bucket_gt, ap_mode=ap_mode)
-    return reports
+        report.buckets[bucket] = evaluate_picks(table, bucket_picks, bucket_gt, ap_mode=ap_mode)
+    return report

@@ -255,17 +255,16 @@ def retrain_scorer(
     if not world:
         raise ValueError("cannot retrain on an empty world")
     classes = sorted({c for record in world for c in record.counts})
-    dims = {
-        len(p.feature)
-        for record in world
-        for p in record.proposals
-        if p.feature is not None
-    }
-    if previous is not None:
-        dims.add(previous.feature_dim)
-    if len(dims) > 1:
-        raise FeatureDimensionError(f"mixed feature dimensions: {sorted(dims)}")
-    feature_dim = dims.pop() if dims else 0
+    # Where each feature dimension is first seen, so a mix names its sources.
+    seen = {} if previous is None else {previous.feature_dim: "the previous scorer has"}
+    for record in world:
+        for p in record.proposals:
+            if p.feature is not None and len(p.feature) not in seen:
+                seen[len(p.feature)] = f"{record.image_id}: proposal {p.region_id} has"
+    if len(seen) > 1:
+        found = ", ".join(f"{where} {dim}" for dim, where in seen.items())
+        raise FeatureDimensionError(f"mixed feature dimensions: {found}")
+    feature_dim = next(iter(seen), 0)
     gathered: dict[str, list[np.ndarray]] = {c: [] for c in classes}
     for record in world:
         selections = pseudo_gt.get(record.image_id)

@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from crskit import evaluation
 from crskit.cli import build_parser, cli_dispatch
 from crskit.dataio import (
     CONFIG_KEYS,
@@ -216,6 +217,15 @@ class TestOracle:
             assert err.startswith("error: --max-count must be in [1, 20], got ")
         assert run(capsys, "oracle", "--instances", "1", "--max-count", "20")[0] == 0
 
+    def test_help_gives_the_size_ranges(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--help")
+        assert code == 0
+        text = " ".join(out.split())  # argparse wraps the help column
+        for flag, bounds in [
+            ("--instances", "[1, 100000]"), ("--max-regions", "[2, 20]"), ("--max-count", "[1, 20]"),
+        ]:
+            assert re.search(rf"{flag} \S+ in {re.escape(bounds)}", text), flag
+
 
 @pytest.fixture()
 def small_dataset(tmp_path, capsys):
@@ -271,17 +281,32 @@ class TestRefineAndEval:
         assert payload["mean_corloc"] is None or 0.0 <= payload["mean_corloc"] <= 1.0
         assert "buckets" not in payload
 
-    def test_eval_by_count_adds_buckets(self, small_dataset, tmp_path, capsys):
+    def test_eval_by_count_adds_buckets(self, small_dataset, tmp_path, capsys, monkeypatch):
         dets_path = tmp_path / "dets.jsonl"
         run(capsys, "refine", "--input", str(small_dataset), "--iterations", "1",
             "--seed", "3", "--out", str(tmp_path / "r.json"),
             "--detections-out", str(dets_path))
+        built = []
+        picks = evaluation._detection_picks
+
+        def counted(*args):
+            built.append(args)
+            return picks(*args)
+
+        monkeypatch.setattr(evaluation, "_detection_picks", counted)
         code, out, _ = run(capsys, "eval", "--detections", str(dets_path),
                            "--dataset", str(small_dataset), "--by-count")
         assert code == 0
+        # One table serves the overall report and every bucket.
+        assert len(built) == 1
         payload = json.loads(out)
         assert payload["buckets"]
         assert set(payload["buckets"]) <= {"1", "2", "3", "4+"}
+        code, plain, _ = run(capsys, "eval", "--detections", str(dets_path),
+                             "--dataset", str(small_dataset))
+        assert code == 0
+        del payload["buckets"]
+        assert payload == json.loads(plain)
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
     def test_evaluation_settings_reach_the_refinement(self, tmp_path, capsys, from_file):
@@ -312,6 +337,23 @@ class TestRefineAndEval:
         code, _, err = run(capsys, "refine", "--input", FIXTURE)
         assert code == 1
         assert "features" in err
+
+    def test_refine_locates_mixed_feature_dimensions(self, tmp_path, capsys):
+        # The loader checks dimensions within an image, so a mix across images loads.
+        path = tmp_path / "world.jsonl"
+        assert run(capsys, "gen", "--images", "6", "--classes", "2", "--out", str(path))[0] == 0
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        for entry in record["proposals"]:
+            entry["feature"] = entry["feature"][:8]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "refine", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: mixed feature dimensions: img_0000: proposal 0 has 16, "
+            "img_0001: proposal 0 has 8\n"
+        )  # one located line, no traceback
 
 
 class TestReport:

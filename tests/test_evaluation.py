@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from crskit import evaluation
@@ -241,7 +241,9 @@ class TestReports:
 
     def test_slice_by_count(self):
         detections, gt = self.small_scene()
-        buckets = slice_by_count(detections, gt)
+        report = slice_by_count(detections, gt)
+        assert replace(report, buckets=None) == build_report(detections, gt)
+        buckets = report.buckets
         assert set(buckets) == {"1", "2"}
         assert buckets["1"].per_class_corloc["cat"] == 1.0
         assert buckets["1"].per_class_ap["cat"] == 1.0
@@ -252,7 +254,7 @@ class TestReports:
         report = build_report([], {})
         assert report.mean_ap is None
         assert report.mean_corloc is None
-        assert slice_by_count([], {}) == {}
+        assert slice_by_count([], {}) == replace(report, buckets={})
 
 
 # Reference implementation: Detection-based loops over the scalar ``iou``,
@@ -393,6 +395,26 @@ class TestAgainstReference:
     def test_is_pure(self, box, gt_boxes):
         assert is_pure(box, gt_boxes) == (sum(iou(box, g) >= 0.5 for g in gt_boxes) == 1)
 
+    @pytest.mark.parametrize("variant", ["iou50", "center"])
+    @given(
+        st.dictionaries(
+            st.sampled_from("abcd"), st.none() | st.tuples(st.sampled_from("abcd"), grid_boxes)
+        ),
+        st.dictionaries(st.sampled_from("abcd"), st.lists(grid_boxes, max_size=3)),
+    )
+    @example({"a": ("b", GT_UNIT)}, {"a": [GT_UNIT], "b": [Box(20, 0, 30, 10)], "c": []})
+    def test_corloc(self, variant, filed, gt_boxes):
+        # ``filed`` gives each key the image id and box of its detection; one
+        # filed under another image's key counts for the key's image.
+        tops = {key: None if d is None else det(d[0], 0.5, d[1]) for key, d in filed.items()}
+        hits = [
+            reference_hit(tops[image_id], boxes, variant)
+            for image_id, boxes in gt_boxes.items()
+            if boxes and tops.get(image_id) is not None
+        ]
+        positives = sum(bool(boxes) for boxes in gt_boxes.values())
+        assert corloc(tops, gt_boxes, variant) == (sum(hits) / positives if positives else None)
+
     @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])
     def test_public_reports(self, corloc_variant, ap_mode):
         world = tied_world()
@@ -407,7 +429,9 @@ class TestAgainstReference:
         shuffled = random.Random(5).sample(detections, len(detections))
         for dets in (detections, shuffled):
             assert build_report(dets, gt, **kwargs) == reference_report(dets, gt, **kwargs)
-            assert slice_by_count(dets, gt, **kwargs) == reference_slices(dets, gt, **kwargs)
+            assert slice_by_count(dets, gt, **kwargs) == replace(
+                reference_report(dets, gt, **kwargs), buckets=reference_slices(dets, gt, **kwargs)
+            )
 
     @pytest.mark.parametrize("count_guided", [True, False])
     @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])

@@ -319,6 +319,15 @@ class TestRetrain:
         with pytest.raises(ValueError):
             retrain_scorer({}, [])
 
+    def test_mixed_dimensions_name_where_each_was_seen(self):
+        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 2.0]))])
+        previous = CentroidScorer({"cat": np.array([3.0, 4.0, 5.0])}, 3)
+        with pytest.raises(FeatureDimensionError) as info:
+            retrain_scorer({}, [image], previous=previous)
+        assert str(info.value) == (
+            "mixed feature dimensions: the previous scorer has 3, img_0: proposal 0 has 2"
+        )
+
 
 class TestRunAdr:
     def test_report_structure(self):
