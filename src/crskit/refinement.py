@@ -18,8 +18,12 @@ walks those masks in the current score order. It likewise matches every
 proposal against its image's ground truth once (``ground_truth_table``): every
 evaluation passes the suppression survivors to ``evaluation.evaluate_picks``
 as picks of that table, with no ``Detection`` objects, and every purity count
-reads the same table. ``run_adr`` checks the initial score table up front,
-and ``select_pseudo_gt`` checks every score list it is given, the scorer's too.
+reads the same table. Features never change either, so ``run_adr`` stacks them
+once into a private feature state (``_Features``): each rescoring computes all
+of a class's scores in one stacked kernel, retraining averages the selected
+rows by index, and purity reads region positions from it. ``run_adr`` checks
+the initial score table up front, and ``select_pseudo_gt`` checks every score
+list it is given, the scorer's too.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -77,7 +82,7 @@ MAX_ITERATIONS = 100
 
 
 class FeatureDimensionError(ValueError):
-    """Raised when a feature does not match the scorer's dimension."""
+    """Raised when a proposal feature is missing, of another dimension, or too large."""
 
 
 def abbreviate(value: int) -> str:
@@ -128,52 +133,60 @@ class CentroidScorer:
     feature_dim: int
 
 
-def _norm(vector: np.ndarray) -> float:
-    # np.linalg.norm computes a vector's norm as sqrt(x @ x); doing the same
-    # here gives the same bits without its per-call overhead.
-    return math.sqrt(vector @ vector)
+def _row_dots(matrix: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Each row of ``matrix`` dotted with ``other``'s same row, or with ``other`` if 1-D.
+
+    A stack of 1 x d by d x 1 products runs each row through the dot kernel of
+    ``f @ p`` and keeps its bits; gemv (``matrix @ p``), einsum and
+    ``(matrix * p).sum(1)`` sum in other orders and move some scores by an ulp.
+    """
+    return (matrix[:, None, :] @ other[..., None])[:, 0, 0]
 
 
-def _cosine_score(dot: float, feature_norm: float, prototype_norm: float) -> float:
-    if feature_norm == 0.0 or prototype_norm == 0.0:
-        return 0.5
-    value = (1.0 + float(dot) / (feature_norm * prototype_norm)) / 2.0
-    # Rounding can push the shifted cosine a hair outside [0, 1].
-    return min(max(value, 0.0), 1.0)
+class _Features(tuple):
+    """A world's images with their proposal features, stacked once per run.
+
+    Image k's proposals are rows ``offsets[k]:offsets[k + 1]``, ``positions[k]``
+    maps its region ids to positions in the image, and ``dims`` holds each row's
+    feature length (-1 for none), so length checks precede the stacking.
+    """
+
+    def __new__(cls, world: Sequence[ImageRecord]) -> "_Features":
+        if isinstance(world, cls):
+            return world
+        self = super().__new__(cls, world)
+        self.offsets = np.cumsum([0] + [len(r.proposals) for r in self])
+        self.positions = [{p.region_id: i for i, p in enumerate(r.proposals)} for r in self]
+        self._rows = [p.feature for r in self for p in r.proposals]
+        self.dims = np.array([-1 if f is None else len(f) for f in self._rows], dtype=int)
+        return self
+
+    def locate(self, row: int) -> str:
+        """``"<image_id>: proposal <region_id>"`` for stacked row ``row``."""
+        k = int(np.searchsorted(self.offsets, row, side="right")) - 1
+        return f"{self[k].image_id}: proposal {self[k].proposals[row - self.offsets[k]].region_id}"
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(N, d)`` features, zero where missing, and their norms; needs one length."""
+        zero = np.zeros(self.dims.max(initial=0))
+        matrix = np.array([zero if f is None else f for f in self._rows], dtype=float)
+        matrix = matrix.reshape(len(self._rows), len(zero))
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = _row_dots(matrix, matrix)
+        bad = np.flatnonzero(~np.isfinite(squares))
+        if bad.size:
+            raise FeatureDimensionError(f"{self.locate(bad[0])} has a feature too large to score")
+        return matrix, np.sqrt(squares)
 
 
-def score_proposals(
-    scorer: CentroidScorer, image: ImageRecord
-) -> dict[str, list[float]]:
+def score_proposals(scorer: CentroidScorer, image: ImageRecord) -> dict[str, list[float]]:
     """Score every proposal of ``image`` for every class the scorer knows.
 
     Returns score lists aligned with ``image.proposals``. Scores live in
     [0, 1]; a zero-norm feature or prototype scores a neutral 0.5.
     """
-    for proposal in image.proposals:
-        if proposal.feature is None:
-            raise FeatureDimensionError(
-                f"{image.image_id}: proposal {proposal.region_id} has no feature"
-            )
-        if len(proposal.feature) != scorer.feature_dim:
-            raise FeatureDimensionError(
-                f"{image.image_id}: proposal {proposal.region_id} has dimension "
-                f"{len(proposal.feature)}, scorer expects {scorer.feature_dim}"
-            )
-    # Each norm is computed once and shared; the dot products stay one per
-    # proposal, because a single matrix product sums in another order and
-    # moves some scores by an ulp.
-    features = [np.asarray(p.feature, dtype=float) for p in image.proposals]
-    norms = [_norm(f) for f in features]
-    out = {}
-    for name, prototype in scorer.prototypes.items():
-        prototype = np.asarray(prototype, dtype=float)
-        prototype_norm = _norm(prototype)
-        out[name] = [
-            _cosine_score(f @ prototype, fn, prototype_norm)
-            for f, fn in zip(features, norms)
-        ]
-    return out
+    return score_table([image], scorer)[image.image_id]
 
 
 def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
@@ -254,40 +267,32 @@ def retrain_scorer(
     """
     if not world:
         raise ValueError("cannot retrain on an empty world")
-    classes = sorted({c for record in world for c in record.counts})
-    # Where each feature dimension is first seen, so a mix names its sources.
+    features = _Features(world)
     seen = {} if previous is None else {previous.feature_dim: "the previous scorer has"}
-    for record in world:
-        for p in record.proposals:
-            if p.feature is not None and len(p.feature) not in seen:
-                seen[len(p.feature)] = f"{record.image_id}: proposal {p.region_id} has"
+    # Where each feature dimension is first seen, so a mix names its sources.
+    lengths, first = np.unique(features.dims, return_index=True)
+    for row in np.sort(first[lengths >= 0]):
+        seen.setdefault(int(features.dims[row]), f"{features.locate(row)} has")
     if len(seen) > 1:
         found = ", ".join(f"{where} {dim}" for dim, where in seen.items())
         raise FeatureDimensionError(f"mixed feature dimensions: {found}")
     feature_dim = next(iter(seen), 0)
-    gathered: dict[str, list[np.ndarray]] = {c: [] for c in classes}
-    for record in world:
-        selections = pseudo_gt.get(record.image_id)
-        if not selections:
-            continue
-        by_id = record.proposal_map()
-        for class_id, result in selections.items():
+    gathered: dict[str, list[int]] = {c: [] for record in world for c in record.counts}
+    for record, offset, positions in zip(features, features.offsets, features.positions):
+        for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
             for region_id in result.selected:
-                feature = by_id[region_id].feature
-                if feature is None:
+                row = offset + positions[region_id]
+                if features.dims[row] < 0:
                     raise FeatureDimensionError(
                         f"{record.image_id}: selected proposal {region_id} has no feature"
                     )
-                gathered.setdefault(class_id, []).append(np.asarray(feature, dtype=float))
-    prototypes = {}
-    for name in sorted(gathered):
-        features = gathered[name]
-        if features:
-            prototypes[name] = np.mean(features, axis=0)
-        elif previous is not None and name in previous.prototypes:
-            prototypes[name] = previous.prototypes[name]
-        else:
-            prototypes[name] = np.zeros(feature_dim)
+                gathered.setdefault(class_id, []).append(row)
+    kept = {} if previous is None else previous.prototypes
+    prototypes = {
+        name: features.stacked[0][rows].mean(axis=0) if rows
+        else kept.get(name, np.zeros(feature_dim))
+        for name, rows in sorted(gathered.items())
+    }
     return CentroidScorer(prototypes=prototypes, feature_dim=feature_dim)
 
 
@@ -320,28 +325,21 @@ def selection_purity(
     """Pooled purity of selected regions across all images and classes.
 
     A region is pure when exactly one ground-truth box of its class reaches
-    the match IoU with it (``evaluation.is_pure``), read from ``table``, the
-    world's ground-truth overlaps, which is built here when not given.
+    the match IoU with it, read from ``table``, the world's ground-truth
+    overlaps, which is built here when not given.
     """
     if table is None:
         table = ground_truth_table(world)
     if table.image_ids != tuple(record.image_id for record in world):
         raise ValueError("ground-truth table was built for another world or image order")
-    total = 0
-    pure = 0
-    for record, rows in zip(world, table.rows):
-        selections = pseudo_gt.get(record.image_id)
-        if not selections:
-            continue
-        positions = {p.region_id: i for i, p in enumerate(record.proposals)}
-        for class_id, result in selections.items():
+    total = pure = 0
+    for record, rows, positions in zip(world, table.rows, _Features(world).positions):
+        for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
             matches = rows[class_id].matches if class_id in rows else {}
             for region_id in result.selected:
                 total += 1
                 pure += int(len(matches.get(positions[region_id], ())) == 1)
-    if total == 0:
-        return None
-    return pure / total
+    return pure / total if total else None
 
 
 def score_table(
@@ -351,13 +349,27 @@ def score_table(
         # Initial scores come straight off the proposals.
         classes = sorted({c for record in world for c in record.counts})
         return {
-            record.image_id: {
-                name: [p.scores.get(name, 0.0) for p in record.proposals]
-                for name in classes
-            }
-            for record in world
+            r.image_id: {name: [p.scores.get(name, 0.0) for p in r.proposals] for name in classes}
+            for r in world
         }
-    return {record.image_id: score_proposals(scorer, record) for record in world}
+    features = _Features(world)
+    bad = np.flatnonzero(features.dims != scorer.feature_dim)
+    if bad.size:
+        dim, expected = features.dims[bad[0]], scorer.feature_dim
+        found = "no feature" if dim < 0 else f"dimension {dim}, scorer expects {expected}"
+        raise FeatureDimensionError(f"{features.locate(bad[0])} has {found}")
+    matrix, norms = features.stacked
+    columns = {}
+    for name, prototype in scorer.prototypes.items():
+        prototype = np.asarray(prototype, dtype=float)
+        dots, denominator = _row_dots(matrix, prototype), norms * math.sqrt(prototype @ prototype)
+        # A zero norm gives cosine 0, a neutral 0.5; rounding can push others a hair past [0, 1].
+        cosine = np.divide(dots, denominator, out=np.zeros_like(dots), where=denominator != 0.0)
+        columns[name] = np.clip((1.0 + cosine) / 2.0, 0.0, 1.0).tolist()
+    return {
+        record.image_id: {name: column[start:end] for name, column in columns.items()}
+        for record, start, end in zip(features, features.offsets, features.offsets[1:])
+    }
 
 
 def _survivors(
@@ -408,31 +420,25 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     """
     if not world:
         raise ValueError("cannot refine an empty world")
+    world = _Features(world)
     gt = {record.image_id: record.gt_boxes for record in world}
-    overlaps = [
-        image_overlaps(record, config.nms_threshold, config.threshold)
-        for record in world
-    ]
+    overlaps = [image_overlaps(r, config.nms_threshold, config.threshold) for r in world]
     table = ground_truth_table(world, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
     scores = score_table(world, scorer)
     _check_score_table(world, scores)
 
-    def evaluate(purity_value: float | None) -> EvalReport:
+    def evaluate(purity: float | None) -> EvalReport:
         picks = _survivors(world, scores, overlaps)
-        return replace(
-            evaluate_picks(table, picks, gt, ap_mode=config.ap_mode), purity=purity_value
-        )
+        return replace(evaluate_picks(table, picks, gt, ap_mode=config.ap_mode), purity=purity)
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):
         pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
         for record, masks in zip(world, overlaps):
             picks = {
-                name: select_pseudo_gt(
-                    record, name, scores[record.image_id][name], config, masks
-                )
+                name: select_pseudo_gt(record, name, scores[record.image_id][name], config, masks)
                 for name in record.positive_classes()
             }
             if picks:
@@ -440,14 +446,8 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
         scorer = retrain_scorer(pseudo_gt, world, previous=scorer)
         scores = score_table(world, scorer)
         purity_value = selection_purity(pseudo_gt, world, table)
-        report.iterations.append(
-            IterationReport(iteration=iteration, report=evaluate(purity_value))
-        )
-        logger.info(
-            "iteration %d: corloc=%s purity=%s",
-            iteration,
-            report.iterations[-1].report.mean_corloc,
-            purity_value,
-        )
+        report.iterations.append(IterationReport(iteration, evaluate(purity_value)))
+        corloc = report.iterations[-1].report.mean_corloc
+        logger.info("iteration %d: corloc=%s purity=%s", iteration, corloc, purity_value)
     report.scorer = scorer
     return report

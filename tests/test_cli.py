@@ -594,6 +594,23 @@ class TestExitCodes:
         assert "non-finite extent" in err
         assert not caught
 
+    def test_feature_too_large_to_score_exits_one_without_warnings(self, tmp_path, capsys):
+        # Every value is finite, so the dataset loads, but the squared norm overflows.
+        path = tmp_path / "world.jsonl"
+        assert run(capsys, "gen", "--images", "20", "--classes", "2", "--out", str(path))[0] == 0
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["proposals"][0]["feature"] = [v * 1e200 for v in record["proposals"][0]["feature"]]
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "refine", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: img_0000: proposal 0 has a feature too large to score\n"
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not caught
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +13,8 @@ from crskit.evaluation import is_pure
 from crskit.geometry import Box
 from crskit.refinement import (
     CentroidScorer,
+    _Features,
+    _row_dots,
     FeatureDimensionError,
     RefinementConfig,
     detections_from_scores,
@@ -140,6 +145,117 @@ class TestScorer:
             ]
         )
         assert score_proposals(scorer, image) == {"cat": [1.0, 0.5], "dog": [0.5, 0.5]}
+
+
+def feature_world(features, per_image=50):
+    """Images of ``per_image`` proposals carrying the rows of ``features`` in order."""
+    return [
+        ImageRecord(
+            image_id=f"img_{start}",
+            counts={"cat": 1},
+            proposals=[
+                proposal(i, Box(0, 0, 10, 10), 0.5, features[i])
+                for i in range(start, min(start + per_image, len(features)))
+            ],
+        )
+        for start in range(0, len(features), per_image)
+    ]
+
+
+def reference_scores(scorer, image):
+    """Shifted cosine scores computed one proposal and class at a time."""
+    out = {}
+    for name, prototype in scorer.prototypes.items():
+        prototype_norm = math.sqrt(prototype @ prototype)
+        out[name] = []
+        for p in image.proposals:
+            feature_norm = math.sqrt(p.feature @ p.feature)
+            if feature_norm == 0.0 or prototype_norm == 0.0:
+                out[name].append(0.5)
+            else:
+                value = (1.0 + float(p.feature @ prototype) / (feature_norm * prototype_norm)) / 2.0
+                out[name].append(min(max(value, 0.0), 1.0))
+    return out
+
+
+class TestBatchedKernel:
+    """The stacked kernel must keep the bits of per-row ``f @ p`` and ``sqrt(f @ f)``.
+
+    A numpy release that dispatches the stacked products differently fails
+    here, naming its version, before the golden trajectories drift.
+    """
+
+    @pytest.fixture
+    def features(self):
+        rng = np.random.default_rng(11)
+        features = rng.normal(size=(600, 16)) * rng.choice([1e-3, 1.0, 1e3], size=(600, 1))
+        features[::37] = 0.0
+        return features
+
+    def test_dots_and_norms_match_per_row_products(self, features):
+        version = f"numpy {np.__version__}"
+        for prototype in (features[1:60].mean(axis=0), features[100], np.zeros(16)):
+            dots = _row_dots(features, prototype)
+            bad = [i for i, f in enumerate(features) if dots[i].hex() != (f @ prototype).hex()]
+            assert not bad, f"{version}: stacked dots differ from f @ p in rows {bad[:5]}"
+        norms = _Features(feature_world(features)).stacked[1]
+        bad = [i for i, f in enumerate(features) if norms[i].hex() != math.sqrt(f @ f).hex()]
+        assert not bad, f"{version}: stacked norms differ from sqrt(f @ f) in rows {bad[:5]}"
+
+    def test_scores_match_per_row_scores(self, features):
+        prototypes = {"cat": features[1:60].mean(axis=0), "dog": features[100], "cow": np.zeros(16)}
+        scorer = CentroidScorer(prototypes, feature_dim=16)
+        world = feature_world(features)
+        table = score_table(world, scorer)
+        for image in world:
+            expected = reference_scores(scorer, image)
+            for name, scores in table[image.image_id].items():
+                assert [s.hex() for s in scores] == [s.hex() for s in expected[name]], (
+                    f"numpy {np.__version__}: {image.image_id} {name}"
+                )
+
+    def test_table_equals_per_image_scores(self, canonical_world):
+        scorer = trained_scorer(canonical_world)
+        table = score_table(canonical_world, scorer)
+        assert table == {r.image_id: score_proposals(scorer, r) for r in canonical_world}
+        assert table == {r.image_id: reference_scores(scorer, r) for r in canonical_world}
+
+    @pytest.mark.parametrize("count_guided", [True, False])
+    def test_indexed_mean_matches_per_row_mean(self, canonical_world, count_guided):
+        config = RefinementConfig(count_guided=count_guided)
+        scores, scorer = score_table(canonical_world, None), None
+        for _ in range(2):
+            pseudo_gt = {
+                r.image_id: {
+                    name: select_pseudo_gt(r, name, scores[r.image_id][name], config)
+                    for name in r.positive_classes()
+                }
+                for r in canonical_world
+            }
+            scorer = retrain_scorer(pseudo_gt, canonical_world, previous=scorer)
+            for name, prototype in scorer.prototypes.items():
+                rows = [
+                    np.asarray(r.proposal_map()[region_id].feature, dtype=float)
+                    for r in canonical_world
+                    if name in pseudo_gt[r.image_id]
+                    for region_id in pseudo_gt[r.image_id][name].selected
+                ]
+                assert prototype.tobytes() == np.mean(rows, axis=0).tobytes()
+            scores = score_table(canonical_world, scorer)
+
+    def test_feature_too_large_to_score_is_located(self):
+        scorer = CentroidScorer({"cat": np.ones(2)}, feature_dim=2)
+        image = one_image(
+            [
+                proposal(0, Box(0, 0, 10, 10), 0.9, np.ones(2)),
+                proposal(1, Box(20, 0, 30, 10), 0.9, np.array([1e200, 1.0])),
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FeatureDimensionError) as info:
+                score_proposals(scorer, image)
+        assert str(info.value) == "img_0: proposal 1 has a feature too large to score"
 
 
 class TestSelectPseudoGt:
@@ -378,6 +494,25 @@ class TestRunAdr:
             assert len(report.iterations) == 4
             for entry in report.iterations[1:]:
                 assert 0.0 <= entry.report.purity <= 1.0
+
+    @pytest.mark.parametrize(
+        "region_id, count_guided, message",
+        [
+            # A background proposal is never selected: rescoring finds it.
+            (9, True, "img_0000: proposal 9 has no feature"),
+            # Top-1 selects the merged hull: retraining finds it first.
+            (8, False, "img_0000: selected proposal 8 has no feature"),
+        ],
+    )
+    def test_missing_feature_fails_where_it_is_first_read(self, region_id, count_guided, message):
+        world = generate_world(20, 2, seed=1)
+        assert world[0].proposals[region_id].provenance == (
+            "background" if count_guided else "merged"
+        )
+        world[0].proposals[region_id].feature = None
+        with pytest.raises(FeatureDimensionError) as info:
+            run_adr(world, RefinementConfig(count_guided=count_guided))
+        assert str(info.value) == message
 
     def test_metrics_in_range(self):
         world = generate_world(12, 2, seed=8)
