@@ -303,7 +303,7 @@ def cmd_eval(args: argparse.Namespace, config: RefinementConfig) -> int:
 def _format_metric(value: Any) -> str:
     if value is None:
         return "-"
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DatasetError(f"report: expected a number or null, got {value!r}")
     try:
         return f"{float(value):.4f}"

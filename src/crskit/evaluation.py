@@ -1,15 +1,15 @@
-"""Detection metrics: greedy matching, average precision, localization, purity.
+"""Detection metrics: greedy matching, average precision and localization.
 
 Ground truth is passed as ``image_id -> class_id -> [Box, ...]``; only classes
 with at least one box anywhere count toward the mean metrics, the rest are
 reported as absent. A detection matches a ground-truth box at the PASCAL
 criterion, IoU >= 0.5 (``MATCH_IOU``).
 
-Every metric works from match rows (``truth_rows``): for each box of an image
-and each class with ground truth there, the ground-truth indices its IoU
-reaches 0.5 with, best first, and whether it localizes an instance for
-CorLoc. ``evaluate_picks`` turns picks of a ``TruthTable`` (the rows of a set
-of images) into per-class columns, ranks each class once, runs one greedy
+Every metric works from match rows, which ``truth_table`` builds for a set of
+images: for each box of an image and each class with ground truth there, the
+ground-truth indices its IoU reaches 0.5 with, best first, and whether it
+localizes an instance for CorLoc. ``evaluate_picks`` turns picks of a
+``TruthTable`` into per-class columns, ranks each class once, runs one greedy
 matching walk and assembles the report. Each call of ``build_report``,
 ``slice_by_count`` (that report with its count buckets), ``match_detections``
 or ``corloc`` (the report's CorLoc of one class) builds one table over its
@@ -34,13 +34,11 @@ __all__ = [
     "TruthRows",
     "TruthTable",
     "EvalReport",
-    "truth_rows",
     "truth_table",
     "evaluate_picks",
     "match_detections",
     "average_precision",
     "corloc",
-    "is_pure",
     "build_report",
     "slice_by_count",
     "count_bucket",
@@ -51,7 +49,7 @@ CORLOC_VARIANTS = ("iou50", "center")
 MATCH_IOU = 0.5
 PAIRS_PER_BATCH = 4096
 
-# One image for ``truth_rows``: its corner boxes and its ground truth by class.
+# One image for ``truth_table``: its corner boxes and its ground truth by class.
 ImageTruth = tuple[Sequence[tuple[float, float, float, float]], Mapping[str, Sequence[Box]]]
 # A pick: a table image, a class, its picked box positions, confidences by box position.
 Pick = tuple[int, str, Sequence[int], Sequence[float]]
@@ -83,34 +81,6 @@ class TruthRows:
 
     matches: dict[int, list[int]]
     hits: set[int]
-
-
-def truth_rows(
-    images: Iterable[ImageTruth], corloc_variant: str = "iou50"
-) -> list[dict[str, TruthRows]]:
-    """Match rows of each image's corner boxes, per class with ground truth there.
-
-    ``images`` pairs each image's boxes with its ground truth. The IoU of
-    every box with every ground-truth box of its image comes from
-    ``geometry.paired_overlaps``, so it is ``iou(box, gt_box)`` bit for bit.
-    The ``iou50`` CorLoc hit is a match candidate; ``center`` asks that the
-    box's center lie inside a ground-truth box, boundary included.
-    """
-    if corloc_variant not in CORLOC_VARIANTS:
-        raise ValueError(f"unknown corloc variant: {corloc_variant!r}")
-    out: list[dict[str, TruthRows]] = []
-    batch: list[ImageTruth] = []
-    pairs = 0
-    for image in images:
-        batch.append(image)
-        pairs += len(image[0]) * sum(len(boxes) for boxes in image[1].values())
-        # Batches of a few thousand pairs keep the per-pair temporaries (about
-        # 150 bytes a pair) small at a handful of numpy calls per batch.
-        if pairs >= PAIRS_PER_BATCH:
-            out.extend(_batch_rows(batch, corloc_variant))
-            batch, pairs = [], 0
-    out.extend(_batch_rows(batch, corloc_variant))
-    return out
 
 
 def _batch_rows(images: Sequence[ImageTruth], corloc_variant: str) -> list[dict[str, TruthRows]]:
@@ -190,14 +160,34 @@ class TruthTable:
 def truth_table(
     image_ids: Sequence[str], images: Iterable[ImageTruth], corloc_variant: str = "iou50"
 ) -> TruthTable:
-    """Match rows of ``images``, the boxes and ground truth of the named images."""
+    """Match rows of ``images``, the corner boxes and ground truth of the named images.
+
+    The IoU of every box with every ground-truth box of its image comes from
+    ``geometry.paired_overlaps``, so it is ``iou(box, gt_box)`` bit for bit.
+    The ``iou50`` CorLoc hit is a match candidate; ``center`` asks that the
+    box's center lie inside a ground-truth box, boundary included.
+    """
     if len(set(image_ids)) != len(image_ids):
         raise ValueError("image_ids must be unique within a table")
+    if corloc_variant not in CORLOC_VARIANTS:
+        raise ValueError(f"unknown corloc variant: {corloc_variant!r}")
     rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
+    rows: list[dict[str, TruthRows]] = []
+    batch: list[ImageTruth] = []
+    pairs = 0
+    for image in images:
+        batch.append(image)
+        pairs += len(image[0]) * sum(len(boxes) for boxes in image[1].values())
+        # Batches of a few thousand pairs keep the per-pair temporaries (about
+        # 150 bytes a pair) small at a handful of numpy calls per batch.
+        if pairs >= PAIRS_PER_BATCH:
+            rows.extend(_batch_rows(batch, corloc_variant))
+            batch, pairs = [], 0
+    rows.extend(_batch_rows(batch, corloc_variant))
     return TruthTable(
         image_ids=tuple(image_ids),
         rank=tuple(rank[image_id] for image_id in image_ids),
-        rows=tuple(truth_rows(images, corloc_variant)),
+        rows=tuple(rows),
     )
 
 
@@ -371,16 +361,6 @@ def corloc(
     tops = [replace(d, image_id=key, class_id="") for key, d in top_detections.items() if d]
     gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
     return build_report(tops, gt, corloc_variant=variant).per_class_corloc.get("")
-
-
-def is_pure(box: Box, gt_boxes: Sequence[Box]) -> bool:
-    """True when ``box`` reaches IoU 0.5 with exactly one ground-truth box.
-
-    Merged hulls (no single box covered well) and near-duplicates straddling
-    two boxes are both impure.
-    """
-    (rows,) = truth_rows([([box.as_tuple()], {"": gt_boxes})])
-    return "" in rows and len(rows[""].matches.get(0, ())) == 1
 
 
 @dataclass

@@ -60,22 +60,6 @@ class Box:
     def height(self) -> float:
         return self.y2 - self.y1
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
-
-    def contains_point(self, x: float, y: float) -> bool:
-        """True when (x, y) lies inside the box, boundary included."""
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
-    def translate(self, dx: float, dy: float) -> Box:
-        return Box(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
-    def scale(self, factor: float) -> Box:
-        if factor <= 0:
-            raise GeometryError(f"scale factor must be positive, got {factor}")
-        return Box(self.x1 * factor, self.y1 * factor, self.x2 * factor, self.y2 * factor)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 

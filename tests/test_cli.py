@@ -397,6 +397,9 @@ class TestReport:
             ({"per_class_ap": [1, 2]}, "per_class_ap: expected an object"),
             ({"per_class_ap": {"cat": "high"}}, "expected a number or null"),
             ({"per_class_ap": {}, "buckets": {"1": 0.5}}, r"buckets\.1: expected an object"),
+            # JSON booleans load as Python bools, which are ints to isinstance.
+            ({"per_class_ap": {"a": True}, "mean_ap": False}, "a number or null, got True"),
+            ({"iterations": [{"iteration": 0, "mean_ap": True}]}, "a number or null, got True"),
         ],
     )
     def test_rejects_wrongly_shaped_report(self, tmp_path, capsys, payload, message):

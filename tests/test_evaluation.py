@@ -18,10 +18,9 @@ from crskit.evaluation import (
     build_report,
     corloc,
     count_bucket,
-    is_pure,
     match_detections,
     slice_by_count,
-    truth_rows,
+    truth_table,
 )
 from crskit.geometry import Box, iou
 from crskit.refinement import RefinementConfig, detections_from_scores, run_adr, score_table
@@ -186,22 +185,6 @@ class TestCorloc:
             corloc({}, {}, "bogus")
 
 
-class TestPurity:
-    def test_merged_hulls_are_impure(self):
-        # hull over two equal boxes has IoU 1/3 with each
-        gt = [Box(0, 0, 10, 10), Box(20, 0, 30, 10)]
-        assert not is_pure(Box(0, 0, 30, 10), gt)
-
-    def test_half_pure(self):
-        gt = [Box(0, 0, 10, 10), Box(20, 0, 30, 10)]
-        assert [is_pure(b, gt) for b in (Box(0, 0, 10, 10), Box(0, 0, 30, 10))] == [True, False]
-
-    def test_straddling_two_boxes_is_impure(self):
-        # IoU exactly 0.5 with both neighbours: covers two, not one
-        gt = [Box(0, 0, 10, 10), Box(10, 0, 20, 10)]
-        assert not is_pure(Box(0, 0, 20, 10), gt)
-
-
 class TestReports:
     def small_scene(self):
         gt = {
@@ -288,8 +271,8 @@ def reference_match(detections, gt_boxes, iou_threshold=0.5):
 def reference_hit(det, boxes, variant):
     if variant == "iou50":
         return any(iou(det.box, g) >= 0.5 for g in boxes)
-    cx, cy = det.box.center
-    return any(g.contains_point(cx, cy) for g in boxes)
+    cx, cy = (det.box.x1 + det.box.x2) / 2.0, (det.box.y1 + det.box.y2) / 2.0
+    return any(g.x1 <= cx <= g.x2 and g.y1 <= cy <= g.y2 for g in boxes)
 
 
 def reference_report(detections, gt, corloc_variant="iou50", ap_mode="11pt"):
@@ -383,17 +366,12 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("corloc_variant", ["iou50", "center"])
     def test_truth_rows_do_not_depend_on_batching(self, corloc_variant, monkeypatch):
-        images = [
-            ([p.box.as_tuple() for p in record.proposals], record.gt_boxes)
-            for record in generate_world(30, 3, seed=4)
-        ]
-        one_by_one = [truth_rows([image], corloc_variant)[0] for image in images]
+        world = generate_world(30, 3, seed=4)
+        image_ids = [r.image_id for r in world]
+        images = [([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world]
+        unbatched = truth_table(image_ids, images, corloc_variant).rows
         monkeypatch.setattr(evaluation, "PAIRS_PER_BATCH", 64)
-        assert truth_rows(images, corloc_variant) == one_by_one
-
-    @given(grid_boxes, st.lists(grid_boxes, max_size=4))
-    def test_is_pure(self, box, gt_boxes):
-        assert is_pure(box, gt_boxes) == (sum(iou(box, g) >= 0.5 for g in gt_boxes) == 1)
+        assert truth_table(image_ids, images, corloc_variant).rows == unbatched
 
     @pytest.mark.parametrize("variant", ["iou50", "center"])
     @given(

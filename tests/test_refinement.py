@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from crskit.evaluation import is_pure
-from crskit.geometry import Box
+from crskit.geometry import Box, iou
 from crskit.refinement import (
     CentroidScorer,
     _Features,
@@ -526,15 +525,22 @@ class TestRunAdr:
 
 class TestSelectionPurity:
     def test_pooled_fraction(self):
-        image = one_image(
-            [
-                proposal(0, Box(0, 0, 10, 10), 0.9),  # matches the one gt box
-                proposal(1, Box(50, 0, 60, 10), 0.8),  # matches nothing
-            ],
-            count=2,
-        )
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
-        assert selection_purity(pseudo_gt, [image]) == 0.5
+        for second, gt in [
+            (Box(50, 0, 60, 10), [Box(0, 0, 10, 10)]),  # matches nothing
+            # A hull over two equal boxes has IoU 1/3 with each: it covers neither.
+            (Box(0, 0, 30, 10), [Box(0, 0, 10, 10), Box(20, 0, 30, 10)]),
+        ]:
+            image = one_image(
+                [
+                    proposal(0, Box(0, 0, 10, 10), 0.9),  # matches the first gt box
+                    proposal(1, second, 0.8),
+                ],
+                count=2,
+            )
+            image.gt_boxes["cat"] = gt
+            pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
+            assert selection_purity(pseudo_gt, [image]) == 0.5
+            assert is_pure_purity(pseudo_gt, [image]) == 0.5
 
     def test_undefined_without_selections(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
@@ -542,13 +548,15 @@ class TestSelectionPurity:
 
 
 def is_pure_purity(pseudo_gt, world):
-    """Pooled purity by ``evaluation.is_pure``, region by region."""
-    verdicts = [
-        is_pure(record.proposal_map()[region_id].box, record.gt_boxes.get(name, []))
-        for record in world
-        for name, result in pseudo_gt.get(record.image_id, {}).items()
-        for region_id in result.selected
-    ]
+    """Pooled purity region by region: a region is pure when it reaches IoU 0.5
+    with exactly one ground-truth box of its class, by the scalar ``iou``."""
+    verdicts = []
+    for record in world:
+        proposals = record.proposal_map()
+        for name, result in pseudo_gt.get(record.image_id, {}).items():
+            gt = record.gt_boxes.get(name, [])
+            for region_id in result.selected:
+                verdicts.append(sum(iou(proposals[region_id].box, g) >= 0.5 for g in gt) == 1)
     return sum(verdicts) / len(verdicts) if verdicts else None
 
 
