@@ -326,8 +326,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines.append("iteration  mean_ap  mean_corloc  purity")
         for i, entry in enumerate(_expect(data["iterations"], list, "iterations")):
             entry = _expect(entry, dict, f"iterations[{i}]")
+            label = entry.get("iteration", "?")
+            if "iteration" in entry and (isinstance(label, bool) or not isinstance(label, int)):
+                raise DatasetError(f"report: iterations[{i}].iteration: expected an integer")
             lines.append(
-                f"{str(entry.get('iteration', '?')):>9}"
+                f"{label:>9}"
                 f"  {_format_metric(entry.get('mean_ap')):>7}"
                 f"  {_format_metric(entry.get('mean_corloc')):>11}"
                 f"  {_format_metric(entry.get('purity')):>6}"

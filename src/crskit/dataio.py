@@ -13,6 +13,9 @@ Datasets are JSON Lines: one image record per line, schema version 1.
 Detections are JSON Lines of ``{"image_id", "class_id", "box", "confidence"}``.
 Serialization is canonical (sorted keys, fixed separators), so writing the
 same data twice produces identical bytes.
+Loaders check a list of numbers (a box, a feature) whole, and only a list
+holding anything but finite floats goes value by value, so that each error
+is located at its first bad index.
 
 A run config file is a JSON object keyed by the CLI's flag names that loads as
 a ``RefinementConfig``; ``CONFIG_KEYS`` maps its keys to fields for the
@@ -22,6 +25,7 @@ loader, the CLI's flag merge and the refinement report's config block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -79,15 +83,26 @@ def _require_keys(
 
 
 def _number(value: Any, line: int | None, path: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(line, path, f"expected a number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:
         _fail(line, path, "expected a finite number, got an integer beyond float range")
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         _fail(line, path, f"expected a finite number, got {value}")
     return number
+
+
+def _numbers(values: list, line: int | None, path: str) -> list[float]:
+    # A list of finite floats passes whole; anything else goes value by value,
+    # so the error names the first bad index.
+    for v in values:
+        if type(v) is not float or not math.isfinite(v):
+            return [_number(v, line, f"{path}[{i}]") for i, v in enumerate(values)]
+    return values
 
 
 def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
@@ -116,9 +131,8 @@ def load_json(path: str | Path, context: str) -> Any:
 def _box(value: Any, line: int | None, path: str) -> Box:
     if not isinstance(value, list) or len(value) != 4:
         _fail(line, path, "expected [x1, y1, x2, y2]")
-    coords = [_number(v, line, f"{path}[{i}]") for i, v in enumerate(value)]
     try:
-        return Box(*coords)
+        return Box(*_numbers(value, line, path))
     except GeometryError as exc:
         _fail(line, path, str(exc))
     raise AssertionError  # unreachable
@@ -195,9 +209,7 @@ def record_from_dict(data: Any, line: int | None = None) -> ImageRecord:
             raw = entry["feature"]
             if not isinstance(raw, list) or not raw:
                 _fail(line, f"{path}.feature", "expected a non-empty list of numbers")
-            feature = np.array(
-                [_number(v, line, f"{path}.feature[{j}]") for j, v in enumerate(raw)]
-            )
+            feature = np.array(_numbers(raw, line, f"{path}.feature"))
             dims.add(len(raw))
         provenance = entry.get("provenance")
         if provenance is not None and not isinstance(provenance, str):

@@ -40,8 +40,9 @@ class Box:
     y2: float
 
     def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        if not type(self.x1) is type(self.y1) is type(self.x2) is type(self.y2) is float:
+            for name in ("x1", "y1", "x2", "y2"):
+                object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.x2 > self.x1 and self.y2 > self.y1):
             raise GeometryError(
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})"

@@ -368,6 +368,16 @@ class TestReport:
         assert len(lines) == 3
         assert lines[1].endswith("-")  # iteration 0 has no purity
 
+    def test_missing_iteration_renders_as_a_question_mark(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(dumps_json({"iterations": [{"iteration": 2}, {"mean_ap": 0.5}]}))
+        code, out, _ = run(capsys, "report", "--input", str(path))
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "        2        -            -       -",
+            "        ?   0.5000            -       -",
+        ]
+
     def test_renders_eval_table(self, small_dataset, tmp_path, capsys):
         dets_path = tmp_path / "dets.jsonl"
         eval_path = tmp_path / "eval.json"
@@ -400,6 +410,15 @@ class TestReport:
             # JSON booleans load as Python bools, which are ints to isinstance.
             ({"per_class_ap": {"a": True}, "mean_ap": False}, "a number or null, got True"),
             ({"iterations": [{"iteration": 0, "mean_ap": True}]}, "a number or null, got True"),
+            # An iteration label is an integer too, never a bool or a structure.
+            (
+                {"iterations": [{"iteration": {"x": [1, 2]}}]},
+                r"iterations\[0\]\.iteration: expected an integer$",
+            ),
+            (
+                {"iterations": [{"iteration": 0}, {"iteration": True}]},
+                r"iterations\[1\]\.iteration: expected an integer$",
+            ),
         ],
     )
     def test_rejects_wrongly_shaped_report(self, tmp_path, capsys, payload, message):

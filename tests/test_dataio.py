@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import tempfile
 from pathlib import Path
+from typing import Any
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -392,6 +394,89 @@ class TestUnparsableInput:
                 loader(file)
             except DatasetError as exc:
                 assert str(exc).startswith("line 1: ")
+
+
+# A wrong value and the message its per-value check gives.
+BAD_VALUES = [
+    (float("nan"), "expected a finite number, got nan"),
+    (float("inf"), "expected a finite number, got inf"),
+    (True, "expected a number, got bool"),
+    ("x", "expected a number, got str"),
+    (HUGE, "expected a finite number, got an integer beyond float range"),
+]
+# Each list a loader checks whole: where it sits, its located path and a valid value.
+FLOAT_LISTS = [
+    (minimal_record, ("proposals", 0, "box"), "proposals[0].box", [0.0, 0.0, 10.0, 10.0]),
+    (
+        minimal_record,
+        ("classes", "cat", "gt_boxes", 0),
+        "classes.cat.gt_boxes[0]",
+        [0.0, 0.0, 10.0, 10.0],
+    ),
+    (minimal_detection, ("box",), "box", [0.0, 0.0, 10.0, 10.0]),
+    (
+        minimal_record,
+        ("proposals", 0, "feature"),
+        "proposals[0].feature",
+        [0.5, 1.0, 0.25, 2.0, 0.75],
+    ),
+]
+
+
+def load_one(data: dict, make, path) -> Any:
+    """Write ``data`` as a one-line file and load it with the loader for ``make``'s kind."""
+    path.write_text(json.dumps(data) + "\n")
+    return (load_dataset if make is minimal_record else load_detections)(path)
+
+
+class TestListValidation:
+    """A list of numbers passes whole; any other list is checked value by value."""
+
+    @pytest.mark.parametrize("bad, message", BAD_VALUES, ids=["nan", "inf", "bool", "str", "huge"])
+    @pytest.mark.parametrize(
+        "make, path, located, good", FLOAT_LISTS, ids=["box", "gt-box", "detection-box", "feature"]
+    )
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "two-bad"])
+    def test_names_the_first_bad_index(
+        self, tmp_path, bad, message, make, path, located, good, where
+    ):
+        values = list(good)
+        index = {"first": 0, "middle": len(values) // 2, "last": len(values) - 1, "two-bad": 1}
+        values[index[where]] = bad
+        if where == "two-bad":
+            values[-1] = float("nan")  # a later bad value is not the one reported
+        with pytest.raises(DatasetError) as caught:
+            load_one(with_value(make(), path, values), make, tmp_path / "one.jsonl")
+        assert str(caught.value) == f"line 1: {located}[{index[where]}]: {message}"
+
+    def test_integer_spellings_load_as_floats(self, tmp_path):
+        loaded = {}
+        for spelling, box, feature in [
+            ("int", [0, 0, 10, 10], [1, 0]),
+            ("float", [0.0, 0.0, 10.0, 10.0], [1.0, 0.0]),
+        ]:
+            record = minimal_record()
+            record["classes"]["cat"]["gt_boxes"] = [box]
+            record["proposals"][0].update(box=box, feature=feature)
+            detection = dict(minimal_detection(), box=box)
+            loaded[spelling] = (
+                load_one(record, minimal_record, tmp_path / f"{spelling}.jsonl")[0],
+                load_one(detection, minimal_detection, tmp_path / f"{spelling}-det.jsonl"),
+            )
+        for record, detections in loaded.values():
+            boxes = [record.gt_boxes["cat"][0], record.proposals[0].box, detections[0].box]
+            assert boxes == [Box(0.0, 0.0, 10.0, 10.0)] * 3
+            assert all(type(v) is float for box in boxes for v in box.as_tuple())
+            assert record.proposals[0].feature.dtype == np.float64
+        ints, floats = loaded["int"][0], loaded["float"][0]
+        np.testing.assert_array_equal(ints.proposals[0].feature, floats.proposals[0].feature)
+        for name, (record, detections) in loaded.items():
+            save_dataset([record], tmp_path / f"{name}-saved.jsonl")
+            save_detections(detections, tmp_path / f"{name}-saved-det.jsonl")
+        for suffix in ("saved.jsonl", "saved-det.jsonl"):
+            assert (tmp_path / f"int-{suffix}").read_bytes() == (
+                tmp_path / f"float-{suffix}"
+            ).read_bytes()
 
 
 class TestRunConfig:
