@@ -10,7 +10,8 @@ reads (``SETTING_FLAGS``): ``gen`` the seed, ``nms`` the NMS IoU, ``select``
 ``T``, ``k`` and count guidance, ``oracle`` ``T`` and the seed, ``eval`` the
 CorLoc variant and AP mode, ``refine`` all eight; ``report`` none, and no
 ``--config``. A config file may set any key, is checked whole, and each
-command reads its own settings from it; the command's flags win over it.
+command reads its own settings from it; the command's flags win over it. Each
+report records the settings its command read.
 
 Diagnostics go to stderr, data to ``--out`` or stdout. Exit codes: 0 on
 success, 1 for validation or data errors, 2 for usage errors. Set the
@@ -166,53 +167,46 @@ def cmd_gen(args: argparse.Namespace, config: RefinementConfig) -> int:
     return 0
 
 
-def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
-    world = dataio.load_dataset(args.input)
-    images: dict[str, Any] = {}
-    for record in world:
-        masks = image_overlaps(record, config.nms_threshold, config.threshold)
-        per_class = {}
-        for name in record.positive_classes():
-            scores = [p.scores.get(name, 0.0) for p in record.proposals]
-            kept = suppress(rank_order(scores, masks.by_id), masks.suppress)
-            per_class[name] = [record.proposals[i].region_id for i in kept]
-        images[record.image_id] = per_class
-    payload = {
-        "format_version": dataio.FORMAT_VERSION,
-        "nms_threshold": config.nms_threshold,
-        "images": images,
-    }
-    _emit(dataio.dumps_json(payload), args.out)
+def _write_report(args: argparse.Namespace, config: RefinementConfig, payload: dict) -> int:
+    """Write ``payload`` beside the settings the command read."""
+    settings = dataio.config_to_dict(config, args.settings)
+    _emit(dataio.dumps_json({**settings, **payload}), args.out)
     return 0
+
+
+def _write_per_class(args: argparse.Namespace, config: RefinementConfig, step) -> int:
+    """Report ``step(record, masks, scores, name)`` for each image's positive classes."""
+    images: dict[str, Any] = {}
+    for record in dataio.load_dataset(args.input):
+        masks = image_overlaps(record, config.nms_threshold, config.threshold)
+        images[record.image_id] = {
+            name: step(record, masks, [p.scores.get(name, 0.0) for p in record.proposals], name)
+            for name in record.positive_classes()
+        }
+    return _write_report(args, config, {"format_version": dataio.FORMAT_VERSION, "images": images})
+
+
+def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
+    def survivors(record, masks, scores, name):
+        kept = suppress(rank_order(scores, masks.by_id), masks.suppress)
+        return [record.proposals[i].region_id for i in kept]
+
+    return _write_per_class(args, config, survivors)
 
 
 def cmd_select(args: argparse.Namespace, config: RefinementConfig) -> int:
-    world = dataio.load_dataset(args.input)
-    images: dict[str, Any] = {}
-    for record in world:
-        masks = image_overlaps(record, config.nms_threshold, config.threshold)
-        per_class = {}
-        for name in record.positive_classes():
-            scores = [p.scores.get(name, 0.0) for p in record.proposals]
-            target = config.count_target(record.counts[name])
-            order = rank_order(scores, masks.by_id)
-            chosen, total = greedy_walk(order, scores, masks.conflict, target)
-            per_class[name] = {
-                "selected": [record.proposals[i].region_id for i in chosen],
-                "boxes": [list(record.proposals[i].box.as_tuple()) for i in chosen],
-                "total_score": total,
-                "complete": len(chosen) == target,
-            }
-        images[record.image_id] = per_class
-    payload = {
-        "format_version": dataio.FORMAT_VERSION,
-        "T": config.threshold,
-        "k": config.count_cap,
-        "count_guided": config.count_guided,
-        "images": images,
-    }
-    _emit(dataio.dumps_json(payload), args.out)
-    return 0
+    def selection(record, masks, scores, name):
+        target = config.count_target(record.counts[name])
+        order = rank_order(scores, masks.by_id)
+        chosen, total = greedy_walk(order, scores, masks.conflict, target)
+        return {
+            "selected": [record.proposals[i].region_id for i in chosen],
+            "boxes": [list(record.proposals[i].box.as_tuple()) for i in chosen],
+            "total_score": total,
+            "complete": len(chosen) == target,
+        }
+
+    return _write_per_class(args, config, selection)
 
 
 def _random_problem(
@@ -256,9 +250,8 @@ def cmd_oracle(args: argparse.Namespace, config: RefinementConfig) -> int:
             matches += 1
         elif gap < 0:
             exceeds += 1
-    payload = {
+    return _write_report(args, config, {
         "format_version": dataio.FORMAT_VERSION,
-        "T": config.threshold,
         "instances": args.instances,
         "max_regions": args.max_regions,
         "max_count": args.max_count,
@@ -266,9 +259,7 @@ def cmd_oracle(args: argparse.Namespace, config: RefinementConfig) -> int:
         "mean_score_gap": float(np.mean(gaps)),
         "max_score_gap": float(np.max(gaps)),
         "greedy_exceeds_exact": exceeds,
-    }
-    _emit(dataio.dumps_json(payload), args.out)
-    return 0
+    })
 
 
 def _require_features(world) -> None:
@@ -294,10 +285,10 @@ def cmd_eval(args: argparse.Namespace, config: RefinementConfig) -> int:
     detections = dataio.load_detections(args.detections)
     world = dataio.load_dataset(args.dataset)
     gt = {record.image_id: dict(record.gt_boxes) for record in world}
-    settings = {"corloc_variant": config.corloc_variant, "ap_mode": config.ap_mode}
-    report = (slice_by_count if args.by_count else build_report)(detections, gt, **settings)
-    _emit(dataio.dumps_json(dataio.eval_report_to_dict(report)), args.out)
-    return 0
+    report = (slice_by_count if args.by_count else build_report)(
+        detections, gt, corloc_variant=config.corloc_variant, ap_mode=config.ap_mode
+    )
+    return _write_report(args, config, dataio.eval_report_to_dict(report))
 
 
 def _format_metric(value: Any) -> str:
@@ -305,10 +296,8 @@ def _format_metric(value: Any) -> str:
         return "-"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DatasetError(f"report: expected a number or null, got {value!r}")
-    try:
-        return f"{float(value):.4f}"
-    except OverflowError:
-        raise DatasetError("report: expected a number, got an integer beyond float range") from None
+    # The loaders' check refuses NaN, infinities and integers beyond float range.
+    return f"{dataio._number(value, None, 'report'):.4f}"
 
 
 def _expect(value: Any, kind: type, path: str) -> Any:

@@ -19,7 +19,8 @@ is located at its first bad index.
 
 A run config file is a JSON object keyed by the CLI's flag names that loads as
 a ``RefinementConfig``; ``CONFIG_KEYS`` maps its keys to fields for the
-loader, the CLI's flag merge and the refinement report's config block.
+loader, the CLI's flag merge and the settings every report records
+(``config_to_dict``): all of them in the refinement report's config block.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "DatasetError",
     "CONFIG_KEYS",
     "config_from_dict",
+    "config_to_dict",
     "load_dataset",
     "save_dataset",
     "load_detections",
@@ -381,6 +383,11 @@ def load_run_config(path: str | Path) -> RefinementConfig:
     return config_from_dict(load_json(path, "config"))
 
 
+def config_to_dict(config: RefinementConfig, keys: Iterable[str]) -> dict[str, Any]:
+    """The values of ``config`` under the given config keys, as a report records them."""
+    return {key: getattr(config, CONFIG_KEYS[key]) for key in keys}
+
+
 def eval_report_to_dict(report: EvalReport) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "per_class_ap": {k: float(v) for k, v in report.per_class_ap.items()},
@@ -398,16 +405,9 @@ def eval_report_to_dict(report: EvalReport) -> dict[str, Any]:
 
 
 def refinement_report_to_dict(report: RefinementReport) -> dict[str, Any]:
-    # The config block records the selection and loop settings only; adding
-    # the evaluation settings would change the bytes of every report.
-    config = {
-        key: getattr(report.config, name)
-        for key, name in CONFIG_KEYS.items()
-        if key not in ("corloc_variant", "ap_mode")
-    }
     payload: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
-        "config": config,
+        "config": config_to_dict(report.config, CONFIG_KEYS),
         "iterations": [
             {"iteration": entry.iteration, **eval_report_to_dict(entry.report)}
             for entry in report.iterations

@@ -13,6 +13,7 @@ from crskit import evaluation
 from crskit.cli import build_parser, cli_dispatch
 from crskit.dataio import (
     CONFIG_KEYS,
+    config_from_dict,
     dumps_json,
     load_dataset,
     load_detections,
@@ -435,8 +436,11 @@ class TestReport:
             (b'{"per_class_ap": {"cat": 1%s}}' % (b"0" * 400), "beyond float range"),
             (b"[" * 100_000 + b"]" * 100_000, "malformed JSON"),
             (b'{"per_class_ap": {"caf\xe9": 0.5}}', "malformed JSON"),
+            # Python's json module reads NaN and Infinity, which are no metric.
+            (b'{"per_class_ap": {"a": NaN}, "mean_ap": Infinity}', "finite number, got nan$"),
+            (b'{"iterations": [{"iteration": 1, "purity": -Infinity}]}', "got -inf$"),
         ],
-        ids=["huge-integer", "deep-nesting", "latin-1"],
+        ids=["huge-integer", "deep-nesting", "latin-1", "nan", "negative-infinity"],
     )
     def test_rejects_unparsable_report(self, tmp_path, capsys, content, message):
         path = tmp_path / "odd.json"
@@ -570,6 +574,44 @@ class TestCommandSurface:
         from_file = run(capsys, *nms, "--config", str(config))
         assert from_file == run(capsys, *nms, "--nms-threshold", "0.4")
         assert from_file[0] == 0 and json.loads(from_file[1])["nms_threshold"] == 0.4
+
+    @pytest.mark.parametrize("command", sorted(set(COMMAND_SETTINGS) - {"gen", "report"}))
+    def test_report_records_the_commands_settings(self, tmp_path, capsys, command):
+        # gen writes a dataset, not a report, and report reads no setting.
+        config = tmp_path / "all.json"
+        config.write_text(dumps_json(ALL_KEYS))
+        world, dets = str(tmp_path / "w.jsonl"), str(tmp_path / "d.jsonl")
+        assert run(capsys, "gen", "--images", "5", "--classes", "2", "--dim", "8",
+                   "--out", world)[0] == 0
+        refine = ["refine", "--input", world, "--detections-out", dets]
+        assert run(capsys, *refine)[0] == 0
+        argv = {
+            "nms": ["nms", "--input", world],
+            "select": ["select", "--input", world],
+            "oracle": ["oracle", "--instances", "5"],
+            "refine": refine,
+            "eval": ["eval", "--detections", dets, "--dataset", world, "--by-count"],
+        }[command]
+        code, out, _ = run(capsys, *argv, "--config", str(config))
+        assert code == 0
+        payload = json.loads(out)
+        if command == "refine":
+            recorded = {k: v for k, v in payload["config"].items() if k != "feature_dim"}
+        else:
+            recorded = {k: v for k, v in payload.items() if k in CONFIG_KEYS}
+        assert recorded == {k: ALL_KEYS[k] for k in COMMAND_SETTINGS[command]}
+
+    @pytest.mark.parametrize(
+        "config",
+        [RefinementConfig(), config_from_dict(ALL_KEYS),
+         RefinementConfig(corloc_variant="center", ap_mode="area")],
+        ids=["default", "all-keys", "center-area"],
+    )
+    def test_refinement_report_round_trips_its_config(self, config):
+        world = generate_world(10, 2, feature_dim=8, seed=3)
+        block = refinement_report_to_dict(run_adr(world, config))["config"]
+        assert block.pop("feature_dim") == 8
+        assert config_from_dict(block) == config
 
     def test_every_key_of_a_file_is_checked(self, tmp_path, capsys):
         config = tmp_path / "config.json"
