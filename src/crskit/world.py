@@ -14,6 +14,10 @@ multi-instance direction in proportion to how much of the hull is actual
 object. Background features are isotropic noise. Initial proposal scores
 imitate a weak image-level-trained detector that ranks merged hulls above
 single-instance boxes.
+
+The same seed gives the same bytes. Grouped draws spend the stream exactly as
+one call per value would: ``Generator.uniform(a, b)`` is ``a + (b - a) * u`` for
+the next double ``u``, and an array draw takes consecutive doubles.
 """
 
 from __future__ import annotations
@@ -127,15 +131,18 @@ def _spread_layout(count: int) -> list[Box]:
     return [Box(x, y, x + 16.0, y + 16.0) for x, y in anchors[:count]]
 
 
+def _random_box(rng: np.random.Generator, side: tuple[float, float]) -> Box:
+    uw, uh, ux, uy = rng.random(4).tolist()
+    w = side[0] + (side[1] - side[0]) * uw
+    h = side[0] + (side[1] - side[0]) * uh
+    x = (CANVAS_SIDE - w) * ux
+    y = (CANVAS_SIDE - h) * uy
+    return Box(x, y, x + w, y + h)
+
+
 def _place_instances(rng: np.random.Generator, count: int) -> list[Box]:
     for _ in range(MAX_PLACEMENT_TRIES):
-        boxes = []
-        for _ in range(count):
-            w = rng.uniform(*INSTANCE_SIDE)
-            h = rng.uniform(*INSTANCE_SIDE)
-            x = rng.uniform(0.0, CANVAS_SIDE - w)
-            y = rng.uniform(0.0, CANVAS_SIDE - h)
-            boxes.append(Box(x, y, x + w, y + h))
+        boxes = [_random_box(rng, INSTANCE_SIDE) for _ in range(count)]
         if _layout_ok(boxes):
             return boxes
     return _spread_layout(count)
@@ -144,36 +151,36 @@ def _place_instances(rng: np.random.Generator, count: int) -> list[Box]:
 def _jittered(rng: np.random.Generator, box: Box) -> Box:
     w = box.x2 - box.x1
     h = box.y2 - box.y1
-    dx1, dx2 = rng.uniform(-JITTER_FRACTION, JITTER_FRACTION, 2) * w
-    dy1, dy2 = rng.uniform(-JITTER_FRACTION, JITTER_FRACTION, 2) * h
+    dx1, dx2, dy1, dy2 = rng.uniform(-JITTER_FRACTION, JITTER_FRACTION, 4).tolist()
     return Box(
-        min(max(box.x1 + dx1, 0.0), CANVAS_SIDE - 1.0),
-        min(max(box.y1 + dy1, 0.0), CANVAS_SIDE - 1.0),
-        max(min(box.x2 + dx2, CANVAS_SIDE), 1.0),
-        max(min(box.y2 + dy2, CANVAS_SIDE), 1.0),
+        min(max(box.x1 + dx1 * w, 0.0), CANVAS_SIDE - 1.0),
+        min(max(box.y1 + dy1 * h, 0.0), CANVAS_SIDE - 1.0),
+        max(min(box.x2 + dx2 * w, CANVAS_SIDE), 1.0),
+        max(min(box.y2 + dy2 * h, CANVAS_SIDE), 1.0),
     )
 
 
 def _part_of(rng: np.random.Generator, box: Box) -> Box:
     w = box.x2 - box.x1
     h = box.y2 - box.y1
-    fraction = rng.uniform(*PART_AREA_FRACTION)
-    stretch = rng.uniform(0.9, 1.1)
+    uf, us, ux, uy = rng.random(4).tolist()
+    fraction = PART_AREA_FRACTION[0] + (PART_AREA_FRACTION[1] - PART_AREA_FRACTION[0]) * uf
+    stretch = 0.9 + (1.1 - 0.9) * us
     pw = w * math.sqrt(fraction) * stretch
     ph = h * math.sqrt(fraction) / stretch
-    x = box.x1 + rng.uniform(0.0, w - pw)
-    y = box.y1 + rng.uniform(0.0, h - ph)
+    x = box.x1 + (w - pw) * ux
+    y = box.y1 + (h - ph) * uy
     return Box(x, y, x + pw, y + ph)
 
 
 def _initial_scores(
     rng: np.random.Generator, classes: list[str], source: str | None, kind: str
 ) -> dict[str, float]:
+    jitters = rng.uniform(-SCORE_JITTER, SCORE_JITTER, len(classes)).tolist()
     scores = {}
-    for name in classes:
+    for name, jitter in zip(classes, jitters):
         base = BASE_SCORES[kind] if name == source else OFF_CLASS_SCORE
-        jitter = rng.uniform(-SCORE_JITTER, SCORE_JITTER)
-        scores[name] = float(min(max(base + jitter, 0.0), 1.0))
+        scores[name] = min(max(base + jitter, 0.0), 1.0)
     return scores
 
 
@@ -246,10 +253,7 @@ def generate_world(
                 merged_base = coverage * sig + (1.0 - coverage) * multi_dir[name]
                 add(merged_box, noisy(merged_base), name, "merged")
         for _ in range(BACKGROUNDS_PER_IMAGE):
-            w = rng.uniform(*BACKGROUND_SIDE)
-            h = rng.uniform(*BACKGROUND_SIDE)
-            x = rng.uniform(0.0, CANVAS_SIDE - w)
-            y = rng.uniform(0.0, CANVAS_SIDE - h)
-            add(Box(x, y, x + w, y + h), rng.normal(0.0, 1.0, feature_dim), None, "background")
+            box = _random_box(rng, BACKGROUND_SIDE)
+            add(box, rng.normal(0.0, 1.0, feature_dim), None, "background")
         world.append(record)
     return world
