@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from crskit import evaluation
@@ -618,6 +620,54 @@ class TestCommandSurface:
         config.write_text(dumps_json({"k": 99}))
         code, _, err = run(capsys, "nms", "--input", FIXTURE, "--config", str(config))
         assert (code, err) == (1, "error: config: k must be at most 15, got 99\n")
+
+
+# sha256 of every file the command chain below writes, recorded before the
+# input-rule refactor of selection, refinement, dataio and world. Each
+# command runs once with defaults and, except gen, once with ALL_KEYS.
+FROZEN_OUTPUTS = {
+    "w.jsonl": "186347770f9b390ae9680fb34d44d2336d71248b0e2055dd216b7cdd74b4f767",
+    "n.json": "89210ad77ceab7f6b44ace023567dbcd572b3b88cb71bab0b250d704cd90cfa7",
+    "s.json": "a5115d28dc75297de0a03148804abc33f986e466741186aa22bbfe91d2beee6c",
+    "r.json": "5c05a90cf5b1e9e208dcf6f3c1569ab13a5ec380da62aee7ed9c75c570356237",
+    "d.jsonl": "a3d95a22369f089f3640e2df4e6b06c7598107a3cb909197acb6a22ea88ad8c4",
+    "e.json": "f41cf8f5eafbe345158b3a272eaa2a5b12a9281fb65c7c7b3242249a242a9c6c",
+    "o.json": "8a9cdc5633bddc68a37b2a8812ad757b0ae8be7ec667005bebc0fba5d6628799",
+    "nc.json": "4e302d686ceef26e9aabc417510e7a96533b4eb4b9c0c88f479937788c1c242c",
+    "sc.json": "d98c6cf0173b81cf1047427691886015746c0b5d420c73c7893a849627e64641",
+    "rc.json": "c52b570e8551c0b7c58fb008dd92a9fb6610d2ac9a0de6523cab84d440974bc7",
+    "dc.jsonl": "f74393c1fe51fca32d7bbeb3d7d4be69dc863e0b35460c52514ef86936e24ec6",
+    "ec.json": "770ad9cbbc9c1ddec8b3bccb812233b8103337ef77f79c8e19bafa84e3124c75",
+    "oc.json": "bfaa67df4906ae935f8d0088c9adbc8a4028858fd40d0f38eaac7217ba766752",
+}
+
+
+def test_every_command_output_is_frozen(tmp_path, capsys):
+    config = tmp_path / "all.json"
+    config.write_text(dumps_json(ALL_KEYS))
+    path = {name: str(tmp_path / name) for name in FROZEN_OUTPUTS}
+    assert run(capsys, "gen", "--images", "60", "--seed", "5", "--out", path["w.jsonl"])[0] == 0
+    for suffix, extra in (("", []), ("c", ["--config", str(config)])):
+        def out(stem, ext="json"):
+            return path[f"{stem}{suffix}.{ext}"]
+
+        for argv in [
+            ["nms", "--input", path["w.jsonl"], "--out", out("n")],
+            ["select", "--input", path["w.jsonl"], "--out", out("s")],
+            ["refine", "--input", path["w.jsonl"], "--out", out("r"),
+             "--detections-out", out("d", "jsonl")],
+            ["eval", "--detections", out("d", "jsonl"), "--dataset", path["w.jsonl"],
+             "--by-count", "--out", out("e")],
+            ["oracle", "--instances", "50", "--out", out("o")],
+        ]:
+            assert run(capsys, *argv, *extra)[0] == 0, argv
+    actual = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FROZEN_OUTPUTS
+    }
+    changed = sorted(name for name in FROZEN_OUTPUTS if actual[name] != FROZEN_OUTPUTS[name])
+    # NEP 19 lets Generator streams change between numpy releases.
+    assert not changed, f"{changed} bytes changed under numpy {np.__version__}"
 
 
 class TestExitCodes:
