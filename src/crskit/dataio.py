@@ -74,12 +74,16 @@ def _fail(line: int | None, path: str, message: str) -> None:
 
 
 def _require_keys(
-    data: Mapping[str, Any], allowed: set[str], required: set[str], line: int | None, path: str
+    data: Mapping[str, Any],
+    allowed: set[str],
+    line: int | None,
+    path: str,
+    required: set[str] | None = None,
 ) -> None:
     unknown = set(data) - allowed
     if unknown:
         _fail(line, path, f"unknown keys: {sorted(unknown)}")
-    missing = required - set(data)
+    missing = (allowed if required is None else required) - set(data)
     if missing:
         _fail(line, path, f"missing keys: {sorted(missing)}")
 
@@ -144,13 +148,7 @@ def record_from_dict(data: Any, line: int | None = None) -> ImageRecord:
     """Validate one parsed dataset line and build an image record."""
     if not isinstance(data, dict):
         _fail(line, "record", "expected a JSON object")
-    _require_keys(
-        data,
-        allowed={"format_version", "image_id", "classes", "proposals"},
-        required={"format_version", "image_id", "classes", "proposals"},
-        line=line,
-        path="record",
-    )
+    _require_keys(data, {"format_version", "image_id", "classes", "proposals"}, line, "record")
     if data["format_version"] != FORMAT_VERSION:
         _fail(line, "format_version", f"unsupported version {data['format_version']!r}")
     if not isinstance(data["image_id"], str) or not data["image_id"]:
@@ -162,7 +160,7 @@ def record_from_dict(data: Any, line: int | None = None) -> ImageRecord:
         path = f"classes.{name}"
         if not isinstance(entry, dict):
             _fail(line, path, "expected an object")
-        _require_keys(entry, {"count", "gt_boxes"}, {"count", "gt_boxes"}, line, path)
+        _require_keys(entry, {"count", "gt_boxes"}, line, path)
         count = entry["count"]
         if isinstance(count, bool) or not isinstance(count, int):
             _fail(line, f"{path}.count", "expected an integer")
@@ -184,13 +182,8 @@ def record_from_dict(data: Any, line: int | None = None) -> ImageRecord:
         path = f"proposals[{i}]"
         if not isinstance(entry, dict):
             _fail(line, path, "expected an object")
-        _require_keys(
-            entry,
-            allowed={"region_id", "box", "scores", "feature", "provenance"},
-            required={"region_id", "box", "scores"},
-            line=line,
-            path=path,
-        )
+        _require_keys(entry, {"region_id", "box", "scores", "feature", "provenance"}, line, path,
+                      required={"region_id", "box", "scores"})
         region_id = entry["region_id"]
         if isinstance(region_id, bool) or not isinstance(region_id, int):
             _fail(line, f"{path}.region_id", "expected an integer")
@@ -296,13 +289,7 @@ def load_detections(path: str | Path) -> list[Detection]:
     for line_no, data in _json_lines(path):
         if not isinstance(data, dict):
             _fail(line_no, "detection", "expected a JSON object")
-        _require_keys(
-            data,
-            allowed={"image_id", "class_id", "box", "confidence"},
-            required={"image_id", "class_id", "box", "confidence"},
-            line=line_no,
-            path="detection",
-        )
+        _require_keys(data, {"image_id", "class_id", "box", "confidence"}, line_no, "detection")
         if not isinstance(data["image_id"], str):
             _fail(line_no, "image_id", "expected a string")
         if not isinstance(data["class_id"], str):

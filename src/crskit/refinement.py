@@ -50,6 +50,7 @@ from .selection import (
     DEFAULT_OVERLAP_THRESHOLD,
     ImageOverlaps,
     SelectionResult,
+    _check_threshold,
     greedy_walk,
     image_overlaps,
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
@@ -109,12 +110,10 @@ class RefinementConfig:
             raise ValueError(
                 f"iterations must be in [1, {MAX_ITERATIONS}], got {abbreviate(self.iterations)}"
             )
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        _check_threshold("threshold", self.threshold)
         if self.count_cap < 1:
             raise ValueError(f"count_cap must be >= 1, got {abbreviate(self.count_cap)}")
-        if not 0.0 < self.nms_threshold <= 1.0:
-            raise ValueError(f"nms_threshold must be in (0, 1], got {self.nms_threshold}")
+        _check_threshold("nms_threshold", self.nms_threshold)
         if self.corloc_variant not in CORLOC_VARIANTS:
             raise ValueError(f"unknown corloc variant: {self.corloc_variant!r}")
         if self.ap_mode not in AP_MODES:
@@ -195,9 +194,9 @@ def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
             f"{image.image_id}: got {len(class_scores)} scores for "
             f"{len(image.proposals)} proposals"
         )
-    if not all(0.0 <= s <= 1.0 for s in class_scores):
-        bad = next(s for s in class_scores if not 0.0 <= s <= 1.0)
-        raise ValueError(f"{image.image_id}: score must be in [0, 1], got {bad}")
+    for score in class_scores:
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"{image.image_id}: score must be in [0, 1], got {score}")
 
 
 def _check_score_table(

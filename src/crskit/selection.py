@@ -85,8 +85,7 @@ class SelectionProblem:
         object.__setattr__(self, "regions", tuple(self.regions))
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        _check_threshold("threshold", self.threshold)
         ids = [r.region_id for r in self.regions]
         if len(set(ids)) != len(ids):
             raise ValueError("region_ids must be unique within a problem")
@@ -104,13 +103,16 @@ class SelectionResult:
     complete: bool
 
 
-def _by_rank(regions: Iterable[ScoredRegion]) -> list[ScoredRegion]:
-    # Canonical processing order: score descending, ties by region_id.
-    return sorted(regions, key=lambda r: (-r.score, r.region_id))
+def _check_threshold(name: str, value: float) -> None:
+    # NaN fails the comparison too.
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
-def _box_array(regions: Sequence[ScoredRegion]) -> np.ndarray:
-    return np.array([r.box.as_tuple() for r in regions], dtype=float).reshape(-1, 4)
+def _ranked(regions: Iterable[ScoredRegion]) -> tuple[list[ScoredRegion], np.ndarray]:
+    """Regions in the canonical order (score descending, ties by region_id) and their boxes."""
+    ranked = sorted(regions, key=lambda r: (-r.score, r.region_id))
+    return ranked, np.array([r.box.as_tuple() for r in ranked], dtype=float).reshape(-1, 4)
 
 
 def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
@@ -140,7 +142,9 @@ class ImageOverlaps:
 def image_overlaps(
     image: ImageRecord, nms_threshold: float, threshold: float
 ) -> ImageOverlaps:
-    """Compute the suppression and selection conflict masks of one image."""
+    """Compute one image's suppression and selection conflict masks; thresholds in (0, 1]."""
+    _check_threshold("nms_threshold", nms_threshold)
+    _check_threshold("threshold", threshold)
     ids = [p.region_id for p in image.proposals]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
@@ -210,10 +214,9 @@ def nms(
 
     Returns survivors in rank order (score descending, ties by region_id).
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    ranked = _by_rank(regions)
-    ious, _ = pairwise_overlaps(_box_array(ranked))
+    _check_threshold("iou_threshold", iou_threshold)
+    ranked, boxes = _ranked(regions)
+    ious, _ = pairwise_overlaps(boxes)
     kept = suppress(range(len(ranked)), conflict_masks(ious, iou_threshold))
     return [ranked[i] for i in kept]
 
@@ -222,8 +225,8 @@ def _ranked_conflicts(problem: SelectionProblem) -> tuple[list[ScoredRegion], li
     """The problem's regions in rank order and their selection conflict masks."""
     if not problem.regions:
         raise ValueError("cannot select from an empty region list")
-    ranked = _by_rank(problem.regions)
-    _, directed = pairwise_overlaps(_box_array(ranked))
+    ranked, boxes = _ranked(problem.regions)
+    _, directed = pairwise_overlaps(boxes)
     # Row j of the transpose holds the overlaps of every member with candidate j.
     return ranked, conflict_masks(directed.T, problem.threshold)
 

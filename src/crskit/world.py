@@ -219,20 +219,17 @@ def generate_world(
         record = ImageRecord(image_id=f"img_{index:04d}")
         n_pos = 1 if class_count == 1 else int(rng.integers(1, 3))
         positives = sorted(int(i) for i in rng.choice(class_count, n_pos, replace=False))
-        next_id = 0
 
         def add(box: Box, feature: np.ndarray, source: str | None, kind: str) -> None:
-            nonlocal next_id
             record.proposals.append(
                 Proposal(
-                    region_id=next_id,
+                    region_id=len(record.proposals),
                     box=box,
                     scores=_initial_scores(rng, classes, source, kind),
                     feature=feature,
                     provenance=kind,
                 )
             )
-            next_id += 1
 
         for class_index in positives:
             name = classes[class_index]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from crskit.geometry import Box, asymmetric_overlap, iou
+from crskit.refinement import RefinementConfig, detections_from_scores, score_table
 from crskit.selection import (
     DEFAULT_NMS_THRESHOLD,
     CapacityError,
@@ -18,6 +20,7 @@ from crskit.selection import (
     SelectionResult,
     crs_exact,
     crs_greedy,
+    image_overlaps,
     nms,
 )
 from crskit.world import generate_world
@@ -181,6 +184,28 @@ class TestValidation:
             crs_exact(SelectionProblem((HULL,), count=1), constraint_mode="bogus")
 
 
+# Every caller that takes a threshold, and the name its error gives that threshold.
+THRESHOLD_WORLD = generate_world(3, 2, seed=1)
+THRESHOLD_CALLERS = {
+    "nms": ("iou_threshold", lambda t: nms([HULL], t)),
+    "image_overlaps-nms_threshold": (
+        "nms_threshold", lambda t: image_overlaps(THRESHOLD_WORLD[0], t, 0.1)
+    ),
+    "image_overlaps-threshold": (
+        "threshold", lambda t: image_overlaps(THRESHOLD_WORLD[0], 0.3, t)
+    ),
+    "detections_from_scores": (
+        "nms_threshold",
+        lambda t: detections_from_scores(THRESHOLD_WORLD, score_table(THRESHOLD_WORLD, None), t),
+    ),
+    "SelectionProblem": ("threshold", lambda t: SelectionProblem((HULL,), 1, t)),
+    "RefinementConfig-threshold": ("threshold", lambda t: RefinementConfig(threshold=t)),
+    "RefinementConfig-nms_threshold": (
+        "nms_threshold", lambda t: RefinementConfig(nms_threshold=t)
+    ),
+}
+
+
 class TestNms:
     def test_worked_example(self):
         # IoU(A, B) = 50/150 = 1/3 >= 0.3, so B is suppressed
@@ -190,9 +215,14 @@ class TestNms:
         # just above 1/3 both survive
         assert nms([a, b], 0.34) == [a, b]
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            nms([HULL], 0.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1.5, math.nan], ids=str)
+    @pytest.mark.parametrize("caller", sorted(THRESHOLD_CALLERS))
+    def test_threshold_validation(self, caller, value):
+        # One (0, 1] rule for both thresholds wherever they are taken; NaN included.
+        name, call = THRESHOLD_CALLERS[caller]
+        with pytest.raises(ValueError) as caught:
+            call(value)
+        assert str(caught.value) == f"{name} must be in (0, 1], got {value}"
 
     def test_tie_broken_by_region_id(self):
         a = ScoredRegion(Box(0, 0, 10, 10), 0.8, 2)
