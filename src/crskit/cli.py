@@ -2,7 +2,7 @@
 
 Subcommands: ``gen`` (synthetic dataset), ``nms`` (suppression survivors),
 ``select`` (count-constrained selection from stored scores), ``oracle``
-(greedy vs exhaustive agreement), ``refine`` (alternating refinement),
+(greedy vs exact agreement), ``refine`` (alternating refinement),
 ``eval`` (detections against ground truth), ``report`` (render a report).
 
 Each command takes ``--config FILE`` and the flags of the run settings it
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
 
     p = command("oracle", cmd_oracle, ("T", "seed"),
-                "compare greedy selection against the exhaustive solver")
+                "compare greedy selection against the exact solver")
     cap = DEFAULT_ENUMERATION_CAP
     p.add_argument("--instances", type=int, default=500, help=f"in [1, {MAX_ORACLE_INSTANCES}]")
     p.add_argument("--max-regions", type=int, default=12, help=f"in [2, {cap}]")

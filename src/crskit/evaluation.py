@@ -55,7 +55,7 @@ ImageTruth = tuple[Sequence[tuple[float, float, float, float]], Mapping[str, Seq
 Pick = tuple[int, str, Sequence[int], Sequence[float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One scored detection of a class in an image."""
 

@@ -30,7 +30,7 @@ class GeometryError(ValueError):
     """Raised for degenerate boxes: non-positive or overflowing width or height."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle in corner format with strictly positive, finite extent."""
 

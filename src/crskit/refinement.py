@@ -394,6 +394,7 @@ def detections_from_scores(
 ) -> list[Detection]:
     """Suppression survivors of every image and scored class, as detections."""
     _check_score_table(world, scores)
+    _check_threshold("nms_threshold", nms_threshold)
     # Only the suppression masks are read; any selection threshold will do.
     overlaps = [image_overlaps(r, nms_threshold, DEFAULT_OVERLAP_THRESHOLD) for r in world]
     return [

@@ -5,7 +5,7 @@ per-image object count, rejecting any candidate whose directed overlap with an
 already chosen region reaches a threshold. Because the overlap ratio is
 measured against the candidate's own area, sub-regions of a chosen box are
 excluded no matter how small they are, while a large box drawn around a small
-chosen one is not. An exhaustive solver over the same objective doubles as a
+chosen one is not. An exact solver over the same objective doubles as a
 verification oracle for the greedy path.
 
 Every solver only tests bits of per-region conflict masks (``conflict_masks``),
@@ -19,7 +19,6 @@ insertion orders by peeling.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,16 +50,16 @@ __all__ = [
 DEFAULT_OVERLAP_THRESHOLD = 0.1
 # IoU threshold for suppression before selection.
 DEFAULT_NMS_THRESHOLD = 0.3
-# The exhaustive solver enumerates subsets of size <= count; refuse inputs
-# where that blows up.
+# The exact solver's search can still visit every subset of size <= count;
+# refuse inputs where that blows up.
 DEFAULT_ENUMERATION_CAP = 20
 
 
 class CapacityError(ValueError):
-    """Raised when an instance is too large for exhaustive enumeration."""
+    """Raised when an instance is too large for the exact solver's search."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredRegion:
     """A candidate box with a confidence score and a stable identifier."""
 
@@ -73,7 +72,7 @@ class ScoredRegion:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionProblem:
     """One selection instance: candidate regions, a target count, a threshold."""
 
@@ -91,7 +90,7 @@ class SelectionProblem:
             raise ValueError("region_ids must be unique within a problem")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionResult:
     """Chosen region ids in selection order, their score sum, and a size flag.
 
@@ -282,14 +281,17 @@ def _feasible_order(
 def crs_exact(
     problem: SelectionProblem, constraint_mode: str = "directional"
 ) -> SelectionResult:
-    """Exhaustive reference solver for the greedy selector.
+    """Exact reference solver for the greedy selector.
 
-    Enumerates every subset of size up to ``count`` and returns the
-    highest-scoring feasible one; ties prefer larger subsets, then the
-    rank-lexicographically earliest. Feasibility tests bits of the conflict
-    masks ``crs_greedy`` walks. "symmetric" ``constraint_mode`` requires the
-    directed overlap below the threshold for both orders of every pair,
-    "directional" only that some insertion order exists, found by peeling
+    Returns the highest-scoring feasible set of up to ``count`` regions; ties
+    prefer larger sets, then the rank-lexicographically earliest. A depth-first
+    search extends sets in that order while they stay feasible (feasibility is
+    hereditary in both modes) and skips a branch only when its total plus the
+    next scores in rank order, added one at a time, is strictly below the best,
+    so no tie is skipped. Feasibility tests bits of the conflict masks
+    ``crs_greedy`` walks. "symmetric" ``constraint_mode`` requires the directed
+    overlap below the threshold for both orders of every pair, "directional"
+    only that some insertion order exists, found by peeling
     (``_feasible_order``). Greedy admits members in rank order only, so
     directional is a looser upper bound on it: it can admit a high-scoring
     merged hull after the tight boxes inside it, an order greedy never tries
@@ -303,23 +305,31 @@ def crs_exact(
     if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"{n} regions exceed the enumeration cap of {DEFAULT_ENUMERATION_CAP}")
     ranked, masks = _ranked_conflicts(problem)
+    scores = [r.score for r in ranked]
     symmetric = constraint_mode == "symmetric"
-    best_key: tuple[float, int, tuple[int, ...]] | None = None
-    best_order: tuple[int, ...] = ()
-    for size in range(1, min(problem.count, n) + 1):
-        for combo in itertools.combinations(range(n), size):
-            order = _feasible_order(combo, masks, symmetric)
-            if order is None:
+    # Minimized key: score desc, size desc, earliest rank positions; then the order.
+    best: list = [(-scores[0], -1, (0,)), (0,)]  # singletons are always feasible
+
+    def extend(combo: tuple[int, ...], total: float, start: int, room: int) -> None:
+        bound = total
+        for s in scores[start : start + room]:
+            bound += s
+        if bound < -best[0][0]:
+            return
+        for i in range(start, n):
+            grown = combo + (i,)
+            if (order := _feasible_order(grown, masks, symmetric)) is None:
                 continue
-            total = sum(ranked[i].score for i in combo)
-            # Minimized key: score desc, size desc, earliest rank positions.
-            key = (-total, -size, combo)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_order = order
-    assert best_key is not None  # singletons are always feasible
+            key = (-(total + scores[i]), -len(grown), grown)
+            if key < best[0]:
+                best[:] = key, order
+            if room > 1:
+                extend(grown, total + scores[i], i + 1, room - 1)
+
+    extend((), 0, 0, min(problem.count, n))
+    del extend  # break its self-reference: refcounting frees it, not the cycle collector
     return SelectionResult(
-        selected=tuple(ranked[i].region_id for i in best_order),
-        total_score=-best_key[0],
-        complete=len(best_order) == problem.count,
+        selected=tuple(ranked[i].region_id for i in best[1]),
+        total_score=-best[0][0],
+        complete=len(best[1]) == problem.count,
     )

@@ -64,7 +64,7 @@ SCORE_JITTER = 0.05
 MAX_PLACEMENT_TRIES = 200
 
 
-@dataclass
+@dataclass(slots=True)
 class Proposal:
     """A candidate region with per-class scores and an optional feature."""
 

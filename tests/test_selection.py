@@ -18,6 +18,8 @@ from crskit.selection import (
     ScoredRegion,
     SelectionProblem,
     SelectionResult,
+    _feasible_order,
+    _ranked_conflicts,
     crs_exact,
     crs_greedy,
     image_overlaps,
@@ -62,6 +64,34 @@ def brute_force_total(
                     best = total
     assert best is not None
     return best
+
+
+def reference_exact(problem: SelectionProblem, mode: str) -> SelectionResult:
+    """The enumeration ``crs_exact`` used before its pruned search: every
+    subset of size up to ``count``, each feasible one keyed (score desc, size
+    desc, earliest rank positions), the least key winning."""
+    ranked, masks = _ranked_conflicts(problem)
+    n = len(ranked)
+    best_key = None
+    best_order: tuple[int, ...] = ()
+    for size in range(1, min(problem.count, n) + 1):
+        for combo in itertools.combinations(range(n), size):
+            order = _feasible_order(combo, masks, mode == "symmetric")
+            if order is None:
+                continue
+            total = 0
+            for i in combo:
+                # Left to right, as sum() adds floats before Python 3.12.
+                total += ranked[i].score
+            key = (-total, -size, combo)
+            if best_key is None or key < best_key:
+                best_key, best_order = key, order
+    assert best_key is not None
+    return SelectionResult(
+        tuple(ranked[i].region_id for i in best_order),
+        -best_key[0],
+        len(best_order) == problem.count,
+    )
 
 
 def reference_nms(
@@ -131,6 +161,21 @@ def random_problem(rng: np.random.Generator, max_regions: int = 7) -> SelectionP
     return SelectionProblem(tuple(regions), count, threshold)
 
 
+def tie_problem(rng: np.random.Generator) -> SelectionProblem:
+    """Integer-grid boxes with few distinct scores, so many sets tie exactly,
+    some scores are 0.0, 0.1 + 0.2 overshoots 0.3, and count may exceed the
+    region count."""
+    n = int(rng.integers(1, 11))
+    regions = []
+    for rid in rng.permutation(n):
+        x, y = (float(v) for v in rng.integers(0, 16, 2))
+        w, h = (float(v) for v in rng.integers(1, 10, 2))
+        score = float(rng.choice([0.0, 0.1, 0.2, 0.25, 0.3, 0.5]))
+        regions.append(ScoredRegion(Box(x, y, x + w, y + h), score, int(rid)))
+    count = int(rng.integers(1, n + 3))
+    return SelectionProblem(tuple(regions), count, float(rng.choice([0.05, 1.0])))
+
+
 def real_problems(threshold: float, count_cap: int = 3) -> list[SelectionProblem]:
     """The post-NMS problems refinement solves on a small world's initial scores."""
     problems = []
@@ -198,6 +243,8 @@ THRESHOLD_CALLERS = {
         "nms_threshold",
         lambda t: detections_from_scores(THRESHOLD_WORLD, score_table(THRESHOLD_WORLD, None), t),
     ),
+    # An empty world is refused the same threshold, not returned as no detections.
+    "detections_from_scores-empty": ("nms_threshold", lambda t: detections_from_scores([], {}, t)),
     "SelectionProblem": ("threshold", lambda t: SelectionProblem((HULL,), 1, t)),
     "RefinementConfig-threshold": ("threshold", lambda t: RefinementConfig(threshold=t)),
     "RefinementConfig-nms_threshold": (
@@ -324,19 +371,37 @@ class TestWorkedExample:
         assert result.total_score == 0.0
 
 
+@pytest.fixture(scope="module")
+def brute_force_problems() -> list[SelectionProblem]:
+    rng = np.random.default_rng(90210)
+    # Random boxes, then the problems the pipeline actually produces.
+    problems = [random_problem(rng) for _ in range(120)]
+    return problems + real_problems(0.1) + real_problems(0.5)
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("mode", ["directional", "symmetric"])
-    def test_exact_matches_brute_force(self, mode):
-        rng = np.random.default_rng(90210)
-        # Random boxes, then the problems the pipeline actually produces.
-        problems = [random_problem(rng) for _ in range(120)]
-        problems += real_problems(0.1) + real_problems(0.5)
-        for problem in problems:
+    def test_exact_matches_brute_force(self, mode, brute_force_problems):
+        for problem in brute_force_problems:
             expected = brute_force_total(
                 problem.regions, problem.count, problem.threshold, mode
             )
             result = crs_exact(problem, constraint_mode=mode)
             assert_allclose(result.total_score, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["directional", "symmetric"])
+    def test_exact_matches_reference_solver(self, mode, brute_force_problems):
+        # Same set, same insertion order and the same bits as full enumeration,
+        # also where ties are the rule: pruning may skip no tied set.
+        rng = np.random.default_rng(4242)
+        for problem in brute_force_problems + [tie_problem(rng) for _ in range(300)]:
+            expected = reference_exact(problem, mode)
+            result = crs_exact(problem, constraint_mode=mode)
+            assert (result.selected, result.total_score.hex(), result.complete) == (
+                expected.selected,
+                expected.total_score.hex(),
+                expected.complete,
+            )
 
     def test_greedy_never_beats_brute_force(self):
         rng = np.random.default_rng(1337)
