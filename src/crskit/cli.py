@@ -43,9 +43,9 @@ from .selection import (
     crs_exact,
     crs_greedy,
     greedy_walk,
-    image_overlaps,
     rank_order,
     suppress,
+    world_overlaps,
 )
 from .world import DEFAULT_FEATURE_DIM, generate_world
 
@@ -177,8 +177,8 @@ def _write_report(args: argparse.Namespace, config: RefinementConfig, payload: d
 def _write_per_class(args: argparse.Namespace, config: RefinementConfig, step) -> int:
     """Report ``step(record, masks, scores, name)`` for each image's positive classes."""
     images: dict[str, Any] = {}
-    for record in dataio.load_dataset(args.input):
-        masks = image_overlaps(record, config.nms_threshold, config.threshold)
+    world = dataio.load_dataset(args.input)
+    for record, masks in zip(world, world_overlaps(world, config.nms_threshold, config.threshold)):
         images[record.image_id] = {
             name: step(record, masks, [p.scores.get(name, 0.0) for p in record.proposals], name)
             for name in record.positive_classes()

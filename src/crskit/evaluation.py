@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, paired_overlaps
+from .geometry import PAIRS_PER_BATCH, Box, paired_overlaps
 
 __all__ = [
     "AP_MODES",
@@ -47,7 +47,6 @@ __all__ = [
 AP_MODES = ("11pt", "area")
 CORLOC_VARIANTS = ("iou50", "center")
 MATCH_IOU = 0.5
-PAIRS_PER_BATCH = 4096
 
 # One image for ``truth_table``: its corner boxes and its ground truth by class.
 ImageTruth = tuple[Sequence[tuple[float, float, float, float]], Mapping[str, Sequence[Box]]]
@@ -69,7 +68,7 @@ class Detection:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthRows:
     """The boxes of one image against the image's ground truth of one class.
 
@@ -178,8 +177,6 @@ def truth_table(
     for image in images:
         batch.append(image)
         pairs += len(image[0]) * sum(len(boxes) for boxes in image[1].values())
-        # Batches of a few thousand pairs keep the per-pair temporaries (about
-        # 150 bytes a pair) small at a handful of numpy calls per batch.
         if pairs >= PAIRS_PER_BATCH:
             rows.extend(_batch_rows(batch, corloc_variant))
             batch, pairs = [], 0

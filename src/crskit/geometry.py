@@ -1,8 +1,8 @@
 """Axis-aligned box geometry: areas, intersection, IoU, and directed overlap.
 
 The scalar kernels work on ``Box`` objects; ``pairwise_overlaps`` computes the
-same quantities for every pair of an ``(n, 4)`` box array at once, and
-``paired_overlaps`` for the matching rows of two such arrays.
+same quantities for every pair of an ``(n, 4)`` box array (or of each in a
+stack) at once, and ``paired_overlaps`` for the matching rows of two arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ __all__ = [
     "paired_overlaps",
     "hull",
 ]
+
+# Box pairs per batched overlap call: small temporaries (~150 B a pair), few calls.
+PAIRS_PER_BATCH = 4096
 
 
 class GeometryError(ValueError):
@@ -125,22 +128,24 @@ def _overlaps(
 
 
 def _corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    lo, hi = b[:, :2], b[:, 2:]
+    b = np.asarray(boxes, dtype=float)
+    b = b.reshape(b.shape[:-2] + (-1, 4))
+    lo, hi = b[..., :2], b[..., 2:]
     sides = hi - lo
-    return lo, hi, sides[:, 0] * sides[:, 1]
+    return lo, hi, sides[..., 0] * sides[..., 1]
 
 
 def pairwise_overlaps(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """IoU and directed-overlap matrices for an ``(n, 4)`` array of corner boxes.
+    """IoU and directed-overlap matrices for an ``(..., n, 4)`` array of corner boxes.
 
-    ``ious[i, j]`` is ``iou(box_i, box_j)`` and ``directed[i, j]`` is
-    ``asymmetric_overlap(box_i, box_j)`` (box i selected, box j the
-    candidate), bit for bit: the same elementwise operations in the same
-    order.
+    ``ious[..., i, j]`` is ``iou(box_i, box_j)`` and ``directed[..., i, j]``
+    is ``asymmetric_overlap(box_i, box_j)`` (box i selected, box j the
+    candidate) within each ``(n, 4)`` array of the stack, bit for bit: the
+    same elementwise operations in the same order.
     """
     lo, hi, areas = _corners(boxes)
-    return _overlaps(lo[:, None], hi[:, None], areas[:, None], lo, hi, areas)
+    rows = lo[..., None, :], hi[..., None, :], areas[..., None]
+    return _overlaps(*rows, lo[..., None, :, :], hi[..., None, :, :], areas[..., None, :])
 
 
 def paired_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,18 +12,18 @@ the single top-scoring region per image and class.
 
 Boxes and ground truth never change during a run, and the suppression and
 selection thresholds are fixed by the run's config, so ``run_adr``, like every
-dataset-level caller, builds each image's conflict masks once
-(``selection.image_overlaps``), and every selection and evaluation of the run
-walks those masks in the current score order. It likewise matches every
-proposal against its image's ground truth once (``ground_truth_table``): every
-evaluation passes the suppression survivors to ``evaluation.evaluate_picks``
-as picks of that table, with no ``Detection`` objects, and every purity count
-reads the same table. Features never change either, so ``run_adr`` stacks them
-once into a private feature state (``_Features``): each rescoring computes all
-of a class's scores in one stacked kernel, retraining averages the selected
-rows by index, and purity reads region positions from it. ``run_adr`` checks
-the initial score table up front, and ``select_pseudo_gt`` checks every score
-list it is given, the scorer's too.
+dataset-level caller, builds every image's conflict masks once, in one batched
+pass over the world (``selection.world_overlaps``), and every selection and
+evaluation of the run walks those masks in the current score order. It likewise
+matches every proposal against its image's ground truth once
+(``ground_truth_table``): every evaluation passes the suppression survivors to
+``evaluation.evaluate_picks`` as picks of that table, with no ``Detection``
+objects, and every purity count reads the same table. Features never change
+either, so ``run_adr`` stacks them once into a private feature state
+(``_Features``): each rescoring computes all of a class's scores in one stacked
+kernel, retraining averages the selected rows by index, and purity reads region
+positions from it. ``run_adr`` checks the initial score table up front, and
+``select_pseudo_gt`` checks every score list it is given, the scorer's too.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .selection import (
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
     rank_order,
     suppress,
+    world_overlaps,
 )
 from .world import ImageRecord
 
@@ -106,6 +107,10 @@ class RefinementConfig:
     ap_mode: str = "11pt"
 
     def __post_init__(self) -> None:
+        for name, kind in (("iterations", int), ("count_cap", int), ("count_guided", bool)):
+            value = getattr(self, name)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(
                 f"iterations must be in [1, {MAX_ITERATIONS}], got {abbreviate(self.iterations)}"
@@ -394,9 +399,8 @@ def detections_from_scores(
 ) -> list[Detection]:
     """Suppression survivors of every image and scored class, as detections."""
     _check_score_table(world, scores)
-    _check_threshold("nms_threshold", nms_threshold)
     # Only the suppression masks are read; any selection threshold will do.
-    overlaps = [image_overlaps(r, nms_threshold, DEFAULT_OVERLAP_THRESHOLD) for r in world]
+    overlaps = world_overlaps(world, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
     return [
         Detection(
             image_id=world[position].image_id,
@@ -422,7 +426,7 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
         raise ValueError("cannot refine an empty world")
     world = _Features(world)
     gt = {record.image_id: record.gt_boxes for record in world}
-    overlaps = [image_overlaps(r, config.nms_threshold, config.threshold) for r in world]
+    overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
     table = ground_truth_table(world, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None

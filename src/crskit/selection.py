@@ -10,11 +10,11 @@ verification oracle for the greedy path.
 
 Every solver only tests bits of per-region conflict masks (``conflict_masks``),
 which compare each overlap with the threshold once, when they are built.
-Dataset-level callers (refinement, ``crskit nms``/``select``) build each
-image's masks once (``image_overlaps``) and walk them per class (``rank_order``,
-``suppress``, ``greedy_walk``); ``nms``, ``crs_greedy`` and ``crs_exact`` build
-the masks of one ``ScoredRegion`` problem, and ``crs_exact`` finds directional
-insertion orders by peeling.
+Dataset-level callers (refinement, ``crskit nms``/``select``) build all images'
+masks in one batched pass (``world_overlaps``) and walk them per class
+(``rank_order``, ``suppress``, ``greedy_walk``); ``nms``, ``crs_greedy`` and
+``crs_exact`` build the masks of one ``ScoredRegion`` problem, and ``crs_exact``
+finds directional insertion orders by peeling.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Box, pairwise_overlaps
+from .geometry import PAIRS_PER_BATCH, Box, pairwise_overlaps
 from .world import ImageRecord
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "ImageOverlaps",
     "conflict_masks",
     "image_overlaps",
+    "world_overlaps",
     "rank_order",
     "suppress",
     "greedy_walk",
@@ -115,12 +116,14 @@ def _ranked(regions: Iterable[ScoredRegion]) -> tuple[list[ScoredRegion], np.nda
 
 
 def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
-    """One bitmask per row: bit k of row i is set when ``overlap[i, k]`` is not below ``threshold``."""
-    hits = np.packbits(~(overlap < threshold), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in hits]
+    """One bitmask per row of the last axis, in C order: bit k of a row is set
+    when its ``overlap[..., k]`` is not below ``threshold``."""
+    hits = np.packbits(~(overlap < threshold), axis=-1, bitorder="little")
+    packed, width = hits.tobytes(), hits.shape[-1] or 1  # no columns: no bytes, no rows
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageOverlaps:
     """One image's proposal overlaps as conflict masks, indexed by proposal position.
 
@@ -138,24 +141,45 @@ class ImageOverlaps:
     conflict: list[int]
 
 
+def world_overlaps(
+    images: Sequence[ImageRecord], nms_threshold: float, threshold: float
+) -> list[ImageOverlaps]:
+    """Every image's suppression and selection conflict masks, in order; thresholds in (0, 1].
+
+    Images of equal proposal count are stacked, at most ``PAIRS_PER_BATCH``
+    box pairs (or one image) a chunk, one ``pairwise_overlaps`` call each.
+    """
+    _check_threshold("nms_threshold", nms_threshold)
+    _check_threshold("threshold", threshold)
+    ids = [[p.region_id for p in image.proposals] for image in images]
+    groups: dict[int, list[int]] = {}
+    for k, (image, image_ids) in enumerate(zip(images, ids)):
+        if len(set(image_ids)) != len(image_ids):
+            raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
+        groups.setdefault(len(image_ids), []).append(k)
+    out: dict[int, ImageOverlaps] = {}
+    for n, members in groups.items():
+        step = max(1, PAIRS_PER_BATCH // max(1, n * n))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            boxes = [p.box.as_tuple() for k in chunk for p in images[k].proposals]
+            ious, directed = pairwise_overlaps(np.reshape(boxes, (len(chunk), n, 4)))
+            suppress = conflict_masks(ious, nms_threshold)
+            # Row j of each transpose holds the overlaps of every member with candidate j.
+            conflict = conflict_masks(directed.swapaxes(-1, -2), threshold)
+            for c, k in enumerate(chunk):
+                out[k] = ImageOverlaps(
+                    nms_threshold, threshold, tuple(sorted(range(n), key=ids[k].__getitem__)),
+                    suppress[c * n : c * n + n], conflict[c * n : c * n + n],
+                )
+    return [out[k] for k in range(len(images))]
+
+
 def image_overlaps(
     image: ImageRecord, nms_threshold: float, threshold: float
 ) -> ImageOverlaps:
-    """Compute one image's suppression and selection conflict masks; thresholds in (0, 1]."""
-    _check_threshold("nms_threshold", nms_threshold)
-    _check_threshold("threshold", threshold)
-    ids = [p.region_id for p in image.proposals]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
-    ious, directed = pairwise_overlaps([p.box.as_tuple() for p in image.proposals])
-    return ImageOverlaps(
-        nms_threshold=nms_threshold,
-        threshold=threshold,
-        by_id=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
-        suppress=conflict_masks(ious, nms_threshold),
-        # Row j of the transpose holds the overlaps of every member with candidate j.
-        conflict=conflict_masks(directed.T, threshold),
-    )
+    """One image's suppression and selection conflict masks: ``world_overlaps`` of it alone."""
+    return world_overlaps([image], nms_threshold, threshold)[0]
 
 
 def rank_order(scores: Sequence[float], by_id: Sequence[int]) -> list[int]:

@@ -10,9 +10,9 @@ from dataclasses import replace
 import pytest
 
 import crskit
-from crskit.evaluation import Detection
+from crskit.evaluation import Detection, TruthRows
 from crskit.geometry import Box
-from crskit.selection import ScoredRegion, SelectionProblem, SelectionResult
+from crskit.selection import ImageOverlaps, ScoredRegion, SelectionProblem, SelectionResult
 from crskit.world import Proposal
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crskit.__path__, "crskit."))
@@ -30,8 +30,9 @@ def test_all_names_resolve(name):
 
 
 BOX = Box(0, 0, 4, 2)
-# One instance of each type a world or a selection holds per region; a run
-# keeps hundreds of thousands of them, and slots are what keep them small.
+# One instance of each type a world or a selection holds per region, or a run
+# per image; a run keeps hundreds of thousands of them, and slots are what
+# keep them small.
 SLOTTED = [
     BOX,
     ScoredRegion(BOX, 0.5, 0),
@@ -39,6 +40,8 @@ SLOTTED = [
     SelectionResult((0,), 0.5, True),
     Proposal(0, BOX, {"cat": 0.5}),
     Detection("img", "cat", BOX, 0.5),
+    ImageOverlaps(0.3, 0.1, (0,), [1], [1]),
+    TruthRows(matches={0: [0]}, hits={0}),
 ]
 
 

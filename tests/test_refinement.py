@@ -83,6 +83,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             RefinementConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("iterations", 2.5),
+            ("iterations", True),
+            ("iterations", "2"),
+            ("count_cap", 1.5),
+            ("count_cap", True),
+            ("count_cap", 3.0),
+            ("count_guided", "no"),
+            ("count_guided", 1),
+            ("count_guided", None),
+        ],
+        ids=repr,
+    )
+    def test_field_types(self, name, value):
+        # The type rule config files and flags get, for a config built in code.
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            RefinementConfig(**{name: value})
+
     def test_count_target(self):
         assert [RefinementConfig(count_cap=3).count_target(n) for n in (1, 3, 5)] == [1, 3, 3]
         assert RefinementConfig(count_guided=False).count_target(5) == 1

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from crskit.geometry import Box, asymmetric_overlap, iou
+from crskit import selection
+from crskit.geometry import PAIRS_PER_BATCH, Box, asymmetric_overlap, iou, pairwise_overlaps
 from crskit.refinement import RefinementConfig, detections_from_scores, score_table
 from crskit.selection import (
     DEFAULT_NMS_THRESHOLD,
@@ -20,12 +21,14 @@ from crskit.selection import (
     SelectionResult,
     _feasible_order,
     _ranked_conflicts,
+    conflict_masks,
     crs_exact,
     crs_greedy,
     image_overlaps,
     nms,
+    world_overlaps,
 )
-from crskit.world import generate_world
+from crskit.world import ImageRecord, Proposal, generate_world
 
 # The worked fixture: a high-scoring hull over two instances plus one tight
 # box per instance. IoU(hull, left) = 40/100 = 0.4, IoU(left, right) = 0.
@@ -239,6 +242,9 @@ THRESHOLD_CALLERS = {
     "image_overlaps-threshold": (
         "threshold", lambda t: image_overlaps(THRESHOLD_WORLD[0], 0.3, t)
     ),
+    # An empty world is refused a bad threshold too.
+    "world_overlaps-empty-nms_threshold": ("nms_threshold", lambda t: world_overlaps([], t, 0.1)),
+    "world_overlaps-empty-threshold": ("threshold", lambda t: world_overlaps([], 0.3, t)),
     "detections_from_scores": (
         "nms_threshold",
         lambda t: detections_from_scores(THRESHOLD_WORLD, score_table(THRESHOLD_WORLD, None), t),
@@ -320,6 +326,76 @@ class TestAgainstScalarReference:
         problem = SelectionProblem((left, right), count=2, threshold=0.05)
         assert crs_greedy(problem).selected == (0, 1)
         assert nms([left, right], 0.04) == [left, right]
+
+
+def grid_image(rng: np.random.Generator, image_id: str, n: int) -> ImageRecord:
+    """An image of ``n`` integer-grid proposals with shuffled, spaced region ids,
+    so identical, nested and touching boxes and overlaps exactly at a threshold
+    are common."""
+    proposals = []
+    for rid in rng.permutation(n):
+        x, y = (float(v) for v in rng.integers(0, 12, 2))
+        w, h = (float(v) for v in rng.integers(1, 8, 2))
+        proposals.append(Proposal(3 * int(rid), Box(x, y, x + w, y + h), {}))
+    return ImageRecord(image_id, proposals=proposals)
+
+
+class TestWorldOverlaps:
+    """The batched masks agree bit for bit with the scalar kernels."""
+
+    # Each count twice, out of order: empty images, one proposal, both sides
+    # of a byte boundary, and masks wider than 64 bits.
+    COUNTS = (65, 8, 0, 21, 1, 9, 8, 65, 9, 0, 21, 1)
+
+    # 1 puts every image in its own chunk; 200 stacks two images of 8 or 9.
+    @pytest.mark.parametrize("batch", [1, 200, PAIRS_PER_BATCH])
+    def test_masks_match_scalar_kernels(self, batch, monkeypatch):
+        monkeypatch.setattr(selection, "PAIRS_PER_BATCH", batch)
+        rng = np.random.default_rng(11)
+        world = [grid_image(rng, f"img_{k}", n) for k, n in enumerate(self.COUNTS)]
+        overlaps = world_overlaps(world, 0.3, 0.5)
+        assert len(overlaps) == len(world)
+        for image, masks in zip(world, overlaps):
+            boxes = [p.box for p in image.proposals]
+            ids = [p.region_id for p in image.proposals]
+            n = len(boxes)
+            assert (masks.nms_threshold, masks.threshold) == (0.3, 0.5)
+            assert [ids[i] for i in masks.by_id] == sorted(ids)
+            assert masks.suppress == [
+                sum(1 << k for k in range(n) if iou(boxes[i], boxes[k]) >= 0.3)
+                for i in range(n)
+            ]
+            # conflict[j] marks the members k that keep candidate j out.
+            assert masks.conflict == [
+                sum(1 << k for k in range(n) if asymmetric_overlap(boxes[k], boxes[j]) >= 0.5)
+                for j in range(n)
+            ]
+            assert image_overlaps(image, 0.3, 0.5) == masks
+
+    def test_first_duplicate_in_world_order_is_named(self):
+        rng = np.random.default_rng(12)
+        world = [grid_image(rng, f"img_{k}", n) for k, n in enumerate((8, 9, 21, 1, 8))]
+        # img_4 shares its proposal count with img_0 and has fewer proposals than img_2.
+        for image in (world[2], world[4]):
+            image.proposals[-1].region_id = image.proposals[0].region_id
+        with pytest.raises(ValueError) as caught:
+            world_overlaps(world, 0.3, 0.1)
+        assert str(caught.value) == "img_2: region_ids must be unique within an image"
+
+    def test_stacked_pairwise_overlaps_match_each_slice(self):
+        rng = np.random.default_rng(13)
+        stack = np.array(
+            [[p.box.as_tuple() for p in grid_image(rng, "", 9).proposals] for _ in range(5)]
+        )
+        ious, directed = pairwise_overlaps(stack)
+        assert ious.shape == directed.shape == (5, 9, 9)
+        for g, boxes in enumerate(stack):
+            one_ious, one_directed = pairwise_overlaps(boxes)
+            assert ious[g].tobytes() == one_ious.tobytes()
+            assert directed[g].tobytes() == one_directed.tobytes()
+        empty_ious, _ = pairwise_overlaps(np.zeros((3, 0, 4)))
+        assert empty_ious.shape == (3, 0, 0)
+        assert conflict_masks(empty_ious, 0.5) == []
 
 
 class TestWorkedExample:
