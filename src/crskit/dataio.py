@@ -337,7 +337,7 @@ def config_from_dict(data: Any, base: RefinementConfig = RefinementConfig()) -> 
     """``base`` with the values of a parsed config file (or of CLI flags) set.
 
     Unknown keys are rejected. Beyond ``RefinementConfig``'s own checks, ``k``
-    is at most ``COUNT_UI_CAP``, a dataset's largest count, and ``seed`` is >= 0.
+    is at most ``COUNT_UI_CAP``, a dataset's largest count.
     """
     if not isinstance(data, Mapping):
         raise DatasetError("config: expected a JSON object")
@@ -361,8 +361,6 @@ def config_from_dict(data: Any, base: RefinementConfig = RefinementConfig()) -> 
         raise DatasetError(
             f"config: k must be at most {COUNT_UI_CAP}, got {abbreviate(config.count_cap)}"
         )
-    if config.seed < 0:
-        raise DatasetError(f"config: seed must be >= 0, got {abbreviate(config.seed)}")
     return config
 
 

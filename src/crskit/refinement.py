@@ -14,16 +14,17 @@ Boxes and ground truth never change during a run, and the suppression and
 selection thresholds are fixed by the run's config, so ``run_adr``, like every
 dataset-level caller, builds every image's conflict masks once, in one batched
 pass over the world (``selection.world_overlaps``), and every selection and
-evaluation of the run walks those masks in the current score order. It likewise
-matches every proposal against its image's ground truth once
+evaluation of the run walks those masks in the current score order:
+``select_pseudo_gt`` takes an image's masks and count target, reads no
+threshold, and checks every score list it is given, the scorer's too. The run
+likewise matches every proposal against its image's ground truth once
 (``ground_truth_table``): every evaluation passes the suppression survivors to
 ``evaluation.evaluate_picks`` as picks of that table, with no ``Detection``
 objects, and every purity count reads the same table. Features never change
 either, so ``run_adr`` stacks them once into a private feature state
 (``_Features``): each rescoring computes all of a class's scores in one stacked
 kernel, retraining averages the selected rows by index, and purity reads region
-positions from it. ``run_adr`` checks the initial score table up front, and
-``select_pseudo_gt`` checks every score list it is given, the scorer's too.
+positions from it. ``run_adr`` checks the initial score table up front.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .selection import (
     SelectionResult,
     _check_threshold,
     greedy_walk,
-    image_overlaps,
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
     rank_order,
     suppress,
@@ -107,8 +107,8 @@ class RefinementConfig:
     ap_mode: str = "11pt"
 
     def __post_init__(self) -> None:
-        for name, kind in (("iterations", int), ("count_cap", int), ("count_guided", bool)):
-            value = getattr(self, name)
+        for name in ("iterations", "count_cap", "seed", "count_guided"):
+            value, kind = getattr(self, name), bool if name == "count_guided" else int
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
         if not 1 <= self.iterations <= MAX_ITERATIONS:
@@ -118,6 +118,8 @@ class RefinementConfig:
         _check_threshold("threshold", self.threshold)
         if self.count_cap < 1:
             raise ValueError(f"count_cap must be >= 1, got {abbreviate(self.count_cap)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {abbreviate(self.seed)}")
         _check_threshold("nms_threshold", self.nms_threshold)
         if self.corloc_variant not in CORLOC_VARIANTS:
             raise ValueError(f"unknown corloc variant: {self.corloc_variant!r}")
@@ -170,6 +172,12 @@ class _Features(tuple):
         k = int(np.searchsorted(self.offsets, row, side="right")) - 1
         return f"{self[k].image_id}: proposal {self[k].proposals[row - self.offsets[k]].region_id}"
 
+    def position(self, k: int, region_id: int) -> int:
+        """Where selected ``region_id`` sits among image k's proposals."""
+        if region_id not in self.positions[k]:
+            raise ValueError(f"{self[k].image_id}: selected region {region_id} is not a proposal")
+        return self.positions[k][region_id]
+
     @cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(N, d)`` features, zero where missing, and their norms; needs one length."""
@@ -208,6 +216,8 @@ def _check_score_table(
     world: Sequence[ImageRecord], scores: Mapping[str, Mapping[str, Sequence[float]]]
 ) -> None:
     for record in world:
+        if record.image_id not in scores:
+            raise ValueError(f"{record.image_id}: has no scores")
         for class_scores in scores[record.image_id].values():
             _check_scores(record, class_scores)
 
@@ -227,35 +237,22 @@ def ground_truth_table(
 
 
 def select_pseudo_gt(
-    image: ImageRecord,
-    class_id: str,
-    class_scores: Sequence[float],
-    config: RefinementConfig,
-    overlaps: ImageOverlaps | None = None,
+    image: ImageRecord, class_scores: Sequence[float], target: int, overlaps: ImageOverlaps
 ) -> SelectionResult:
     """Pick pseudo ground truth for one image and class from current scores.
 
-    Suppression runs first, then count-constrained selection of
-    ``config.count_target(count)`` regions. An image without proposals yields
-    an empty, incomplete result. ``overlaps`` are the image's masks at the
-    config's thresholds, computed here when not given.
+    Suppression runs first, then count-constrained selection of up to
+    ``target`` regions (a run passes ``RefinementConfig.count_target``), both
+    walking ``overlaps``, the image's masks from the run's ``world_overlaps``.
+    An image without proposals yields an empty, incomplete result.
     """
-    count = image.counts.get(class_id, 0)
-    if count < 1:
-        raise ValueError(f"{image.image_id}: class {class_id!r} has no counted instances")
+    if isinstance(target, bool) or not isinstance(target, int) or target < 1:
+        raise ValueError(f"{image.image_id}: target must be an int >= 1, got {target!r}")
     _check_scores(image, class_scores)
-    if overlaps is None:
-        overlaps = image_overlaps(image, config.nms_threshold, config.threshold)
-    elif (overlaps.nms_threshold, overlaps.threshold) != (config.nms_threshold, config.threshold):
-        raise ValueError(f"{image.image_id}: overlaps were built for other thresholds")
     kept = suppress(rank_order(class_scores, overlaps.by_id), overlaps.suppress)
-    target = config.count_target(count)
     chosen, total = greedy_walk(kept, class_scores, overlaps.conflict, target)
-    return SelectionResult(
-        selected=tuple(image.proposals[i].region_id for i in chosen),
-        total_score=total,
-        complete=len(chosen) == target,
-    )
+    selected = tuple(image.proposals[i].region_id for i in chosen)
+    return SelectionResult(selected, total, complete=len(chosen) == target)
 
 
 def retrain_scorer(
@@ -282,10 +279,10 @@ def retrain_scorer(
         raise FeatureDimensionError(f"mixed feature dimensions: {found}")
     feature_dim = next(iter(seen), 0)
     gathered: dict[str, list[int]] = {c: [] for record in world for c in record.counts}
-    for record, offset, positions in zip(features, features.offsets, features.positions):
+    for k, (record, offset) in enumerate(zip(features, features.offsets)):
         for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
             for region_id in result.selected:
-                row = offset + positions[region_id]
+                row = offset + features.position(k, region_id)
                 if features.dims[row] < 0:
                     raise FeatureDimensionError(
                         f"{record.image_id}: selected proposal {region_id} has no feature"
@@ -324,25 +321,23 @@ class RefinementReport:
 def selection_purity(
     pseudo_gt: Mapping[str, Mapping[str, SelectionResult]],
     world: Sequence[ImageRecord],
-    table: TruthTable | None = None,
+    table: TruthTable,
 ) -> float | None:
     """Pooled purity of selected regions across all images and classes.
 
     A region is pure when exactly one ground-truth box of its class reaches
     the match IoU with it, read from ``table``, the world's ground-truth
-    overlaps, which is built here when not given.
+    overlaps (``ground_truth_table``).
     """
-    if table is None:
-        table = ground_truth_table(world)
     if table.image_ids != tuple(record.image_id for record in world):
         raise ValueError("ground-truth table was built for another world or image order")
-    total = pure = 0
-    for record, rows, positions in zip(world, table.rows, _Features(world).positions):
+    features, total, pure = _Features(world), 0, 0
+    for k, (record, rows) in enumerate(zip(features, table.rows)):
         for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
             matches = rows[class_id].matches if class_id in rows else {}
             for region_id in result.selected:
                 total += 1
-                pure += int(len(matches.get(positions[region_id], ())) == 1)
+                pure += int(len(matches.get(features.position(k, region_id), ())) == 1)
     return pure / total if total else None
 
 
@@ -441,8 +436,11 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     for iteration in range(1, config.iterations + 1):
         pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
         for record, masks in zip(world, overlaps):
+            image_scores = scores[record.image_id]
             picks = {
-                name: select_pseudo_gt(record, name, scores[record.image_id][name], config, masks)
+                name: select_pseudo_gt(
+                    record, image_scores[name], config.count_target(record.counts[name]), masks
+                )
                 for name in record.positive_classes()
             }
             if picks:

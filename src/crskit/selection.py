@@ -37,7 +37,6 @@ __all__ = [
     "SelectionResult",
     "ImageOverlaps",
     "conflict_masks",
-    "image_overlaps",
     "world_overlaps",
     "rank_order",
     "suppress",
@@ -83,6 +82,8 @@ class SelectionProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "regions", tuple(self.regions))
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise ValueError(f"count must be int, got {type(self.count).__name__}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         _check_threshold("threshold", self.threshold)
@@ -104,8 +105,8 @@ class SelectionResult:
 
 
 def _check_threshold(name: str, value: float) -> None:
-    # NaN fails the comparison too.
-    if not 0.0 < value <= 1.0:
+    # NaN fails the comparison too; a bool is an int, not a threshold.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
@@ -128,14 +129,13 @@ class ImageOverlaps:
     """One image's proposal overlaps as conflict masks, indexed by proposal position.
 
     ``by_id`` lists the positions in region_id order (the rank tie-break).
-    ``suppress[i]`` marks the proposals whose IoU with proposal i reaches
-    ``nms_threshold``; ``conflict[j]`` marks the proposals that, once
+    ``suppress[i]`` marks the proposals whose IoU with proposal i reaches the
+    suppression threshold; ``conflict[j]`` marks the proposals that, once
     selected, keep proposal j out because its directed overlap with them
-    reaches ``threshold``. See ``conflict_masks``.
+    reaches the selection threshold. The masks are the only record of the
+    thresholds ``world_overlaps`` built them at. See ``conflict_masks``.
     """
 
-    nms_threshold: float
-    threshold: float
     by_id: tuple[int, ...]
     suppress: list[int]
     conflict: list[int]
@@ -169,17 +169,10 @@ def world_overlaps(
             conflict = conflict_masks(directed.swapaxes(-1, -2), threshold)
             for c, k in enumerate(chunk):
                 out[k] = ImageOverlaps(
-                    nms_threshold, threshold, tuple(sorted(range(n), key=ids[k].__getitem__)),
+                    tuple(sorted(range(n), key=ids[k].__getitem__)),
                     suppress[c * n : c * n + n], conflict[c * n : c * n + n],
                 )
     return [out[k] for k in range(len(images))]
-
-
-def image_overlaps(
-    image: ImageRecord, nms_threshold: float, threshold: float
-) -> ImageOverlaps:
-    """One image's suppression and selection conflict masks: ``world_overlaps`` of it alone."""
-    return world_overlaps([image], nms_threshold, threshold)[0]
 
 
 def rank_order(scores: Sequence[float], by_id: Sequence[int]) -> list[int]:

@@ -3,9 +3,12 @@ in that module, and the per-region value types keep no instance ``__dict__``."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,24 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(crskit.__path__, "cr
 
 def test_library_modules_are_found():
     assert {"crskit.geometry", "crskit.selection", "crskit.dataio"} <= set(MODULES)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # Every absolute import of the library is the standard library, numpy or crskit.
+    foreign = []
+    for path in sorted(Path(crskit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"numpy", "crskit"}
+            ]
+    assert not foreign
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -40,7 +61,7 @@ SLOTTED = [
     SelectionResult((0,), 0.5, True),
     Proposal(0, BOX, {"cat": 0.5}),
     Detection("img", "cat", BOX, 0.5),
-    ImageOverlaps(0.3, 0.1, (0,), [1], [1]),
+    ImageOverlaps((0,), [1], [1]),
     TruthRows(matches={0: [0]}, hits={0}),
 ]
 

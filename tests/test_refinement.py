@@ -30,8 +30,8 @@ from crskit.selection import (
     SelectionProblem,
     SelectionResult,
     crs_greedy,
-    image_overlaps,
     nms,
+    world_overlaps,
 )
 from crskit.world import ImageRecord, Proposal, generate_world
 
@@ -45,6 +45,12 @@ def proposal(region_id, box, score, feature=None) -> Proposal:
 def trained_scorer(world) -> CentroidScorer:
     """The scorer after one count-guided refinement pass over ``world``."""
     return run_adr(world, RefinementConfig(iterations=1)).scorer
+
+
+def select(image, name, scores, config):
+    """``select_pseudo_gt`` as a run calls it: the image's masks, then its count target."""
+    masks = world_overlaps([image], config.nms_threshold, config.threshold)[0]
+    return select_pseudo_gt(image, scores, config.count_target(image.counts[name]), masks)
 
 
 def one_image(proposals, count=1) -> ImageRecord:
@@ -95,6 +101,9 @@ class TestConfig:
             ("count_guided", "no"),
             ("count_guided", 1),
             ("count_guided", None),
+            ("seed", -5),
+            ("seed", "3"),
+            ("seed", True),
         ],
         ids=repr,
     )
@@ -246,7 +255,7 @@ class TestBatchedKernel:
         for _ in range(2):
             pseudo_gt = {
                 r.image_id: {
-                    name: select_pseudo_gt(r, name, scores[r.image_id][name], config)
+                    name: select(r, name, scores[r.image_id][name], config)
                     for name in r.positive_classes()
                 }
                 for r in canonical_world
@@ -285,9 +294,9 @@ class TestSelectPseudoGt:
         )
         scores = [p.scores["cat"] for p in image.proposals]
         config = RefinementConfig(count_cap=3)
-        result = select_pseudo_gt(image, "cat", scores, config)
+        result = select(image, "cat", scores, config)
         assert len(result.selected) == 3  # min(count=4, cap=3)
-        capped = select_pseudo_gt(image, "cat", scores, RefinementConfig(count_cap=10))
+        capped = select(image, "cat", scores, RefinementConfig(count_cap=10))
         assert len(capped.selected) == 4
 
     def test_baseline_takes_single_top_region(self):
@@ -299,7 +308,7 @@ class TestSelectPseudoGt:
             count=3,
         )
         config = RefinementConfig(count_guided=False)
-        result = select_pseudo_gt(image, "cat", [0.9, 0.8], config)
+        result = select(image, "cat", [0.9, 0.8], config)
         assert result == SelectionResult((0,), 0.9, True)
 
     def test_suppression_runs_before_selection(self):
@@ -314,23 +323,33 @@ class TestSelectPseudoGt:
             count=2,
         )
         config = RefinementConfig(threshold=1.0)
-        result = select_pseudo_gt(image, "cat", [0.9, 0.85, 0.5], config)
+        result = select(image, "cat", [0.9, 0.85, 0.5], config)
         assert result.selected == (0, 2)
 
     def test_zero_count_rejected(self):
+        # A count of 0 gives a target of 0.
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)], count=1)
         image.counts["cat"] = 0
-        with pytest.raises(ValueError):
-            select_pseudo_gt(image, "cat", [0.9], RefinementConfig())
+        with pytest.raises(ValueError, match="^img_0: target must be an int >= 1, got 0$"):
+            select(image, "cat", [0.9], RefinementConfig())
+
+    # A bool is an int, and 1.5 would let the walk select every compatible region.
+    @pytest.mark.parametrize("target", [-1, True, 1.5], ids=repr)
+    def test_bad_target_rejected(self, target):
+        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
+        masks = world_overlaps([image], 0.3, 0.1)[0]
+        with pytest.raises(ValueError) as caught:
+            select_pseudo_gt(image, [0.9], target, masks)
+        assert str(caught.value) == f"img_0: target must be an int >= 1, got {target!r}"
 
     def test_score_alignment_checked(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
         with pytest.raises(ValueError):
-            select_pseudo_gt(image, "cat", [0.9, 0.1], RefinementConfig())
+            select(image, "cat", [0.9, 0.1], RefinementConfig())
 
     def test_no_proposals_gives_empty_incomplete_result(self):
         image = one_image([], count=2)
-        result = select_pseudo_gt(image, "cat", [], RefinementConfig())
+        result = select(image, "cat", [], RefinementConfig())
         assert result == SelectionResult((), 0.0, False)
 
     def test_count_above_post_nms_regions_is_incomplete(self):
@@ -344,25 +363,14 @@ class TestSelectPseudoGt:
             ],
             count=3,
         )
-        config = RefinementConfig()
-        scores = [0.9, 0.85, 0.5]
-        overlaps = image_overlaps(image, config.nms_threshold, config.threshold)
-        for cached in (None, overlaps):
-            result = select_pseudo_gt(image, "cat", scores, config, cached)
-            assert result.selected == (0, 2)
-            assert not result.complete
+        result = select(image, "cat", [0.9, 0.85, 0.5], RefinementConfig())
+        assert result.selected == (0, 2)
+        assert not result.complete
 
     def test_out_of_range_score_rejected(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
         with pytest.raises(ValueError):
-            select_pseudo_gt(image, "cat", [1.5], RefinementConfig())
-
-    def test_overlaps_for_other_thresholds_rejected(self):
-        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        config = RefinementConfig()
-        stale = image_overlaps(image, 0.5, config.threshold)
-        with pytest.raises(ValueError):
-            select_pseudo_gt(image, "cat", [0.9], config, stale)
+            select(image, "cat", [1.5], RefinementConfig())
 
     @pytest.mark.parametrize("rescored", [False, True])
     @pytest.mark.parametrize("count_guided", [True, False])
@@ -373,8 +381,8 @@ class TestSelectPseudoGt:
         world = generate_world(30, 3, seed=12)
         config = RefinementConfig(count_guided=count_guided)
         table = score_table(world, trained_scorer(world) if rescored else None)
-        for record in world:
-            overlaps = image_overlaps(record, config.nms_threshold, config.threshold)
+        overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
+        for record, masks in zip(world, overlaps):
             for name in record.positive_classes():
                 scores = table[record.image_id][name]
                 regions = [
@@ -387,7 +395,7 @@ class TestSelectPseudoGt:
                         tuple(nms(regions, config.nms_threshold)), target, config.threshold
                     )
                 )
-                result = select_pseudo_gt(record, name, scores, config, overlaps)
+                result = select_pseudo_gt(record, scores, target, masks)
                 assert result == expected
 
 
@@ -418,6 +426,12 @@ class TestDetectionsFromScores:
         scores[world[1].image_id][name][0] = 1.5
         with pytest.raises(ValueError, match="score must be in"):
             detections_from_scores(world, scores, 0.3)
+
+    def test_image_without_scores_is_named(self):
+        world = generate_world(2, 2, seed=1)
+        with pytest.raises(ValueError) as caught:
+            detections_from_scores(world, {}, 0.3)
+        assert str(caught.value) == f"{world[0].image_id}: has no scores"
 
 
 class TestRetrain:
@@ -453,6 +467,13 @@ class TestRetrain:
     def test_empty_world_rejected(self):
         with pytest.raises(ValueError):
             retrain_scorer({}, [])
+
+    def test_selected_region_not_in_image_is_named(self):
+        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.ones(2))])
+        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 999), 0.9, True)}}
+        with pytest.raises(ValueError) as caught:
+            retrain_scorer(pseudo_gt, [image])
+        assert str(caught.value) == "img_0: selected region 999 is not a proposal"
 
     def test_mixed_dimensions_name_where_each_was_seen(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 2.0]))])
@@ -559,12 +580,19 @@ class TestSelectionPurity:
             )
             image.gt_boxes["cat"] = gt
             pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
-            assert selection_purity(pseudo_gt, [image]) == 0.5
+            assert selection_purity(pseudo_gt, [image], ground_truth_table([image])) == 0.5
             assert is_pure_purity(pseudo_gt, [image]) == 0.5
 
     def test_undefined_without_selections(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        assert selection_purity({}, [image]) is None
+        assert selection_purity({}, [image], ground_truth_table([image])) is None
+
+    def test_selected_region_not_in_image_is_named(self):
+        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
+        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 999), 0.9, True)}}
+        with pytest.raises(ValueError) as caught:
+            selection_purity(pseudo_gt, [image], ground_truth_table([image]))
+        assert str(caught.value) == "img_0: selected region 999 is not a proposal"
 
 
 def is_pure_purity(pseudo_gt, world):
@@ -624,14 +652,13 @@ class TestGroundTruthTable:
         scores = score_table(world, None)
         pseudo_gt = {
             record.image_id: {
-                name: select_pseudo_gt(record, name, scores[record.image_id][name], config)
+                name: select(record, name, scores[record.image_id][name], config)
                 for name in record.positive_classes()
             }
             for record in world
         }
         expected = is_pure_purity(pseudo_gt, world)
         assert selection_purity(pseudo_gt, world, ground_truth_table(world)) == expected
-        assert selection_purity(pseudo_gt, world) == expected
 
 
 def test_count_guidance_beats_baseline_across_seeds():

@@ -24,7 +24,6 @@ from crskit.selection import (
     conflict_masks,
     crs_exact,
     crs_greedy,
-    image_overlaps,
     nms,
     world_overlaps,
 )
@@ -211,6 +210,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             SelectionProblem((HULL, ScoredRegion(Box(1, 1, 2, 2), 0.5, 0)), count=1)
 
+    # A float count would let greedy select every compatible region and make
+    # crs_exact slice with a float; a bool is an int but not a count.
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "2"], ids=repr)
+    def test_count_must_be_int(self, count):
+        with pytest.raises(ValueError) as caught:
+            SelectionProblem((HULL, LEFT, RIGHT), count)
+        assert str(caught.value) == f"count must be int, got {type(count).__name__}"
+
     def test_empty_regions_rejected(self):
         with pytest.raises(ValueError):
             crs_greedy(SelectionProblem((), count=1))
@@ -236,11 +243,12 @@ class TestValidation:
 THRESHOLD_WORLD = generate_world(3, 2, seed=1)
 THRESHOLD_CALLERS = {
     "nms": ("iou_threshold", lambda t: nms([HULL], t)),
+    # One image's masks (``ImageOverlaps``), built for a world of that image.
     "image_overlaps-nms_threshold": (
-        "nms_threshold", lambda t: image_overlaps(THRESHOLD_WORLD[0], t, 0.1)
+        "nms_threshold", lambda t: world_overlaps(THRESHOLD_WORLD[:1], t, 0.1)
     ),
     "image_overlaps-threshold": (
-        "threshold", lambda t: image_overlaps(THRESHOLD_WORLD[0], 0.3, t)
+        "threshold", lambda t: world_overlaps(THRESHOLD_WORLD[:1], 0.3, t)
     ),
     # An empty world is refused a bad threshold too.
     "world_overlaps-empty-nms_threshold": ("nms_threshold", lambda t: world_overlaps([], t, 0.1)),
@@ -268,10 +276,11 @@ class TestNms:
         # just above 1/3 both survive
         assert nms([a, b], 0.34) == [a, b]
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, 1.5, math.nan], ids=str)
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1.5, math.nan, True, "0.1"], ids=str)
     @pytest.mark.parametrize("caller", sorted(THRESHOLD_CALLERS))
     def test_threshold_validation(self, caller, value):
-        # One (0, 1] rule for both thresholds wherever they are taken; NaN included.
+        # One (0, 1] rule for both thresholds wherever they are taken: NaN, a
+        # bool and a string are refused too.
         name, call = THRESHOLD_CALLERS[caller]
         with pytest.raises(ValueError) as caught:
             call(value)
@@ -359,7 +368,6 @@ class TestWorldOverlaps:
             boxes = [p.box for p in image.proposals]
             ids = [p.region_id for p in image.proposals]
             n = len(boxes)
-            assert (masks.nms_threshold, masks.threshold) == (0.3, 0.5)
             assert [ids[i] for i in masks.by_id] == sorted(ids)
             assert masks.suppress == [
                 sum(1 << k for k in range(n) if iou(boxes[i], boxes[k]) >= 0.3)
@@ -370,7 +378,7 @@ class TestWorldOverlaps:
                 sum(1 << k for k in range(n) if asymmetric_overlap(boxes[k], boxes[j]) >= 0.5)
                 for j in range(n)
             ]
-            assert image_overlaps(image, 0.3, 0.5) == masks
+            assert world_overlaps([image], 0.3, 0.5)[0] == masks
 
     def test_first_duplicate_in_world_order_is_named(self):
         rng = np.random.default_rng(12)
