@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from crskit.geometry import Box, iou
+from crskit.evaluation import Detection
+from crskit.geometry import Box, asymmetric_overlap, iou
 from crskit.refinement import (
     CentroidScorer,
     _Features,
@@ -34,6 +36,7 @@ from crskit.selection import (
     world_overlaps,
 )
 from crskit.world import ImageRecord, Proposal, generate_world
+from test_evaluation import reference_report
 
 
 def proposal(region_id, box, score, feature=None) -> Proposal:
@@ -678,3 +681,176 @@ def test_count_guidance_beats_baseline_across_seeds():
             report = run_adr(world, config)
             bucket.append(report.iterations[-1].report.purity)
     assert np.mean(guided_values) >= np.mean(baseline_values) + 0.1
+
+
+# A whole-loop reference for ``run_adr``, built only from scalar pieces: rank
+# order by (score descending, region_id), suppression by ``iou``, the greedy
+# count-constrained walk by ``asymmetric_overlap``, prototypes as the mean of
+# the selected features in gather order, per-row cosine scores
+# (``reference_scores``), purity by ``iou`` (``is_pure_purity``) and the
+# Detection-based ``reference_report``. No mask, table or stacked kernel of
+# the library takes part, so a change that moves any batched path's bits on
+# any world shows up here.
+
+
+def reference_survivors(record, scores, nms_threshold):
+    """Positions that survive suppression, in rank order."""
+    proposals = record.proposals
+    ranked = sorted(range(len(proposals)), key=lambda i: (-scores[i], proposals[i].region_id))
+    kept = []
+    for i in ranked:
+        if all(iou(proposals[i].box, proposals[j].box) < nms_threshold for j in kept):
+            kept.append(i)
+    return kept
+
+
+def reference_selection(record, scores, kept, target, threshold):
+    """Every survivor seeds a set walked in rank order; the best-scoring set wins."""
+    boxes = [p.box for p in record.proposals]
+    best, best_total = [], 0.0
+    for start, seed in enumerate(kept):
+        chosen, total = [seed], scores[seed]
+        for j in kept[start + 1 :]:
+            if len(chosen) == target:
+                break
+            if all(asymmetric_overlap(boxes[m], boxes[j]) < threshold for m in chosen):
+                chosen.append(j)
+                total += scores[j]
+        if not best or total > best_total:
+            best, best_total = chosen, total
+    selected = tuple(record.proposals[i].region_id for i in best)
+    return SelectionResult(selected, best_total, len(best) == target)
+
+
+def reference_adr(world, config):
+    """Every iteration's EvalReport of ``run_adr(world, config)``, and its final prototypes."""
+    classes = sorted({name for record in world for name in record.counts})
+    gt = {record.image_id: dict(record.gt_boxes) for record in world}
+    scores = {
+        r.image_id: {name: [p.scores.get(name, 0.0) for p in r.proposals] for name in classes}
+        for r in world
+    }
+    dim = len(next(p.feature for r in world for p in r.proposals))
+    prototypes = {name: np.zeros(dim) for name in classes}
+
+    def evaluate(purity):
+        detections = [
+            Detection(r.image_id, name, r.proposals[i].box, class_scores[i])
+            for r in world
+            for name, class_scores in scores[r.image_id].items()
+            for i in reference_survivors(r, class_scores, config.nms_threshold)
+        ]
+        report = reference_report(detections, gt, config.corloc_variant, config.ap_mode)
+        return replace(report, purity=purity)
+
+    reports = [evaluate(None)]
+    for _ in range(config.iterations):
+        pseudo_gt = {}
+        for r in world:
+            pseudo_gt[r.image_id] = {}
+            for name in r.positive_classes():
+                class_scores = scores[r.image_id][name]
+                kept = reference_survivors(r, class_scores, config.nms_threshold)
+                target = config.count_target(r.counts[name])
+                pseudo_gt[r.image_id][name] = reference_selection(
+                    r, class_scores, kept, target, config.threshold
+                )
+        for name in classes:
+            rows = [
+                r.proposal_map()[region_id].feature
+                for r in world
+                if name in pseudo_gt[r.image_id]
+                for region_id in pseudo_gt[r.image_id][name].selected
+            ]
+            if rows:
+                prototypes[name] = np.array(rows).mean(axis=0)
+        scorer = CentroidScorer(dict(prototypes), dim)
+        scores = {r.image_id: reference_scores(scorer, r) for r in world}
+        reports.append(evaluate(is_pure_purity(pseudo_gt, world)))
+    return reports, prototypes
+
+
+def threshold_image(world):
+    """An image whose overlaps sit exactly on the default thresholds.
+
+    Proposal 1's directed overlap with proposal 0 is 0.1 and proposal 3's IoU
+    with it is 0.3, so both conflicts hold only because a threshold is
+    reached, not passed. Count guidance then picks proposals 0 and 2, which
+    each cover one box. Features come from ``world``'s class_0 proposals.
+    """
+    features = {}
+    for p in (p for r in world for p in r.proposals):
+        if max(p.scores, key=p.scores.get) == "class_0":
+            features.setdefault(p.provenance, []).append(p.feature.copy())
+    boxes = [Box(0, 0, 10, 10), Box(9, 0, 19, 10), Box(30, 0, 40, 10), Box(0, 0, 10, 3)]
+    kinds = ["tight", "background", "tight", "part"]
+    initial = [1.0, 0.75, 0.5, 0.25]
+    names = sorted({name for r in world for name in r.counts})
+    return ImageRecord(
+        image_id="img_edge",
+        gt_boxes={"class_0": [boxes[0], boxes[2]]},
+        counts={"class_0": 2},
+        proposals=[
+            Proposal(
+                13 - i,
+                box,
+                {name: initial[i] if name == "class_0" else 0.25 for name in names},
+                features[kind][i] if kind in features else features["tight"][-1 - i],
+            )
+            for i, (box, kind) in enumerate(zip(boxes, kinds))
+        ],
+    )
+
+
+def edge_world():
+    """A world of ties and edge cases for the whole loop.
+
+    Initial scores sit on a quarter grid and proposals run against region_id
+    order, so ties meet a tie-break that input position would get wrong; in
+    twenty images a background proposal carries a tight proposal's feature,
+    so the two tie in every rescored table. Images run in reverse image_id order. One image has
+    no proposals, one counts a class without boxes, one has a class with boxes
+    and no scores, one has a zero-norm feature, and one sits on the thresholds.
+    """
+    world = generate_world(40, 3, seed=21)[::-1]
+    for record in world:
+        record.proposals.reverse()
+        for p in record.proposals:
+            p.scores = {name: round(s * 4) / 4 for name, s in p.scores.items()}
+    for record in world[5:25]:
+        by_kind = {p.provenance: p for p in record.proposals}
+        by_kind["background"].feature = by_kind["tight"].feature.copy()
+    world[0].proposals = []
+    world[1].counts["ghost"] = 1
+    world[2].gt_boxes["unscored"] = [Box(0, 0, 20, 20)]
+    world[3].proposals[0].feature = np.zeros_like(world[3].proposals[0].feature)
+    world.append(threshold_image(world))
+    return world
+
+
+WHOLE_LOOP_CASES = {
+    "edges": (edge_world, RefinementConfig()),
+    "default": (lambda: generate_world(60, 3, seed=3), RefinementConfig()),
+    "center-area-T0.25-k2": (
+        lambda: generate_world(50, 4, seed=11),
+        RefinementConfig(threshold=0.25, count_cap=2, corloc_variant="center", ap_mode="area"),
+    ),
+    "nms0.5": (
+        lambda: generate_world(40, 1, seed=5), RefinementConfig(iterations=2, nms_threshold=0.5)
+    ),
+}
+
+
+class TestWholeLoopReference:
+    @pytest.mark.parametrize("count_guided", [True, False], ids=["guided", "top1"])
+    @pytest.mark.parametrize("case", list(WHOLE_LOOP_CASES))
+    def test_run_adr_equals_reference(self, case, count_guided):
+        make_world, config = WHOLE_LOOP_CASES[case]
+        config = replace(config, count_guided=count_guided)
+        world = make_world()
+        report = run_adr(world, config)
+        expected, prototypes = reference_adr(world, config)
+        assert [entry.report for entry in report.iterations] == expected
+        assert report.scorer.prototypes.keys() == prototypes.keys()
+        for name, prototype in prototypes.items():
+            assert report.scorer.prototypes[name].tobytes() == prototype.tobytes(), name
