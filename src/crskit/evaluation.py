@@ -5,16 +5,19 @@ with at least one box anywhere count toward the mean metrics, the rest are
 reported as absent. A detection matches a ground-truth box at the PASCAL
 criterion, IoU >= 0.5 (``MATCH_IOU``).
 
-Every metric works from match rows, which ``truth_table`` builds for a set of
-images: for each box of an image and each class with ground truth there, the
-ground-truth indices its IoU reaches 0.5 with, best first, and whether it
-localizes an instance for CorLoc. ``evaluate_picks`` turns picks of a
-``TruthTable`` into per-class columns, ranks each class once, runs one greedy
-matching walk and assembles the report. Each call of ``build_report``,
-``slice_by_count`` (that report with its count buckets), ``match_detections``
-or ``corloc`` (the report's CorLoc of one class) builds one table over its
-``Detection`` list; the refinement loop builds one over its proposals once per
-run and picks its suppression survivors.
+Every metric works from a ``TruthTable``, which ``truth_table`` builds for a
+set of images. It numbers every box of those images by one row, image after
+image, and holds per-row arrays for each class with ground truth: whether the
+row localizes an instance for CorLoc, how many of its image's boxes of the
+class it reaches IoU 0.5 with, and, for rows with any, those boxes best first.
+``evaluate_picks`` is the one evaluation core: for each class it takes picked
+rows in pick order with aligned confidences, ranks them with one stable sort,
+walks greedy matching over the rows with candidates only, reads CorLoc from
+each image's first ranked row and assembles the report. ``build_report``,
+``slice_by_count`` (that report with its count buckets, each a mask over the
+same picks), ``match_detections`` and ``corloc`` (the report's CorLoc of one
+class) build one table with a row per ``Detection``; the refinement loop builds
+one over its proposals once per run and picks its suppression survivors' rows.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ __all__ = [
     "CORLOC_VARIANTS",
     "MATCH_IOU",
     "Detection",
-    "TruthRows",
+    "ClassTruth",
     "TruthTable",
     "EvalReport",
     "truth_table",
@@ -50,8 +53,9 @@ MATCH_IOU = 0.5
 
 # One image for ``truth_table``: its corner boxes and its ground truth by class.
 ImageTruth = tuple[Sequence[tuple[float, float, float, float]], Mapping[str, Sequence[Box]]]
-# A pick: a table image, a class, its picked box positions, confidences by box position.
-Pick = tuple[int, str, Sequence[int], Sequence[float]]
+# Each class's picked table rows, in pick order, and their confidences.
+Picks = Mapping[str, tuple[np.ndarray, np.ndarray]]
+_NO_PICKS = (np.zeros(0, dtype=int), np.zeros(0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,46 +72,53 @@ class Detection:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
-@dataclass(frozen=True, slots=True)
-class TruthRows:
-    """The boxes of one image against the image's ground truth of one class.
+@dataclass(frozen=True, slots=True, eq=False)
+class ClassTruth:
+    """Every box of a table against the ground truth of one class, by table row.
 
-    ``matches[i]`` lists the ground-truth indices whose IoU with box i reaches
-    0.5, highest IoU first and ties by index: the order in which greedy
-    matching tries them. Boxes without such an index are left out. ``hits``
-    holds the boxes that localize an instance under the CorLoc variant.
+    ``candidates[r]`` counts the class's boxes in row r's image whose IoU with
+    row r reaches 0.5 (exactly one makes the box pure); ``matches[r]`` lists
+    them, only for rows with any, by their number within the class, highest
+    IoU first and ties by number: the order in which greedy matching tries
+    them. ``hit[r]`` says whether row r localizes an instance under the
+    table's CorLoc variant.
     """
 
+    hit: np.ndarray
+    candidates: np.ndarray
     matches: dict[int, list[int]]
-    hits: set[int]
 
 
-def _batch_rows(images: Sequence[ImageTruth], corloc_variant: str) -> list[dict[str, TruthRows]]:
-    out: list[dict[str, TruthRows]] = []
-    groups: list[TruthRows] = []
+def _batch_rows(
+    images: Sequence[ImageTruth], first_row: int, gt_seen: dict[str, int], corloc_variant: str
+) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per class in the batch: its hit rows, and its candidate rows with their boxes' numbers.
+
+    Rows start at ``first_row``; ``gt_seen`` counts each class's boxes in earlier batches
+    and is advanced past this batch's.
+    """
     boxes: list[tuple[float, float, float, float]] = []
     gt_boxes: list[tuple[float, float, float, float]] = []
-    gt_group: list[int] = []
-    gt_index: list[int] = []
+    gt_class: list[int] = []
+    gt_number: list[int] = []
+    names: dict[str, int] = {}
     box_counts: list[int] = []
     gt_counts: list[int] = []
     for image_boxes, gt in images:
-        rows = {}
         first = len(gt_boxes)
         for name, class_gt in gt.items():
             if not class_gt:
                 continue
-            rows[name] = TruthRows(matches={}, hits=set())
-            groups.append(rows[name])
+            seen = gt_seen.get(name, 0)
             gt_boxes.extend(box.as_tuple() for box in class_gt)
-            gt_group.extend([len(groups) - 1] * len(class_gt))
-            gt_index.extend(range(len(class_gt)))
-        out.append(rows)
+            gt_class.extend([names.setdefault(name, len(names))] * len(class_gt))
+            gt_number.extend(range(seen, seen + len(class_gt)))
+            gt_seen[name] = seen + len(class_gt)
         boxes.extend(image_boxes)
         box_counts.append(len(image_boxes))
         gt_counts.append(len(gt_boxes) - first)
     # Pair every box with every ground-truth box of its image; pair_box and
-    # pair_gt index the flat lists, position is the box's index in its image.
+    # pair_gt index the flat lists.
     n_boxes = np.asarray(box_counts, dtype=int)
     n_gt = np.asarray(gt_counts, dtype=int)
     image = np.repeat(np.arange(len(n_boxes)), n_boxes)
@@ -116,11 +127,11 @@ def _batch_rows(images: Sequence[ImageTruth], corloc_variant: str) -> list[dict[
     first_pair = np.cumsum(per_box) - per_box
     first_gt = (np.cumsum(n_gt) - n_gt)[image]
     pair_gt = np.arange(len(pair_box)) - first_pair[pair_box] + first_gt[pair_box]
-    position = (np.arange(len(boxes)) - (np.cumsum(n_boxes) - n_boxes)[image])[pair_box]
     b = np.asarray(boxes, dtype=float).reshape(-1, 4)
     g = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)[pair_gt]
-    group = np.asarray(gt_group, dtype=int)[pair_gt]
-    index = np.asarray(gt_index, dtype=int)[pair_gt]
+    group = np.asarray(gt_class, dtype=int)[pair_gt]
+    number = np.asarray(gt_number, dtype=int)[pair_gt]
+    row = pair_box + first_row
     ious, _ = paired_overlaps(b[pair_box], g)
     candidate = np.flatnonzero(ious >= MATCH_IOU)
     if corloc_variant == "iou50":
@@ -131,35 +142,41 @@ def _batch_rows(images: Sequence[ImageTruth], corloc_variant: str) -> list[dict[
         hit = np.flatnonzero(
             (g[:, 0] <= cx) & (cx <= g[:, 2]) & (g[:, 1] <= cy) & (cy <= g[:, 3])
         )
-    # IoU descending, then ground-truth index: the order greedy matching tries.
-    candidate = candidate[np.lexsort((index[candidate], -ious[candidate]))]
-    for k, i, j in zip(
-        group[candidate].tolist(), position[candidate].tolist(), index[candidate].tolist()
-    ):
-        groups[k].matches.setdefault(i, []).append(j)
-    for k, i in zip(group[hit].tolist(), position[hit].tolist()):
-        groups[k].hits.add(i)
-    return out
+    # By row, then IoU descending, then number: the order greedy matching tries.
+    candidate = candidate[np.lexsort((number[candidate], -ious[candidate], row[candidate]))]
+    for name, k in names.items():
+        hits = hit[group[hit] == k]
+        ours = candidate[group[candidate] == k]
+        yield name, row[hits], row[ours], number[ours]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthTable:
-    """The match rows of a set of images, indexed by table image.
+    """The match data of a set of images, by one row per box.
 
-    ``rows[k]`` holds image k's ``TruthRows`` per class with ground truth
-    there, by box position; ``rank[k]`` is image k's position in image_id
-    order, the ranking's tie-break.
+    Image k's boxes are rows ``offsets[k]:offsets[k + 1]``. ``image_rank[r]``
+    is row r's image's position in image_id order, the ranking's tie-break.
+    ``classes`` holds a ``ClassTruth`` for each class with ground-truth boxes
+    in any image of the table.
     """
 
     image_ids: tuple[str, ...]
-    rank: tuple[int, ...]
-    rows: tuple[dict[str, TruthRows], ...]
+    offsets: np.ndarray
+    image_rank: np.ndarray
+    classes: dict[str, ClassTruth]
+
+    def truth(self, name: str) -> ClassTruth:
+        """Class ``name``'s match data; no row matches a class without boxes here."""
+        if name in self.classes:
+            return self.classes[name]
+        rows = len(self.image_rank)
+        return ClassTruth(np.zeros(rows, dtype=bool), np.zeros(rows, dtype=int), {})
 
 
 def truth_table(
     image_ids: Sequence[str], images: Iterable[ImageTruth], corloc_variant: str = "iou50"
 ) -> TruthTable:
-    """Match rows of ``images``, the corner boxes and ground truth of the named images.
+    """Match data of ``images``, the corner boxes and ground truth of the named images.
 
     The IoU of every box with every ground-truth box of its image comes from
     ``geometry.paired_overlaps``, so it is ``iou(box, gt_box)`` bit for bit.
@@ -171,125 +188,103 @@ def truth_table(
     if corloc_variant not in CORLOC_VARIANTS:
         raise ValueError(f"unknown corloc variant: {corloc_variant!r}")
     rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
-    rows: list[dict[str, TruthRows]] = []
+    counts: list[int] = []
+    found: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    gt_seen: dict[str, int] = {}
     batch: list[ImageTruth] = []
-    pairs = 0
+    pairs = first_row = 0
+
+    def flush() -> None:
+        for name, *arrays in _batch_rows(batch, first_row, gt_seen, corloc_variant):
+            found.setdefault(name, []).append(arrays)
+
     for image in images:
         batch.append(image)
+        counts.append(len(image[0]))
         pairs += len(image[0]) * sum(len(boxes) for boxes in image[1].values())
         if pairs >= PAIRS_PER_BATCH:
-            rows.extend(_batch_rows(batch, corloc_variant))
-            batch, pairs = [], 0
-    rows.extend(_batch_rows(batch, corloc_variant))
+            flush()
+            batch, pairs, first_row = [], 0, sum(counts)
+    flush()
+    total = sum(counts)
+    classes = {}
+    for name, parts in found.items():
+        hit_rows, candidate_rows, numbers = (np.concatenate(a) for a in zip(*parts))
+        hit = np.zeros(total, dtype=bool)
+        hit[hit_rows] = True
+        matches: dict[int, list[int]] = {}
+        for r, j in zip(candidate_rows.tolist(), numbers.tolist()):
+            matches.setdefault(r, []).append(j)
+        classes[name] = ClassTruth(hit, np.bincount(candidate_rows, minlength=total), matches)
     return TruthTable(
         image_ids=tuple(image_ids),
-        rank=tuple(rank[image_id] for image_id in image_ids),
-        rows=tuple(rows),
+        offsets=np.concatenate(([0], np.cumsum(counts, dtype=int))),
+        image_rank=np.repeat(np.array([rank[i] for i in image_ids], dtype=int), counts),
+        classes=classes,
     )
 
 
-@dataclass
-class ClassColumns:
-    """One class's picked boxes as columns, in pick order.
-
-    ``image`` holds each box's image rank, the ranking's tie-break. ``matches``
-    maps the position of each box with match candidates to them; ``hits``
-    lists the positions of boxes that localize an instance.
-    """
-
-    confidence: list[float] = field(default_factory=list)
-    image: list[int] = field(default_factory=list)
-    matches: dict[int, list[int]] = field(default_factory=dict)
-    hits: list[int] = field(default_factory=list)
+def _ranked(
+    table: TruthTable, rows: np.ndarray, confidence: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Rows in rank order and their image ranks: confidence descending, ties by
+    # image then input position (lexsort is stable), so a monotone rescoring
+    # cannot reshuffle the ranking.
+    images = table.image_rank[rows]
+    order = np.lexsort((images, -confidence))
+    return rows[order], images[order]
 
 
-def _rank(columns: ClassColumns) -> np.ndarray:
-    # Confidence descending, ties by image then input position (lexsort is
-    # stable), so a monotone rescoring cannot reshuffle the ranking.
-    return np.lexsort((np.asarray(columns.image), -np.asarray(columns.confidence, dtype=float)))
-
-
-def _match(columns: ClassColumns, order: np.ndarray) -> list[bool]:
-    # Greedy TP/FP walk in rank order over the detections with candidates:
-    # each takes its best untaken ground-truth box of its image.
-    flags = [False] * len(order)
-    candidate = np.zeros(len(order), dtype=bool)
-    candidate[list(columns.matches)] = True
-    ranked = order.tolist()
-    taken: set[tuple[int, int]] = set()
-    for r in np.flatnonzero(candidate[order]).tolist():
-        k = ranked[r]
-        image = columns.image[k]
-        for j in columns.matches[k]:
-            if (image, j) not in taken:
-                taken.add((image, j))
+def _true_positives(truth: ClassTruth, ranked: np.ndarray) -> np.ndarray:
+    # Greedy TP/FP walk in rank order over the rows with candidates: each
+    # takes its best untaken ground-truth box.
+    flags = np.zeros(len(ranked), dtype=bool)
+    taken: set[int] = set()
+    candidate = np.flatnonzero(truth.candidates[ranked])
+    for r, row in zip(candidate.tolist(), ranked[candidate].tolist()):
+        for j in truth.matches[row]:
+            if j not in taken:
+                taken.add(j)
                 flags[r] = True
                 break
     return flags
-
-
-def _localized(columns: ClassColumns, order: np.ndarray) -> int:
-    # Images whose top-ranked detection localizes an instance.
-    _, first = np.unique(np.asarray(columns.image)[order], return_index=True)
-    hit = np.zeros(len(order), dtype=bool)
-    hit[columns.hits] = True
-    return int(np.count_nonzero(hit[order[first]]))
-
-
-def _columns(table: TruthTable, picks: Iterable[Pick]) -> dict[str, ClassColumns]:
-    columns: dict[str, ClassColumns] = {}
-    for k, name, kept, confidences in picks:
-        if not kept:
-            continue
-        col = columns.get(name)
-        if col is None:
-            col = columns[name] = ClassColumns()
-        base = len(col.confidence)
-        col.confidence.extend([confidences[i] for i in kept])
-        col.image.extend([table.rank[k]] * len(kept))
-        rows = table.rows[k].get(name)
-        if rows is None:
-            continue
-        for t, i in enumerate(kept):
-            if i in rows.matches:
-                col.matches[base + t] = rows.matches[i]
-            if i in rows.hits:
-                col.hits.append(base + t)
-    return columns
 
 
 def _detection_picks(
     detections: Sequence[Detection],
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     corloc_variant: str,
-) -> tuple[TruthTable, list[Pick]]:
-    """A table over the detections' boxes, and one pick per image and class.
+) -> tuple[TruthTable, Picks]:
+    """A table with one row per detection, and each class's rows and confidences.
 
-    Only detections of classes with ground truth in their image become table
-    boxes; the image's others follow them in its confidences. Picks keep the
-    input order within an image and class.
+    Rows keep the input order within an image and class.
     """
     by_image: dict[str, dict[str, list[Detection]]] = {}
     for d in detections:
         by_image.setdefault(d.image_id, {}).setdefault(d.class_id, []).append(d)
-    picks: list[Pick] = []
+    rows: dict[str, list[int]] = {}
+    confidences: dict[str, list[float]] = {}
 
     def images() -> Iterator[ImageTruth]:
         # The table takes these a batch at a time, so few boxes are held at once;
-        # the picks are filled as it goes.
-        for k, (image_id, by_class) in enumerate(by_image.items()):
-            image_gt = gt.get(image_id, {})
+        # the rows are numbered as it goes.
+        row = 0
+        for image_id, by_class in by_image.items():
             boxes: list[tuple[float, float, float, float]] = []
-            confidences: list[float] = []
-            for name, dets in sorted(by_class.items(), key=lambda item: not image_gt.get(item[0])):
-                first = len(confidences)
-                confidences.extend(d.confidence for d in dets)
-                picks.append((k, name, range(first, len(confidences)), confidences))
-                if image_gt.get(name):
-                    boxes.extend(d.box.as_tuple() for d in dets)
-            yield boxes, image_gt
+            for name, dets in by_class.items():
+                first = row + len(boxes)
+                rows.setdefault(name, []).extend(range(first, first + len(dets)))
+                confidences.setdefault(name, []).extend(d.confidence for d in dets)
+                boxes.extend(d.box.as_tuple() for d in dets)
+            row += len(boxes)
+            yield boxes, gt.get(image_id, {})
 
-    return truth_table(list(by_image), images(), corloc_variant), picks
+    table = truth_table(list(by_image), images(), corloc_variant)
+    picks = {
+        name: (np.array(rows[name], dtype=int), np.array(confidences[name], dtype=float))
+        for name in rows
+    }
+    return table, picks
 
 
 def match_detections(
@@ -304,8 +299,9 @@ def match_detections(
     # One class: every detection is matched against its image's boxes.
     single = [replace(d, class_id="") for d in detections]
     gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
-    columns = _columns(*_detection_picks(single, gt, "iou50")).get("", ClassColumns())
-    return _match(columns, _rank(columns))
+    table, picks = _detection_picks(single, gt, "iou50")
+    ranked, _ = _ranked(table, *picks.get("", _NO_PICKS))
+    return _true_positives(table.truth(""), ranked).tolist()
 
 
 def average_precision(
@@ -323,10 +319,9 @@ def average_precision(
         raise ValueError(f"num_gt must be >= 0, got {num_gt}")
     if num_gt == 0 or not len(tp_flags):
         return 0.0
-    if sum(tp_flags) > num_gt:
-        raise ValueError(
-            f"{sum(tp_flags)} true positives exceed {num_gt} ground-truth boxes"
-        )
+    true_positives = np.count_nonzero(tp_flags)
+    if true_positives > num_gt:
+        raise ValueError(f"{true_positives} true positives exceed {num_gt} ground-truth boxes")
     tp = np.cumsum(np.asarray(tp_flags, dtype=float))
     precision = tp / np.arange(1, len(tp) + 1)
     recall = tp / num_gt
@@ -380,18 +375,18 @@ class EvalReport:
 
 def evaluate_picks(
     table: TruthTable,
-    picks: Iterable[Pick],
+    picks: Picks,
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     *,
     ap_mode: str = "11pt",
 ) -> EvalReport:
-    """Aggregate picked boxes of ``table`` against ground truth into an EvalReport.
+    """Aggregate picked rows of ``table`` against ground truth into an EvalReport.
 
-    The table's rows must come from ``gt``. Every class with picks or named
-    in ``gt`` gets an AP; one without ground-truth boxes is absent, with AP 0
-    and no CorLoc.
+    ``picks`` maps each class to its picked rows, in pick order (the last
+    tie-break of the ranking), and their confidences. The table's rows must
+    come from ``gt``. Every class with picks or named in ``gt`` gets an AP;
+    one without ground-truth boxes is absent, with AP 0 and no CorLoc.
     """
-    columns = _columns(table, picks)
     # Ground-truth boxes and positive images per class with any boxes.
     gt_counts: dict[str, tuple[int, int]] = {}
     for per_class in gt.values():
@@ -399,8 +394,8 @@ def evaluate_picks(
             if boxes:
                 num_gt, positives = gt_counts.get(name, (0, 0))
                 gt_counts[name] = (num_gt + len(boxes), positives + 1)
-    # _columns makes a column only for a class with at least one pick.
-    class_names = sorted({name for per_class in gt.values() for name in per_class} | set(columns))
+    picked = {name for name, (rows, _) in picks.items() if len(rows)}
+    class_names = sorted({name for per_class in gt.values() for name in per_class} | picked)
     per_class_ap: dict[str, float] = {}
     per_class_corloc: dict[str, float] = {}
     absent: list[str] = []
@@ -411,10 +406,12 @@ def evaluate_picks(
             per_class_ap[name] = average_precision([], 0, ap_mode)
             absent.append(name)
             continue
-        col = columns.get(name, ClassColumns())
-        order = _rank(col)
-        per_class_ap[name] = average_precision(_match(col, order), num_gt, ap_mode)
-        per_class_corloc[name] = _localized(col, order) / positives
+        truth = table.truth(name)
+        ranked, images = _ranked(table, *picks.get(name, _NO_PICKS))
+        per_class_ap[name] = average_precision(_true_positives(truth, ranked), num_gt, ap_mode)
+        # Images whose top-ranked row localizes an instance.
+        _, first = np.unique(images, return_index=True)
+        per_class_corloc[name] = int(np.count_nonzero(truth.hit[ranked[first]])) / positives
     present_ap = [v for name, v in per_class_ap.items() if name not in absent]
     corlocs = list(per_class_corloc.values())
     return EvalReport(
@@ -466,6 +463,7 @@ def slice_by_count(
     table, picks = _detection_picks(detections, gt, corloc_variant)
     report = evaluate_picks(table, picks, gt, ap_mode=ap_mode)
     report.buckets = {}
+    by_rank = sorted(table.image_ids)
     for bucket in sorted(set(bucket_of.values())):
         bucket_gt = {
             image_id: {
@@ -475,6 +473,11 @@ def slice_by_count(
             }
             for image_id, per_class in gt.items()
         }
-        bucket_picks = [p for p in picks if bucket_of.get((table.image_ids[p[0]], p[1])) == bucket]
+        bucket_picks = {}
+        for name, (rows, confidence) in picks.items():
+            # Whether each table image's pair with this class is in the bucket, by image rank.
+            inside = np.array([bucket_of.get((i, name)) == bucket for i in by_rank], dtype=bool)
+            keep = inside[table.image_rank[rows]]
+            bucket_picks[name] = (rows[keep], confidence[keep])
         report.buckets[bucket] = evaluate_picks(table, bucket_picks, bucket_gt, ap_mode=ap_mode)
     return report

@@ -18,12 +18,16 @@ evaluation of the run walks those masks in the current score order:
 ``select_pseudo_gt`` takes an image's masks and count target, reads no
 threshold, and checks every score list it is given, the scorer's too. The run
 likewise matches every proposal against its image's ground truth once
-(``ground_truth_table``): every evaluation passes the suppression survivors to
-``evaluation.evaluate_picks`` as picks of that table, with no ``Detection``
-objects, and every purity count reads the same table. Features never change
-either, so ``run_adr`` stacks them once into a private feature state
-(``_Features``): each rescoring computes all of a class's scores in one stacked
-kernel, retraining averages the selected rows by index, and purity reads region
+(``ground_truth_table``), in a table whose row r is stacked proposal r. Each
+score table is one ``(N,)`` array per class, in the same row order; the
+per-image score lists that selection walks are slices of it. Every evaluation
+flattens the suppression survivors into table rows in pick order, gathers
+their confidences from those arrays and passes both to
+``evaluation.evaluate_picks``, with no ``Detection`` objects; every purity
+count reads the table's candidate counts. Features never change either, so
+``run_adr`` stacks them once into a private feature state (``_Features``):
+each rescoring computes all of a class's scores in one stacked kernel,
+retraining averages the selected rows by index, and purity reads region
 positions from it. ``run_adr`` checks the initial score table up front.
 """
 
@@ -33,6 +37,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -331,25 +336,32 @@ def selection_purity(
     """
     if table.image_ids != tuple(record.image_id for record in world):
         raise ValueError("ground-truth table was built for another world or image order")
-    features, total, pure = _Features(world), 0, 0
-    for k, (record, rows) in enumerate(zip(features, table.rows)):
+    features = _Features(world)
+    rows: dict[str, list[int]] = {}
+    for k, (record, offset) in enumerate(zip(features, table.offsets.tolist())):
         for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
-            matches = rows[class_id].matches if class_id in rows else {}
-            for region_id in result.selected:
-                total += 1
-                pure += int(len(matches.get(features.position(k, region_id), ())) == 1)
+            rows.setdefault(class_id, []).extend(
+                offset + features.position(k, region_id) for region_id in result.selected
+            )
+    total = sum(len(class_rows) for class_rows in rows.values())
+    pure = sum(
+        int(np.count_nonzero(table.truth(class_id).candidates[class_rows] == 1))
+        for class_id, class_rows in rows.items()
+    )
     return pure / total if total else None
 
 
-def score_table(
+def _score_columns(
     world: Sequence[ImageRecord], scorer: CentroidScorer | None
-) -> dict[str, dict[str, list[float]]]:
+) -> dict[str, np.ndarray]:
+    """Every proposal's score per class, one ``(N,)`` array in stacked row order."""
     if scorer is None:
         # Initial scores come straight off the proposals.
         classes = sorted({c for record in world for c in record.counts})
+        proposals = [p for record in world for p in record.proposals]
         return {
-            r.image_id: {name: [p.scores.get(name, 0.0) for p in r.proposals] for name in classes}
-            for r in world
+            name: np.array([p.scores.get(name, 0.0) for p in proposals], dtype=float)
+            for name in classes
         }
     features = _Features(world)
     bad = np.flatnonzero(features.dims != scorer.feature_dim)
@@ -364,11 +376,27 @@ def score_table(
         dots, denominator = _row_dots(matrix, prototype), norms * math.sqrt(prototype @ prototype)
         # A zero norm gives cosine 0, a neutral 0.5; rounding can push others a hair past [0, 1].
         cosine = np.divide(dots, denominator, out=np.zeros_like(dots), where=denominator != 0.0)
-        columns[name] = np.clip((1.0 + cosine) / 2.0, 0.0, 1.0).tolist()
+        columns[name] = np.clip((1.0 + cosine) / 2.0, 0.0, 1.0)
+    return columns
+
+
+def _image_scores(
+    world: Sequence[ImageRecord], columns: Mapping[str, np.ndarray]
+) -> dict[str, dict[str, list[float]]]:
+    """``columns`` as score lists per image and class, aligned with each image's proposals."""
+    offsets = np.cumsum([0] + [len(record.proposals) for record in world]).tolist()
+    lists = {name: column.tolist() for name, column in columns.items()}
     return {
-        record.image_id: {name: column[start:end] for name, column in columns.items()}
-        for record, start, end in zip(features, features.offsets, features.offsets[1:])
+        record.image_id: {name: scores[start:end] for name, scores in lists.items()}
+        for record, start, end in zip(world, offsets, offsets[1:])
     }
+
+
+def score_table(
+    world: Sequence[ImageRecord], scorer: CentroidScorer | None
+) -> dict[str, dict[str, list[float]]]:
+    """Every proposal's score per image and class: its stored score without a scorer."""
+    return _image_scores(world, _score_columns(world, scorer))
 
 
 def _survivors(
@@ -378,8 +406,8 @@ def _survivors(
 ) -> Iterator[tuple[int, str, list[int], Sequence[float]]]:
     """Image position, class, suppression survivors and scores of every scored class.
 
-    These are picks of the world's table, ``overlaps`` holds its images' masks
-    in order, and the scores must have been checked.
+    Survivors are proposal positions in rank order, ``overlaps`` holds the
+    images' masks in order, and the scores must have been checked.
     """
     for position, (record, masks) in enumerate(zip(world, overlaps)):
         for name, class_scores in scores[record.image_id].items():
@@ -425,11 +453,22 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     table = ground_truth_table(world, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
-    scores = score_table(world, scorer)
+    columns = _score_columns(world, scorer)
+    scores = _image_scores(world, columns)
     _check_score_table(world, scores)
 
     def evaluate(purity: float | None) -> EvalReport:
-        picks = _survivors(world, scores, overlaps)
+        # Every image scores every class, so each class's survivors come one
+        # list per image, in world order: as table rows they are in pick order.
+        kept: dict[str, list[list[int]]] = {name: [] for name in columns}
+        for _, name, survivors, _ in _survivors(world, scores, overlaps):
+            kept[name].append(survivors)
+        picks = {}
+        for name, lists in kept.items():
+            lengths = np.fromiter(map(len, lists), dtype=int, count=len(lists))
+            rows = np.fromiter(chain.from_iterable(lists), dtype=int, count=int(lengths.sum()))
+            rows += np.repeat(table.offsets[:-1], lengths)
+            picks[name] = (rows, columns[name][rows])
         return replace(evaluate_picks(table, picks, gt, ap_mode=config.ap_mode), purity=purity)
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
@@ -446,7 +485,8 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
             if picks:
                 pseudo_gt[record.image_id] = picks
         scorer = retrain_scorer(pseudo_gt, world, previous=scorer)
-        scores = score_table(world, scorer)
+        columns = _score_columns(world, scorer)
+        scores = _image_scores(world, columns)
         purity_value = selection_purity(pseudo_gt, world, table)
         report.iterations.append(IterationReport(iteration, evaluate(purity_value)))
         corloc = report.iterations[-1].report.mean_corloc

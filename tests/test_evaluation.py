@@ -369,9 +369,18 @@ class TestAgainstReference:
         world = generate_world(30, 3, seed=4)
         image_ids = [r.image_id for r in world]
         images = [([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world]
-        unbatched = truth_table(image_ids, images, corloc_variant).rows
+        unbatched = truth_table(image_ids, images, corloc_variant)
         monkeypatch.setattr(evaluation, "PAIRS_PER_BATCH", 64)
-        assert truth_table(image_ids, images, corloc_variant).rows == unbatched
+        batched = truth_table(image_ids, images, corloc_variant)
+        assert batched.image_ids == unbatched.image_ids
+        assert np.array_equal(batched.offsets, unbatched.offsets)
+        assert np.array_equal(batched.image_rank, unbatched.image_rank)
+        assert list(batched.classes) == list(unbatched.classes)
+        for name, truth in unbatched.classes.items():
+            other = batched.classes[name]
+            assert np.array_equal(other.hit, truth.hit), name
+            assert np.array_equal(other.candidates, truth.candidates), name
+            assert other.matches == truth.matches, name
 
     @pytest.mark.parametrize("variant", ["iou50", "center"])
     @given(

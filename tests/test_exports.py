@@ -10,10 +10,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crskit
-from crskit.evaluation import Detection, TruthRows
+from crskit.evaluation import ClassTruth, Detection
 from crskit.geometry import Box
 from crskit.selection import ImageOverlaps, ScoredRegion, SelectionProblem, SelectionResult
 from crskit.world import Proposal
@@ -62,7 +63,7 @@ SLOTTED = [
     Proposal(0, BOX, {"cat": 0.5}),
     Detection("img", "cat", BOX, 0.5),
     ImageOverlaps((0,), [1], [1]),
-    TruthRows(matches={0: [0]}, hits={0}),
+    ClassTruth(hit=np.ones(1, dtype=bool), candidates=np.ones(1, dtype=int), matches={0: [0]}),
 ]
 
 
