@@ -170,7 +170,7 @@ class TruthTable:
         if name in self.classes:
             return self.classes[name]
         rows = len(self.image_rank)
-        return ClassTruth(np.zeros(rows, dtype=bool), np.zeros(rows, dtype=int), {})
+        return ClassTruth(np.zeros(rows, dtype=bool), np.zeros(rows, dtype=np.int32), {})
 
 
 def truth_table(
@@ -215,7 +215,8 @@ def truth_table(
         matches: dict[int, list[int]] = {}
         for r, j in zip(candidate_rows.tolist(), numbers.tolist()):
             matches.setdefault(r, []).append(j)
-        classes[name] = ClassTruth(hit, np.bincount(candidate_rows, minlength=total), matches)
+        candidates = np.bincount(candidate_rows, minlength=total).astype(np.int32)
+        classes[name] = ClassTruth(hit, candidates, matches)
     return TruthTable(
         image_ids=tuple(image_ids),
         offsets=np.concatenate(([0], np.cumsum(counts, dtype=int))),
@@ -238,15 +239,17 @@ def _ranked(
 def _true_positives(truth: ClassTruth, ranked: np.ndarray) -> np.ndarray:
     # Greedy TP/FP walk in rank order over the rows with candidates: each
     # takes its best untaken ground-truth box.
-    flags = np.zeros(len(ranked), dtype=bool)
+    positives: list[int] = []
     taken: set[int] = set()
     candidate = np.flatnonzero(truth.candidates[ranked])
     for r, row in zip(candidate.tolist(), ranked[candidate].tolist()):
         for j in truth.matches[row]:
             if j not in taken:
                 taken.add(j)
-                flags[r] = True
+                positives.append(r)
                 break
+    flags = np.zeros(len(ranked), dtype=bool)
+    flags[positives] = True
     return flags
 
 
@@ -262,7 +265,8 @@ def _detection_picks(
     by_image: dict[str, dict[str, list[Detection]]] = {}
     for d in detections:
         by_image.setdefault(d.image_id, {}).setdefault(d.class_id, []).append(d)
-    rows: dict[str, list[int]] = {}
+    # Each class's rows are runs, one per image: their first rows and lengths.
+    runs: dict[str, tuple[list[int], list[int]]] = {}
     confidences: dict[str, list[float]] = {}
 
     def images() -> Iterator[ImageTruth]:
@@ -272,18 +276,20 @@ def _detection_picks(
         for image_id, by_class in by_image.items():
             boxes: list[tuple[float, float, float, float]] = []
             for name, dets in by_class.items():
-                first = row + len(boxes)
-                rows.setdefault(name, []).extend(range(first, first + len(dets)))
+                firsts, lengths = runs.setdefault(name, ([], []))
+                firsts.append(row + len(boxes))
+                lengths.append(len(dets))
                 confidences.setdefault(name, []).extend(d.confidence for d in dets)
                 boxes.extend(d.box.as_tuple() for d in dets)
             row += len(boxes)
             yield boxes, gt.get(image_id, {})
 
     table = truth_table(list(by_image), images(), corloc_variant)
-    picks = {
-        name: (np.array(rows[name], dtype=int), np.array(confidences[name], dtype=float))
-        for name in rows
-    }
+    picks = {}
+    for name, (firsts, lengths) in runs.items():
+        n = np.array(lengths, dtype=int)
+        rows = np.arange(n.sum()) + np.repeat(np.array(firsts, dtype=int) - (np.cumsum(n) - n), n)
+        picks[name] = (rows, np.array(confidences[name], dtype=float))
     return table, picks
 
 
@@ -409,9 +415,12 @@ def evaluate_picks(
         truth = table.truth(name)
         ranked, images = _ranked(table, *picks.get(name, _NO_PICKS))
         per_class_ap[name] = average_precision(_true_positives(truth, ranked), num_gt, ap_mode)
-        # Images whose top-ranked row localizes an instance.
-        _, first = np.unique(images, return_index=True)
-        per_class_corloc[name] = int(np.count_nonzero(truth.hit[ranked[first]])) / positives
+        # Images whose top-ranked row localizes an instance: each image's
+        # first rank position, len(ranked) where it has no row.
+        first = np.full(len(table.image_ids), len(ranked))
+        np.minimum.at(first, images, np.arange(len(ranked)))
+        top = ranked[first[first < len(ranked)]]
+        per_class_corloc[name] = int(np.count_nonzero(truth.hit[top])) / positives
     present_ap = [v for name, v in per_class_ap.items() if name not in absent]
     corlocs = list(per_class_corloc.values())
     return EvalReport(

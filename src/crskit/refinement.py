@@ -232,7 +232,8 @@ def ground_truth_table(
 ) -> TruthTable:
     """Match every proposal of ``world`` against its image's ground truth.
 
-    Table image k is ``world[k]``, its box positions proposal positions.
+    Table image k is ``world[k]``, and row r is the world's r-th proposal, so
+    image k's proposals are rows ``offsets[k]:offsets[k + 1]`` in order.
     """
     return truth_table(
         [record.image_id for record in world],
@@ -351,18 +352,8 @@ def selection_purity(
     return pure / total if total else None
 
 
-def _score_columns(
-    world: Sequence[ImageRecord], scorer: CentroidScorer | None
-) -> dict[str, np.ndarray]:
+def _score_columns(world: Sequence[ImageRecord], scorer: CentroidScorer) -> dict[str, np.ndarray]:
     """Every proposal's score per class, one ``(N,)`` array in stacked row order."""
-    if scorer is None:
-        # Initial scores come straight off the proposals.
-        classes = sorted({c for record in world for c in record.counts})
-        proposals = [p for record in world for p in record.proposals]
-        return {
-            name: np.array([p.scores.get(name, 0.0) for p in proposals], dtype=float)
-            for name in classes
-        }
     features = _Features(world)
     bad = np.flatnonzero(features.dims != scorer.feature_dim)
     if bad.size:
@@ -396,6 +387,13 @@ def score_table(
     world: Sequence[ImageRecord], scorer: CentroidScorer | None
 ) -> dict[str, dict[str, list[float]]]:
     """Every proposal's score per image and class: its stored score without a scorer."""
+    if scorer is None:
+        # Initial scores come straight off the proposals.
+        classes = sorted({c for record in world for c in record.counts})
+        return {
+            r.image_id: {name: [p.scores.get(name, 0.0) for p in r.proposals] for name in classes}
+            for r in world
+        }
     return _image_scores(world, _score_columns(world, scorer))
 
 
@@ -453,9 +451,12 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     table = ground_truth_table(world, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
-    columns = _score_columns(world, scorer)
-    scores = _image_scores(world, columns)
+    scores = score_table(world, scorer)
     _check_score_table(world, scores)
+    columns = {
+        name: np.fromiter(chain.from_iterable(scores[r.image_id][name] for r in world), float)
+        for name in scores[world[0].image_id]
+    }
 
     def evaluate(purity: float | None) -> EvalReport:
         # Every image scores every class, so each class's survivors come one
