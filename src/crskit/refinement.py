@@ -332,8 +332,8 @@ def selection_purity(
     """Pooled purity of selected regions across all images and classes.
 
     A region is pure when exactly one ground-truth box of its class reaches
-    the match IoU with it, read from ``table``, the world's ground-truth
-    overlaps (``ground_truth_table``).
+    the match IoU with it: its row's candidate count in ``table``, the
+    world's ground-truth table (``ground_truth_table``).
     """
     if table.image_ids != tuple(record.image_id for record in world):
         raise ValueError("ground-truth table was built for another world or image order")
