@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 

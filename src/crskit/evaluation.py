@@ -78,10 +78,10 @@ class ClassTruth:
 
     ``candidates[r]`` counts the class's boxes in row r's image whose IoU with
     row r reaches 0.5 (exactly one makes the box pure); ``matches[r]`` lists
-    them, only for rows with any, by their number within the class, highest
-    IoU first and ties by number: the order in which greedy matching tries
-    them. ``hit[r]`` says whether row r localizes an instance under the
-    table's CorLoc variant.
+    them, only for rows with any, by their number within the table (every
+    ground-truth box, image after image), highest IoU first and ties by
+    number: the order in which greedy matching tries them. ``hit[r]`` says
+    whether row r localizes an instance under the table's CorLoc variant.
     """
 
     hit: np.ndarray
@@ -90,30 +90,25 @@ class ClassTruth:
 
 
 def _batch_rows(
-    images: Sequence[ImageTruth], first_row: int, gt_seen: dict[str, int], corloc_variant: str
+    images: Sequence[ImageTruth], first_row: int, gt_offset: int, corloc_variant: str
 ) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
     """Per class in the batch: its hit rows, and its candidate rows with their boxes' numbers.
 
-    Rows start at ``first_row``; ``gt_seen`` counts each class's boxes in earlier batches
-    and is advanced past this batch's.
+    Rows start at ``first_row``, and the batch's ground-truth boxes are numbered
+    from ``gt_offset`` in image order.
     """
     boxes: list[tuple[float, float, float, float]] = []
     gt_boxes: list[tuple[float, float, float, float]] = []
     gt_class: list[int] = []
-    gt_number: list[int] = []
     names: dict[str, int] = {}
     box_counts: list[int] = []
     gt_counts: list[int] = []
     for image_boxes, gt in images:
         first = len(gt_boxes)
         for name, class_gt in gt.items():
-            if not class_gt:
-                continue
-            seen = gt_seen.get(name, 0)
-            gt_boxes.extend(box.as_tuple() for box in class_gt)
-            gt_class.extend([names.setdefault(name, len(names))] * len(class_gt))
-            gt_number.extend(range(seen, seen + len(class_gt)))
-            gt_seen[name] = seen + len(class_gt)
+            if class_gt:
+                gt_boxes.extend(box.as_tuple() for box in class_gt)
+                gt_class.extend([names.setdefault(name, len(names))] * len(class_gt))
         boxes.extend(image_boxes)
         box_counts.append(len(image_boxes))
         gt_counts.append(len(gt_boxes) - first)
@@ -130,7 +125,7 @@ def _batch_rows(
     b = np.asarray(boxes, dtype=float).reshape(-1, 4)
     g = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)[pair_gt]
     group = np.asarray(gt_class, dtype=int)[pair_gt]
-    number = np.asarray(gt_number, dtype=int)[pair_gt]
+    number = pair_gt + gt_offset
     row = pair_box + first_row
     ious, _ = paired_overlaps(b[pair_box], g)
     candidate = np.flatnonzero(ious >= MATCH_IOU)
@@ -190,21 +185,22 @@ def truth_table(
     rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
     counts: list[int] = []
     found: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    gt_seen: dict[str, int] = {}
     batch: list[ImageTruth] = []
-    pairs = first_row = 0
+    pairs = first_row = gt_offset = gt_total = 0
 
     def flush() -> None:
-        for name, *arrays in _batch_rows(batch, first_row, gt_seen, corloc_variant):
+        for name, *arrays in _batch_rows(batch, first_row, gt_offset, corloc_variant):
             found.setdefault(name, []).append(arrays)
 
     for image in images:
         batch.append(image)
         counts.append(len(image[0]))
-        pairs += len(image[0]) * sum(len(boxes) for boxes in image[1].values())
+        gt_count = sum(len(boxes) for boxes in image[1].values())
+        pairs += len(image[0]) * gt_count
+        gt_total += gt_count
         if pairs >= PAIRS_PER_BATCH:
             flush()
-            batch, pairs, first_row = [], 0, sum(counts)
+            batch, pairs, first_row, gt_offset = [], 0, sum(counts), gt_total
     flush()
     total = sum(counts)
     classes = {}
@@ -260,36 +256,34 @@ def _detection_picks(
 ) -> tuple[TruthTable, Picks]:
     """A table with one row per detection, and each class's rows and confidences.
 
-    Rows keep the input order within an image and class.
+    Rows run image by image, then class by class, in input order within each,
+    so each class's runs of rows are known before the table is built.
     """
     by_image: dict[str, dict[str, list[Detection]]] = {}
     for d in detections:
         by_image.setdefault(d.image_id, {}).setdefault(d.class_id, []).append(d)
-    # Each class's rows are runs, one per image: their first rows and lengths.
-    runs: dict[str, tuple[list[int], list[int]]] = {}
-    confidences: dict[str, list[float]] = {}
-
-    def images() -> Iterator[ImageTruth]:
-        # The table takes these a batch at a time, so few boxes are held at once;
-        # the rows are numbered as it goes.
-        row = 0
-        for image_id, by_class in by_image.items():
-            boxes: list[tuple[float, float, float, float]] = []
-            for name, dets in by_class.items():
-                firsts, lengths = runs.setdefault(name, ([], []))
-                firsts.append(row + len(boxes))
-                lengths.append(len(dets))
-                confidences.setdefault(name, []).extend(d.confidence for d in dets)
-                boxes.extend(d.box.as_tuple() for d in dets)
-            row += len(boxes)
-            yield boxes, gt.get(image_id, {})
-
-    table = truth_table(list(by_image), images(), corloc_variant)
+    # Each class's rows are runs, one per image: their first rows and lengths,
+    # and the confidences of all its rows.
+    runs: dict[str, tuple[list[int], list[int], list[float]]] = {}
+    row = 0
+    for by_class in by_image.values():
+        for name, dets in by_class.items():
+            firsts, lengths, confidences = runs.setdefault(name, ([], [], []))
+            firsts.append(row)
+            lengths.append(len(dets))
+            confidences.extend(d.confidence for d in dets)
+            row += len(dets)
+    # The table takes images a batch at a time, so few boxes are held at once.
+    images = (
+        ([d.box.as_tuple() for dets in by_class.values() for d in dets], gt.get(image_id, {}))
+        for image_id, by_class in by_image.items()
+    )
+    table = truth_table(list(by_image), images, corloc_variant)
     picks = {}
-    for name, (firsts, lengths) in runs.items():
+    for name, (firsts, lengths, confidences) in runs.items():
         n = np.array(lengths, dtype=int)
         rows = np.arange(n.sum()) + np.repeat(np.array(firsts, dtype=int) - (np.cumsum(n) - n), n)
-        picks[name] = (rows, np.array(confidences[name], dtype=float))
+        picks[name] = (rows, np.array(confidences, dtype=float))
     return table, picks
 
 

@@ -26,9 +26,9 @@ their confidences from those arrays and passes both to
 ``evaluation.evaluate_picks``, with no ``Detection`` objects; every purity
 count reads the table's candidate counts. Features never change either, so
 ``run_adr`` stacks them once into a private feature state (``_Features``):
-each rescoring computes all of a class's scores in one stacked kernel,
-retraining averages the selected rows by index, and purity reads region
-positions from it. ``run_adr`` checks the initial score table up front.
+each rescoring computes all of a class's scores in one stacked kernel, and
+retraining and purity map the selected regions to its rows, which retraining
+averages by index. ``run_adr`` checks the initial score table up front.
 """
 
 from __future__ import annotations
@@ -177,11 +177,26 @@ class _Features(tuple):
         k = int(np.searchsorted(self.offsets, row, side="right")) - 1
         return f"{self[k].image_id}: proposal {self[k].proposals[row - self.offsets[k]].region_id}"
 
-    def position(self, k: int, region_id: int) -> int:
-        """Where selected ``region_id`` sits among image k's proposals."""
-        if region_id not in self.positions[k]:
-            raise ValueError(f"{self[k].image_id}: selected region {region_id} is not a proposal")
-        return self.positions[k][region_id]
+    def selected_rows(
+        self, pseudo_gt: Mapping[str, Mapping[str, SelectionResult]]
+    ) -> dict[str, list[int]]:
+        """Each class's selected regions as stacked rows, image by image in world order.
+
+        An image or a region id the world lacks is a ``ValueError`` naming it.
+        """
+        unknown = pseudo_gt.keys() - {record.image_id for record in self}
+        if unknown:
+            raise ValueError(f"{min(unknown)}: pseudo ground truth for an image not in the world")
+        rows: dict[str, list[int]] = {}
+        for record, offset, positions in zip(self, self.offsets.tolist(), self.positions):
+            for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
+                for region_id in result.selected:
+                    if region_id not in positions:
+                        raise ValueError(
+                            f"{record.image_id}: selected region {region_id} is not a proposal"
+                        )
+                    rows.setdefault(class_id, []).append(offset + positions[region_id])
+        return rows
 
     @cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
@@ -284,16 +299,12 @@ def retrain_scorer(
         found = ", ".join(f"{where} {dim}" for dim, where in seen.items())
         raise FeatureDimensionError(f"mixed feature dimensions: {found}")
     feature_dim = next(iter(seen), 0)
-    gathered: dict[str, list[int]] = {c: [] for record in world for c in record.counts}
-    for k, (record, offset) in enumerate(zip(features, features.offsets)):
-        for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
-            for region_id in result.selected:
-                row = offset + features.position(k, region_id)
-                if features.dims[row] < 0:
-                    raise FeatureDimensionError(
-                        f"{record.image_id}: selected proposal {region_id} has no feature"
-                    )
-                gathered.setdefault(class_id, []).append(row)
+    selected = features.selected_rows(pseudo_gt)
+    missing = [row for rows in selected.values() for row in rows if features.dims[row] < 0]
+    if missing:
+        where, _, region_id = features.locate(min(missing)).rpartition(" proposal ")
+        raise FeatureDimensionError(f"{where} selected proposal {region_id} has no feature")
+    gathered = {c: [] for record in world for c in record.counts} | selected
     kept = {} if previous is None else previous.prototypes
     prototypes = {
         name: features.stacked[0][rows].mean(axis=0) if rows
@@ -337,13 +348,7 @@ def selection_purity(
     """
     if table.image_ids != tuple(record.image_id for record in world):
         raise ValueError("ground-truth table was built for another world or image order")
-    features = _Features(world)
-    rows: dict[str, list[int]] = {}
-    for k, (record, offset) in enumerate(zip(features, table.offsets.tolist())):
-        for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
-            rows.setdefault(class_id, []).extend(
-                offset + features.position(k, region_id) for region_id in result.selected
-            )
+    rows = _Features(world).selected_rows(pseudo_gt)
     total = sum(len(class_rows) for class_rows in rows.values())
     pure = sum(
         int(np.count_nonzero(table.truth(class_id).candidates[class_rows] == 1))

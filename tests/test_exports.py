@@ -44,6 +44,30 @@ def test_numpy_is_the_only_runtime_dependency():
     assert not foreign
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads, bar lines marked ``# noqa: F401``."""
+    source = path.read_text(encoding="utf-8")
+    lines, tree = source.splitlines(), ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    # The package's __init__ imports only to re-export.
+    paths = sorted(Path(crskit.__file__).parent.glob("*.py"))
+    assert not [line for p in paths if p.name != "__init__.py" for line in unused_imports(p)]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)

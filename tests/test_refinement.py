@@ -289,6 +289,19 @@ class TestBatchedKernel:
         assert str(info.value) == "img_0: proposal 1 has a feature too large to score"
 
 
+def test_stored_scores_are_the_proposals_own_objects():
+    # Without a scorer the lists hold each proposal's own score objects, not
+    # copies. Building them through _score_columns and tolist() would make a
+    # new float per proposal: about 1 MB more peak memory on the cli benchmark,
+    # whose set-up calls score_table(images, None). So that path stays separate.
+    world = generate_world(5, 3, seed=6)
+    table = score_table(world, None)
+    for record in world:
+        for name, scores in table[record.image_id].items():
+            assert len(scores) == len(record.proposals)
+            assert all(s is p.scores[name] for s, p in zip(scores, record.proposals))
+
+
 class TestSelectPseudoGt:
     def test_count_guided_respects_count_and_cap(self):
         boxes = [Box(15.0 * i, 0, 15.0 * i + 10, 10) for i in range(5)]
@@ -478,6 +491,13 @@ class TestRetrain:
             retrain_scorer(pseudo_gt, [image])
         assert str(caught.value) == "img_0: selected region 999 is not a proposal"
 
+    def test_pseudo_gt_for_an_unknown_image_is_named(self):
+        world = generate_world(3, 2, seed=2)
+        pseudo_gt = {"img_9999": {"class_0": SelectionResult((0,), 0.9, True)}}
+        with pytest.raises(ValueError) as caught:
+            retrain_scorer(pseudo_gt, world)
+        assert str(caught.value) == "img_9999: pseudo ground truth for an image not in the world"
+
     def test_mixed_dimensions_name_where_each_was_seen(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 2.0]))])
         previous = CentroidScorer({"cat": np.array([3.0, 4.0, 5.0])}, 3)
@@ -596,6 +616,13 @@ class TestSelectionPurity:
         with pytest.raises(ValueError) as caught:
             selection_purity(pseudo_gt, [image], ground_truth_table([image]))
         assert str(caught.value) == "img_0: selected region 999 is not a proposal"
+
+    def test_pseudo_gt_for_an_unknown_image_is_named(self):
+        world = generate_world(3, 2, seed=2)
+        pseudo_gt = {"img_9999": {"class_0": SelectionResult((0,), 0.9, True)}}
+        with pytest.raises(ValueError) as caught:
+            selection_purity(pseudo_gt, world, ground_truth_table(world))
+        assert str(caught.value) == "img_9999: pseudo ground truth for an image not in the world"
 
 
 def is_pure_purity(pseudo_gt, world):
