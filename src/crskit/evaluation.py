@@ -1,23 +1,25 @@
 """Detection metrics: greedy matching, average precision and localization.
 
-Ground truth is passed as ``image_id -> class_id -> [Box, ...]``; only classes
-with at least one box anywhere count toward the mean metrics, the rest are
-reported as absent. A detection matches a ground-truth box at the PASCAL
-criterion, IoU >= 0.5 (``MATCH_IOU``).
+Ground truth enters as ``image_id -> class_id -> [Box, ...]``, and only the
+``TruthTable`` built from it is read. Classes without boxes are reported as
+absent, outside the mean metrics. A detection matches a ground-truth box at
+the PASCAL criterion, IoU >= 0.5 (``MATCH_IOU``).
 
 Every metric works from a ``TruthTable``, which ``truth_table`` builds for a
 set of images. It numbers every box of those images by one row, image after
 image, and holds per-row arrays for each class with ground truth: whether the
 row localizes an instance for CorLoc, how many of its image's boxes of the
 class it reaches IoU 0.5 with, and, for rows with any, those boxes best first.
-``evaluate_picks`` is the one evaluation core: for each class it takes picked
-rows in pick order with aligned confidences, ranks them with one stable sort,
-walks greedy matching over the rows with candidates only, reads CorLoc from
-each image's first ranked row and assembles the report. ``build_report``,
-``slice_by_count`` (that report with its count buckets, each a mask over the
-same picks), ``match_detections`` and ``corloc`` (the report's CorLoc of one
-class) build one table with a row per ``Detection``; the refinement loop builds
-one over its proposals once per run and picks its suppression survivors' rows.
+It also counts each named class's boxes per image. ``evaluate_picks`` is the
+one evaluation core: for each class it takes picked rows in pick order with
+aligned confidences, ranks them with one stable sort, walks greedy matching
+over the rows with candidates only, reads CorLoc from each image's first
+ranked row and assembles the report. ``build_report``, ``slice_by_count``
+(that report with its count buckets, each a view of the table that keeps one
+bucket's box counts), ``match_detections`` and ``corloc`` (the report's CorLoc
+of one class) build one table with a row per ``Detection``; the refinement
+loop builds one over its proposals once per run and picks its suppression
+survivors' rows.
 """
 
 from __future__ import annotations
@@ -147,18 +149,21 @@ def _batch_rows(
 
 @dataclass(frozen=True, eq=False)
 class TruthTable:
-    """The match data of a set of images, by one row per box.
+    """The ground truth of a set of images, by one row per box.
 
     Image k's boxes are rows ``offsets[k]:offsets[k + 1]``. ``image_rank[r]``
     is row r's image's position in image_id order, the ranking's tie-break.
     ``classes`` holds a ``ClassTruth`` for each class with ground-truth boxes
-    in any image of the table.
+    in any image of the table. ``gt_counts`` has a key for every class that
+    the images' ground truth names, empty box lists included, and counts that
+    class's boxes in each image, indexed by image rank.
     """
 
     image_ids: tuple[str, ...]
     offsets: np.ndarray
     image_rank: np.ndarray
     classes: dict[str, ClassTruth]
+    gt_counts: dict[str, np.ndarray]
 
     def truth(self, name: str) -> ClassTruth:
         """Class ``name``'s match data; no row matches a class without boxes here."""
@@ -184,6 +189,7 @@ def truth_table(
         raise ValueError(f"unknown corloc variant: {corloc_variant!r}")
     rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
     counts: list[int] = []
+    truths: list[Mapping[str, Sequence[Box]]] = []
     found: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     batch: list[ImageTruth] = []
     pairs = first_row = gt_offset = gt_total = 0
@@ -195,12 +201,15 @@ def truth_table(
     for image in images:
         batch.append(image)
         counts.append(len(image[0]))
+        truths.append(image[1])
         gt_count = sum(len(boxes) for boxes in image[1].values())
         pairs += len(image[0]) * gt_count
         gt_total += gt_count
         if pairs >= PAIRS_PER_BATCH:
             flush()
             batch, pairs, first_row, gt_offset = [], 0, sum(counts), gt_total
+    if len(counts) != len(image_ids):
+        raise ValueError(f"{len(image_ids)} image ids but {len(counts)} images")
     flush()
     total = sum(counts)
     classes = {}
@@ -213,11 +222,19 @@ def truth_table(
             matches.setdefault(r, []).append(j)
         candidates = np.bincount(candidate_rows, minlength=total).astype(np.int32)
         classes[name] = ClassTruth(hit, candidates, matches)
+    ranks = np.array([rank[i] for i in image_ids], dtype=int)
+    gt_counts: dict[str, np.ndarray] = {}
+    for r, truth in zip(ranks.tolist(), truths):
+        for name, boxes in truth.items():
+            if name not in gt_counts:
+                gt_counts[name] = np.zeros(len(ranks), dtype=np.int32)
+            gt_counts[name][r] = len(boxes)
     return TruthTable(
         image_ids=tuple(image_ids),
         offsets=np.concatenate(([0], np.cumsum(counts, dtype=int))),
-        image_rank=np.repeat(np.array([rank[i] for i in image_ids], dtype=int), counts),
+        image_rank=np.repeat(ranks, counts),
         classes=classes,
+        gt_counts=gt_counts,
     )
 
 
@@ -257,7 +274,8 @@ def _detection_picks(
     """A table with one row per detection, and each class's rows and confidences.
 
     Rows run image by image, then class by class, in input order within each,
-    so each class's runs of rows are known before the table is built.
+    so each class's runs of rows are known before the table is built. Images of
+    ``gt`` without detections follow, as images without rows.
     """
     by_image: dict[str, dict[str, list[Detection]]] = {}
     for d in detections:
@@ -274,11 +292,12 @@ def _detection_picks(
             confidences.extend(d.confidence for d in dets)
             row += len(dets)
     # The table takes images a batch at a time, so few boxes are held at once.
+    image_ids = [*by_image, *(image_id for image_id in gt if image_id not in by_image)]
     images = (
-        ([d.box.as_tuple() for dets in by_class.values() for d in dets], gt.get(image_id, {}))
-        for image_id, by_class in by_image.items()
+        ([d.box.as_tuple() for dets in by_image.get(i, {}).values() for d in dets], gt.get(i, {}))
+        for i in image_ids
     )
-    table = truth_table(list(by_image), images, corloc_variant)
+    table = truth_table(image_ids, images, corloc_variant)
     picks = {}
     for name, (firsts, lengths, confidences) in runs.items():
         n = np.array(lengths, dtype=int)
@@ -373,48 +392,37 @@ class EvalReport:
     buckets: dict[str, "EvalReport"] | None = None
 
 
-def evaluate_picks(
-    table: TruthTable,
-    picks: Picks,
-    gt: Mapping[str, Mapping[str, Sequence[Box]]],
-    *,
-    ap_mode: str = "11pt",
-) -> EvalReport:
-    """Aggregate picked rows of ``table`` against ground truth into an EvalReport.
+def evaluate_picks(table: TruthTable, picks: Picks, *, ap_mode: str = "11pt") -> EvalReport:
+    """Aggregate picked rows of ``table`` against its ground truth into an EvalReport.
 
     ``picks`` maps each class to its picked rows, in pick order (the last
-    tie-break of the ranking), and their confidences. The table's rows must
-    come from ``gt``. Every class with picks or named in ``gt`` gets an AP;
-    one without ground-truth boxes is absent, with AP 0 and no CorLoc.
+    tie-break of the ranking), and their confidences. Every class with picks
+    or named in the table's ground truth gets an AP; one without ground-truth
+    boxes is absent, with AP 0 and no CorLoc.
     """
-    # Ground-truth boxes and positive images per class with any boxes.
-    gt_counts: dict[str, tuple[int, int]] = {}
-    for per_class in gt.values():
-        for name, boxes in per_class.items():
-            if boxes:
-                num_gt, positives = gt_counts.get(name, (0, 0))
-                gt_counts[name] = (num_gt + len(boxes), positives + 1)
+    if ap_mode not in AP_MODES:
+        raise ValueError(f"unknown AP mode: {ap_mode!r}")
     picked = {name for name, (rows, _) in picks.items() if len(rows)}
-    class_names = sorted({name for per_class in gt.values() for name in per_class} | picked)
     per_class_ap: dict[str, float] = {}
     per_class_corloc: dict[str, float] = {}
     absent: list[str] = []
-    for name in class_names:
-        num_gt, positives = gt_counts.get(name, (0, 0))
-        if num_gt == 0:
-            # No recall without ground truth; the call still checks the mode.
-            per_class_ap[name] = average_precision([], 0, ap_mode)
+    for name in sorted(table.gt_counts.keys() | picked):
+        counts = table.gt_counts.get(name)
+        if counts is None or not counts.any():
+            # No recall without ground truth.
+            per_class_ap[name] = 0.0
             absent.append(name)
             continue
         truth = table.truth(name)
         ranked, images = _ranked(table, *picks.get(name, _NO_PICKS))
+        num_gt = int(counts.sum())
         per_class_ap[name] = average_precision(_true_positives(truth, ranked), num_gt, ap_mode)
         # Images whose top-ranked row localizes an instance: each image's
         # first rank position, len(ranked) where it has no row.
         first = np.full(len(table.image_ids), len(ranked))
         np.minimum.at(first, images, np.arange(len(ranked)))
         top = ranked[first[first < len(ranked)]]
-        per_class_corloc[name] = int(np.count_nonzero(truth.hit[top])) / positives
+        per_class_corloc[name] = int(np.count_nonzero(truth.hit[top])) / np.count_nonzero(counts)
     present_ap = [v for name, v in per_class_ap.items() if name not in absent]
     corlocs = list(per_class_corloc.values())
     return EvalReport(
@@ -435,7 +443,7 @@ def build_report(
 ) -> EvalReport:
     """Aggregate detections against ground truth into an EvalReport."""
     table, picks = _detection_picks(detections, gt, corloc_variant)
-    return evaluate_picks(table, picks, gt, ap_mode=ap_mode)
+    return evaluate_picks(table, picks, ap_mode=ap_mode)
 
 
 def count_bucket(count: int) -> str:
@@ -455,32 +463,23 @@ def slice_by_count(
     """``build_report``'s report, with ``buckets`` split by ground-truth count.
 
     An (image, class) pair lands in the bucket of its count, 1, 2, 3 or 4+;
-    empty buckets are omitted. One table serves the report and every bucket.
+    empty buckets are omitted. One table serves the report and every bucket:
+    a bucket's view keeps only its pairs' box counts and picks.
     """
-    bucket_of = {
-        (image_id, name): count_bucket(len(boxes))
-        for image_id, per_class in gt.items()
-        for name, boxes in per_class.items()
-        if boxes
-    }
     table, picks = _detection_picks(detections, gt, corloc_variant)
-    report = evaluate_picks(table, picks, gt, ap_mode=ap_mode)
+    report = evaluate_picks(table, picks, ap_mode=ap_mode)
     report.buckets = {}
-    by_rank = sorted(table.image_ids)
-    for bucket in sorted(set(bucket_of.values())):
-        bucket_gt = {
-            image_id: {
-                name: boxes
-                for name, boxes in per_class.items()
-                if bucket_of.get((image_id, name)) == bucket
-            }
-            for image_id, per_class in gt.items()
-        }
-        bucket_picks = {}
-        for name, (rows, confidence) in picks.items():
-            # Whether each table image's pair with this class is in the bucket, by image rank.
-            inside = np.array([bucket_of.get((i, name)) == bucket for i in by_rank], dtype=bool)
-            keep = inside[table.image_rank[rows]]
-            bucket_picks[name] = (rows[keep], confidence[keep])
-        report.buckets[bucket] = evaluate_picks(table, bucket_picks, bucket_gt, ap_mode=ap_mode)
+    # Bucket 4 is "4+".
+    capped = {name: np.minimum(counts, 4) for name, counts in table.gt_counts.items()}
+    for bucket in sorted(set().union(*(c.tolist() for c in capped.values())) - {0}):
+        gt_counts, bucket_picks = {}, {}
+        for name, counts in table.gt_counts.items():
+            inside = capped[name] == bucket
+            if inside.any():
+                gt_counts[name] = np.where(inside, counts, 0)
+                rows, confidence = picks.get(name, _NO_PICKS)
+                keep = inside[table.image_rank[rows]]
+                bucket_picks[name] = (rows[keep], confidence[keep])
+        view = replace(table, gt_counts=gt_counts)
+        report.buckets[count_bucket(bucket)] = evaluate_picks(view, bucket_picks, ap_mode=ap_mode)
     return report

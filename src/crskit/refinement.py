@@ -18,17 +18,18 @@ evaluation of the run walks those masks in the current score order:
 ``select_pseudo_gt`` takes an image's masks and count target, reads no
 threshold, and checks every score list it is given, the scorer's too. The run
 likewise matches every proposal against its image's ground truth once
-(``ground_truth_table``), in a table whose row r is stacked proposal r. Each
-score table is one ``(N,)`` array per class, in the same row order; the
-per-image score lists that selection walks are slices of it. Every evaluation
-flattens the suppression survivors into table rows in pick order, gathers
-their confidences from those arrays and passes both to
-``evaluation.evaluate_picks``, with no ``Detection`` objects; every purity
-count reads the table's candidate counts. Features never change either, so
-``run_adr`` stacks them once into a private feature state (``_Features``):
-each rescoring computes all of a class's scores in one stacked kernel, and
-retraining and purity map the selected regions to its rows, which retraining
-averages by index. ``run_adr`` checks the initial score table up front.
+(``ground_truth_table``), in a table whose row r is stacked proposal r: the
+run's only record of ground truth. Each score table is one ``(N,)`` array per
+class, in the same row order; the per-image score lists that selection walks
+are slices of it. Every evaluation flattens the suppression survivors into
+table rows in pick order, gathers their confidences from those arrays and
+passes both to ``evaluation.evaluate_picks``, with no ``Detection`` objects;
+every purity count reads the table's candidate counts. Features never change
+either, so ``run_adr`` stacks them once into a private feature state
+(``_Features``): each rescoring computes all of a class's scores in one stacked
+kernel, and retraining and purity map the selected regions to its rows, which
+retraining averages by index. ``run_adr`` checks the initial score table up
+front.
 """
 
 from __future__ import annotations
@@ -451,7 +452,6 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     if not world:
         raise ValueError("cannot refine an empty world")
     world = _Features(world)
-    gt = {record.image_id: record.gt_boxes for record in world}
     overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
     table = ground_truth_table(world, config.corloc_variant)
     report = RefinementReport(config=config)
@@ -475,7 +475,7 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
             rows = np.fromiter(chain.from_iterable(lists), dtype=int, count=int(lengths.sum()))
             rows += np.repeat(table.offsets[:-1], lengths)
             picks[name] = (rows, columns[name][rows])
-        return replace(evaluate_picks(table, picks, gt, ap_mode=config.ap_mode), purity=purity)
+        return replace(evaluate_picks(table, picks, ap_mode=config.ap_mode), purity=purity)
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):

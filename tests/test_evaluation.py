@@ -239,6 +239,16 @@ class TestReports:
         assert report.mean_corloc is None
         assert slice_by_count([], {}) == replace(report, buckets={})
 
+    @pytest.mark.parametrize("report", [build_report, slice_by_count])
+    def test_ap_mode_is_checked_without_classes(self, report):
+        with pytest.raises(ValueError, match="unknown AP mode: 'bogus'"):
+            report([], {}, ap_mode="bogus")
+
+    @pytest.mark.parametrize("images", [1, 3])
+    def test_truth_table_takes_one_image_per_id(self, images):
+        with pytest.raises(ValueError, match=f"^2 image ids but {images} images$"):
+            truth_table(["a", "b"], [([], {})] * images)
+
 
 # Reference implementation: Detection-based loops over the scalar ``iou``,
 # which the array core must equal exactly. Ranking is confidence descending,
@@ -366,7 +376,8 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("corloc_variant", ["iou50", "center"])
     def test_truth_rows_do_not_depend_on_batching(self, corloc_variant, monkeypatch):
-        world = generate_world(30, 3, seed=4)
+        world = generate_world(30, 3, seed=4)[::-1]
+        world[7].gt_boxes["empty"] = []
         image_ids = [r.image_id for r in world]
         images = [([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world]
         unbatched = truth_table(image_ids, images, corloc_variant)
@@ -376,6 +387,13 @@ class TestAgainstReference:
         assert np.array_equal(batched.offsets, unbatched.offsets)
         assert np.array_equal(batched.image_rank, unbatched.image_rank)
         assert list(batched.classes) == list(unbatched.classes)
+        # Every named class has box counts, by image rank; "empty" has no boxes.
+        assert set(unbatched.gt_counts) == {"class_0", "class_1", "class_2", "empty"}
+        assert list(batched.gt_counts) == list(unbatched.gt_counts)
+        by_rank = sorted(world, key=lambda r: r.image_id)
+        for name, counts in unbatched.gt_counts.items():
+            assert np.array_equal(batched.gt_counts[name], counts), name
+            assert counts.tolist() == [len(r.gt_boxes.get(name, [])) for r in by_rank], name
         for name, truth in unbatched.classes.items():
             other = batched.classes[name]
             assert np.array_equal(other.hit, truth.hit), name
@@ -419,6 +437,34 @@ class TestAgainstReference:
             assert slice_by_count(dets, gt, **kwargs) == replace(
                 reference_report(dets, gt, **kwargs), buckets=reference_slices(dets, gt, **kwargs)
             )
+
+    @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])
+    @given(
+        # Image "e" never has ground truth and "d" never has a detection; a
+        # class entry may hold no boxes, or more than four.
+        st.lists(
+            st.tuples(
+                st.sampled_from("abce"), st.sampled_from("xyz"), st.integers(0, 4), grid_boxes
+            ),
+            max_size=16,
+        ),
+        st.dictionaries(
+            st.sampled_from("abcd"),
+            st.dictionaries(st.sampled_from("xy"), st.lists(grid_boxes, max_size=5)),
+        ),
+    )
+    @example(
+        [("a", "x", 3, GT_UNIT), ("e", "x", 4, GT_UNIT), ("a", "z", 2, GT_UNIT)],
+        {"a": {"x": [GT_UNIT] * 5, "y": []}, "d": {"x": [GT_UNIT], "y": [GT_UNIT] * 2}},
+    )
+    def test_random_reports(self, corloc_variant, ap_mode, raw, gt):
+        detections = [det(i, c / 4, box, class_id=name) for i, name, c, box in raw]
+        kwargs = {"corloc_variant": corloc_variant, "ap_mode": ap_mode}
+        expected = reference_report(detections, gt, **kwargs)
+        assert build_report(detections, gt, **kwargs) == expected
+        assert slice_by_count(detections, gt, **kwargs) == replace(
+            expected, buckets=reference_slices(detections, gt, **kwargs)
+        )
 
     @pytest.mark.parametrize("count_guided", [True, False])
     @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])
