@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from crskit import dataio
 from crskit.dataio import (
     CONFIG_KEYS,
     DatasetError,
@@ -607,3 +608,203 @@ def test_fixture_content_is_the_documented_example():
     assert hull.scores["class_0"] == max(
         p.scores["class_0"] for p in record.proposals
     )
+
+
+# Ids the json encoder escapes: quotes, backslashes, control characters,
+# non-ASCII and astral text, lone surrogates.
+AWKWARD_IDS = [
+    '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t",
+    "caf\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff",
+]
+# Box corners: integers, signed zeros, subnormals and values near 1e300.
+CORNERS = (
+    st.integers(-(10**6), 10**6)
+    | st.floats(min_value=-1e300, max_value=1e300)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.5e308])
+)
+CONFIDENCES = (
+    st.floats(min_value=0.0, max_value=1.0)
+    | st.integers(0, 1)
+    | st.sampled_from([-0.0, 5e-324, np.float32(0.1), np.float32(1.0)])
+)
+IDS = (
+    st.text(st.characters(exclude_categories=()), max_size=6)
+    | st.sampled_from(AWKWARD_IDS)
+    | st.sampled_from([1, True, 1.0])
+)
+
+
+@st.composite
+def detections(draw) -> Detection:
+    x1, x2 = sorted(draw(st.lists(CORNERS, min_size=2, max_size=2, unique_by=float)))
+    y1, y2 = sorted(draw(st.lists(CORNERS, min_size=2, max_size=2, unique_by=float)))
+    width, height = float(x2) - float(x1), float(y2) - float(y1)
+    if not np.isfinite(width * height):  # keep the box, give it a finite height
+        y1, y2 = 0.0, 1e-300
+    return Detection(draw(IDS), draw(IDS), Box(x1, y1, x2, y2), draw(CONFIDENCES))
+
+
+def encoder_lines(dets: list[Detection]) -> str:
+    """Each detection's line as the json encoder writes it, the reference for the writer."""
+    return "".join(
+        dumps_jsonl_line(
+            {
+                "image_id": det.image_id,
+                "class_id": det.class_id,
+                "box": list(det.box.as_tuple()),
+                "confidence": float(det.confidence),
+            }
+        )
+        + "\n"
+        for det in dets
+    )
+
+
+def saved_lines(dets: list[Detection]) -> str:
+    with tempfile.TemporaryDirectory() as directory:
+        file = Path(directory) / "dets.jsonl"
+        save_detections(dets, file)
+        return file.read_text(encoding="utf-8")
+
+
+class TestDetectionWriter:
+    """``save_detections`` formats each line itself and writes what the json encoder writes."""
+
+    @given(st.lists(detections(), max_size=8))
+    def test_writes_the_encoder_bytes(self, dets):
+        assert saved_lines(dets) == encoder_lines(dets)
+
+    def test_edge_values(self):
+        box = Box(0, 0, 4, 10)
+        dets = [Detection(name, name, box, 0.5) for name in AWKWARD_IDS]
+        # Equal keys, different JSON: none may be written as another.
+        dets += [Detection(name, "cat", box, 0.5) for name in (1, True, 1.0, "1")]
+        dets += [
+            Detection("img", "cat", Box(-0.0, 5e-324, 1e300, 2e-300), 1),
+            Detection("img", "cat", Box(-1e300, -0.0, 1e300, 5e-324), 0),
+            Detection("img", "cat", Box(0, 0, 1, 1), np.float32(0.1)),
+            Detection("img", "cat", Box(0, 0, 1, 1), -0.0),
+        ]
+        text = saved_lines(dets)
+        assert text == encoder_lines(dets)
+        for spelling in ("1", "true", "1.0", '"1"'):
+            assert f'"class_id":"cat","confidence":0.5,"image_id":{spelling}}}\n' in text
+
+
+# Lines a JSON Lines file may hold; each parses as json.loads parses it.
+VALID_LINES = [
+    b'{"image_id": "a", "box": [0, 0.5, 1e3, -0.0]}\n',
+    b'  \t{"a": 1}  \r\n',
+    b'{"a": NaN, "b": [Infinity, -Infinity], "c": 1e400}\r\n',
+    b'[1, "caf\\u00e9", "\xc3\xa9", "\\ud83d\\ude00", {"k": null, "k": true}]\n',
+    b'"text"\n',
+    b"-12\n",
+    b"1" * 4300 + b"\n",
+    b"[]",
+]
+# Lines that are not JSON; each must fail with the message json.loads gives it.
+INVALID_LINES = {
+    "bom": b'\xef\xbb\xbf{"a": 1}\n',
+    "two-objects": b"{} {}\n",
+    "close-bracket": b"]\n",
+    "unterminated-string": b'{"a": "b\n',
+    "invalid-utf-8": b'{"image_id": "caf\xe9"}\n',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    "too-many-digits": b"1" * 4301 + b"\n",
+    "crlf-extra-data": b"{}x\r\n",
+}
+
+LOADERS = [load_dataset, load_detections]
+
+
+def loads_message(raw: bytes) -> str:
+    """The error a line gives when it is decoded and handed to ``json.loads`` whole."""
+    try:
+        json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("line parsed")
+
+
+class TestLineParsing:
+    """Each line goes through the decoder's scanner and parses exactly as json.loads parses it."""
+
+    def test_valid_lines_load_as_json_loads_loads_them(self, tmp_path):
+        file = tmp_path / "lines.jsonl"
+        file.write_bytes(b"\n".join(line.rstrip(b"\n") for line in VALID_LINES) + b"\n")
+        expected = [(n, json.loads(line)) for n, line in enumerate(VALID_LINES, start=1)]
+        # repr, so that NaN compares equal to itself.
+        assert repr(list(dataio._json_lines(file))) == repr(expected)
+
+    @pytest.mark.parametrize("raw", INVALID_LINES.values(), ids=INVALID_LINES.keys())
+    @pytest.mark.parametrize("loader", LOADERS, ids=["dataset", "detections"])
+    def test_invalid_lines_fail_with_the_json_loads_message(self, tmp_path, raw, loader):
+        file = tmp_path / "bad.jsonl"
+        file.write_bytes(b"\n" + raw)
+        with pytest.raises(DatasetError) as caught:
+            loader(file)
+        assert str(caught.value) == f"line 2: malformed JSON: {loads_message(raw)}"
+
+    # str.strip() removes these, but JSON whitespace is only space, tab, CR and LF.
+    @pytest.mark.parametrize(
+        "char",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"],
+        ids=lambda char: f"U+{ord(char):04X}",
+    )
+    @pytest.mark.parametrize("loader", LOADERS, ids=["dataset", "detections"])
+    def test_a_line_of_other_whitespace_is_malformed(self, tmp_path, char, loader):
+        file = tmp_path / "space.jsonl"
+        file.write_text(" \n" + char + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"^line 2: malformed JSON: Expecting value"):
+            loader(file)
+
+    def test_a_line_of_json_whitespace_is_blank(self, tmp_path):
+        file = tmp_path / "blank.jsonl"
+        line = dumps_jsonl_line(minimal_detection()).encode()
+        file.write_bytes(b" \t\r\n\r\n" + line + b"\n\t\n")
+        assert len(load_detections(file)) == 1
+
+
+class TestDetectionLines:
+    def test_empty_image_id_rejected(self, tmp_path):
+        file = tmp_path / "dets.jsonl"
+        file.write_text(dumps_jsonl_line(dict(minimal_detection(), image_id="")) + "\n")
+        with pytest.raises(DatasetError) as caught:
+            load_detections(file)
+        assert str(caught.value) == "line 1: image_id: expected a non-empty string"
+
+    def test_empty_class_id_loads(self, tmp_path):
+        # A dataset class name may be empty, so a detection's class may be too.
+        file = tmp_path / "dets.jsonl"
+        file.write_text(dumps_jsonl_line(dict(minimal_detection(), class_id="")) + "\n")
+        assert load_detections(file)[0].class_id == ""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"image_id": 3}, "image_id: expected a string"),
+            ({"class_id": None}, "class_id: expected a string"),
+            ({"confidence": 1}, None),
+            ({"confidence": 1.5}, "confidence: must be in [0, 1], got 1.5"),
+            ({"confidence": -1}, "confidence: must be in [0, 1], got -1.0"),
+            ({"confidence": False}, "confidence: expected a number, got bool"),
+        ],
+    )
+    def test_lines_off_the_fast_path_keep_their_messages(self, tmp_path, changes, message):
+        file = tmp_path / "dets.jsonl"
+        file.write_text(dumps_jsonl_line(dict(minimal_detection(), **changes)) + "\n")
+        if message is None:
+            assert load_detections(file)[0].confidence == 1.0
+            return
+        with pytest.raises(DatasetError) as caught:
+            load_detections(file)
+        assert str(caught.value) == f"line 1: {message}"
+
+    def test_missing_key_is_named(self, tmp_path):
+        data = minimal_detection()
+        del data["confidence"]
+        file = tmp_path / "dets.jsonl"
+        file.write_text(dumps_jsonl_line(data) + "\n")
+        with pytest.raises(DatasetError) as caught:
+            load_detections(file)
+        assert str(caught.value) == "line 1: detection: missing keys: ['confidence']"
