@@ -13,9 +13,9 @@ Datasets are JSON Lines: one image record per line, schema version 1.
 Detections are JSON Lines of ``{"image_id", "class_id", "box", "confidence"}``.
 Serialization is canonical (sorted keys, fixed separators), so writing the
 same data twice produces identical bytes. A detection line is one f-string of
-the json encoder's bytes: float reprs, and each distinct string id encoded once.
-A line of only JSON whitespace is blank; the decoder's scanner parses any other
-line, and a line that it rejects is parsed again by ``json.loads`` for its error.
+the bytes the json encoder would write: float reprs, and string ids through the
+encoder's own escaping function. A line of only JSON whitespace (space, tab, CR,
+LF) is blank; ``json.loads`` parses every other line.
 Loaders check a list of numbers (a box, a feature) whole, and only a list
 holding anything but finite floats goes value by value, so that each error
 is located at its first bad index.
@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
@@ -114,9 +115,7 @@ def _numbers(values: list, line: int | None, path: str) -> list[float]:
     return values
 
 
-_scan = json.JSONDecoder().scan_once
 _blank = json.decoder.WHITESPACE.match
-_DETECTION_KEYS = {"image_id", "class_id", "box", "confidence"}
 
 
 def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
@@ -125,16 +124,9 @@ def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
         for line_no, raw in enumerate(handle, start=1):
             try:
                 text = raw.decode("utf-8")
-                start = _blank(text).end()
-                if start == len(text):
+                if _blank(text).end() == len(text):
                     continue
-                try:
-                    data, end = _scan(text, start)
-                    if _blank(text, end).end() != len(text):
-                        raise ValueError
-                # json.loads fails the same lines, and its message names the fault.
-                except (ValueError, RecursionError, StopIteration):
-                    data = json.loads(text)
+                data = json.loads(text)
             # ValueError covers bad bytes and overlong integers; RecursionError, deep nesting.
             except (ValueError, RecursionError) as exc:
                 raise DatasetError(f"line {line_no}: malformed JSON: {exc}") from exc
@@ -304,38 +296,41 @@ def load_detections(path: str | Path) -> list[Detection]:
     for line_no, data in _json_lines(path):
         if not isinstance(data, dict):
             _fail(line_no, "detection", "expected a JSON object")
-        if data.keys() != _DETECTION_KEYS:
-            _require_keys(data, _DETECTION_KEYS, line_no, "detection")
-        image_id, class_id, confidence = data["image_id"], data["class_id"], data["confidence"]
-        if not isinstance(image_id, str) or not image_id:
-            _fail(line_no, "image_id", f"expected a {'non-empty ' if image_id == '' else ''}string")
-        if not isinstance(class_id, str):
+        _require_keys(data, {"image_id", "class_id", "box", "confidence"}, line_no, "detection")
+        if not isinstance(data["image_id"], str):
+            _fail(line_no, "image_id", "expected a string")
+        if not data["image_id"]:
+            _fail(line_no, "image_id", "expected a non-empty string")
+        if not isinstance(data["class_id"], str):
             _fail(line_no, "class_id", "expected a string")
-        if type(confidence) is not float or not 0.0 <= confidence <= 1.0:
-            confidence = _number(confidence, line_no, "confidence")
-            if not 0.0 <= confidence <= 1.0:
-                _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
+        confidence = _number(data["confidence"], line_no, "confidence")
+        if not 0.0 <= confidence <= 1.0:
+            _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
         detections.append(
-            Detection(image_id, class_id, _box(data["box"], line_no, "box"), confidence)
+            Detection(
+                image_id=data["image_id"],
+                class_id=data["class_id"],
+                box=_box(data["box"], line_no, "box"),
+                confidence=confidence,
+            )
         )
     return detections
 
 
+def _json_id(value: Any) -> str:
+    return encode_basestring_ascii(value) if isinstance(value, str) else dumps_jsonl_line(value)
+
+
 def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
-    names: dict[str, str] = {}
-
-    def name(value: Any) -> str:
-        # Only exact strings are memoized: 1, 1.0 and True are equal keys.
-        if type(value) is not str:
-            return dumps_jsonl_line(value)
-        return names.get(value) or names.setdefault(value, dumps_jsonl_line(value))
-
+    """Write each detection's line as it is made; an empty image_id fails as on load."""
     with open(path, "w", encoding="utf-8") as handle:
-        for det in detections:
+        for line_no, det in enumerate(detections, start=1):
+            if det.image_id == "":
+                _fail(line_no, "image_id", "expected a non-empty string")
             x1, y1, x2, y2 = det.box.as_tuple()
             handle.write(
-                f'{{"box":[{x1!r},{y1!r},{x2!r},{y2!r}],"class_id":{name(det.class_id)},'
-                f'"confidence":{float(det.confidence)!r},"image_id":{name(det.image_id)}}}\n'
+                f'{{"box":[{x1!r},{y1!r},{x2!r},{y2!r}],"class_id":{_json_id(det.class_id)},'
+                f'"confidence":{float(det.confidence)!r},"image_id":{_json_id(det.image_id)}}}\n'
             )
 
 

@@ -632,6 +632,8 @@ IDS = (
     | st.sampled_from(AWKWARD_IDS)
     | st.sampled_from([1, True, 1.0])
 )
+# An empty image_id is refused on save, as on load.
+IMAGE_IDS = IDS.filter(lambda name: name != "")
 
 
 @st.composite
@@ -641,7 +643,7 @@ def detections(draw) -> Detection:
     width, height = float(x2) - float(x1), float(y2) - float(y1)
     if not np.isfinite(width * height):  # keep the box, give it a finite height
         y1, y2 = 0.0, 1e-300
-    return Detection(draw(IDS), draw(IDS), Box(x1, y1, x2, y2), draw(CONFIDENCES))
+    return Detection(draw(IMAGE_IDS), draw(IDS), Box(x1, y1, x2, y2), draw(CONFIDENCES))
 
 
 def encoder_lines(dets: list[Detection]) -> str:
@@ -727,7 +729,7 @@ def loads_message(raw: bytes) -> str:
 
 
 class TestLineParsing:
-    """Each line goes through the decoder's scanner and parses exactly as json.loads parses it."""
+    """Each non-blank line parses exactly as json.loads parses it, with its message."""
 
     def test_valid_lines_load_as_json_loads_loads_them(self, tmp_path):
         file = tmp_path / "lines.jsonl"
@@ -773,6 +775,17 @@ class TestDetectionLines:
             load_detections(file)
         assert str(caught.value) == "line 1: image_id: expected a non-empty string"
 
+    def test_empty_image_id_is_refused_on_save_as_on_load(self, tmp_path):
+        # No file is saved that the loader would refuse; an empty class_id round-trips.
+        box = Box(0, 0, 10, 10)
+        kept = [Detection("img_0", "", box, 0.9)]
+        file = tmp_path / "dets.jsonl"
+        save_detections(kept, file)
+        assert load_detections(file) == kept
+        with pytest.raises(DatasetError) as caught:
+            save_detections(kept + [Detection("", "cat", box, 0.5)], file)
+        assert str(caught.value) == "line 2: image_id: expected a non-empty string"
+
     def test_empty_class_id_loads(self, tmp_path):
         # A dataset class name may be empty, so a detection's class may be too.
         file = tmp_path / "dets.jsonl"
@@ -790,7 +803,7 @@ class TestDetectionLines:
             ({"confidence": False}, "confidence: expected a number, got bool"),
         ],
     )
-    def test_lines_off_the_fast_path_keep_their_messages(self, tmp_path, changes, message):
+    def test_line_messages(self, tmp_path, changes, message):
         file = tmp_path / "dets.jsonl"
         file.write_text(dumps_jsonl_line(dict(minimal_detection(), **changes)) + "\n")
         if message is None:
