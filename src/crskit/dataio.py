@@ -291,18 +291,23 @@ def save_dataset(records: Iterable[ImageRecord], target: str | Path | TextIO) ->
         target.write(dumps_jsonl_line(record_to_dict(record)) + "\n")
 
 
+def _check_ids(image_id: Any, class_id: Any, line_no: int) -> None:
+    # A detection line's ids, checked alike on load and on save.
+    if not isinstance(image_id, str):
+        _fail(line_no, "image_id", "expected a string")
+    if not image_id:
+        _fail(line_no, "image_id", "expected a non-empty string")
+    if not isinstance(class_id, str):
+        _fail(line_no, "class_id", "expected a string")
+
+
 def load_detections(path: str | Path) -> list[Detection]:
     detections = []
     for line_no, data in _json_lines(path):
         if not isinstance(data, dict):
             _fail(line_no, "detection", "expected a JSON object")
         _require_keys(data, {"image_id", "class_id", "box", "confidence"}, line_no, "detection")
-        if not isinstance(data["image_id"], str):
-            _fail(line_no, "image_id", "expected a string")
-        if not data["image_id"]:
-            _fail(line_no, "image_id", "expected a non-empty string")
-        if not isinstance(data["class_id"], str):
-            _fail(line_no, "class_id", "expected a string")
+        _check_ids(data["image_id"], data["class_id"], line_no)
         confidence = _number(data["confidence"], line_no, "confidence")
         if not 0.0 <= confidence <= 1.0:
             _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
@@ -317,20 +322,17 @@ def load_detections(path: str | Path) -> list[Detection]:
     return detections
 
 
-def _json_id(value: Any) -> str:
-    return encode_basestring_ascii(value) if isinstance(value, str) else dumps_jsonl_line(value)
-
-
 def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
-    """Write each detection's line as it is made; an empty image_id fails as on load."""
+    """Write each detection's line as it is made; ids the loader refuses fail as on load."""
     with open(path, "w", encoding="utf-8") as handle:
         for line_no, det in enumerate(detections, start=1):
-            if det.image_id == "":
-                _fail(line_no, "image_id", "expected a non-empty string")
+            _check_ids(det.image_id, det.class_id, line_no)
             x1, y1, x2, y2 = det.box.as_tuple()
             handle.write(
-                f'{{"box":[{x1!r},{y1!r},{x2!r},{y2!r}],"class_id":{_json_id(det.class_id)},'
-                f'"confidence":{float(det.confidence)!r},"image_id":{_json_id(det.image_id)}}}\n'
+                f'{{"box":[{x1!r},{y1!r},{x2!r},{y2!r}],'
+                f'"class_id":{encode_basestring_ascii(det.class_id)},'
+                f'"confidence":{float(det.confidence)!r},'
+                f'"image_id":{encode_basestring_ascii(det.image_id)}}}\n'
             )
 
 

@@ -395,8 +395,9 @@ class EvalReport:
 def evaluate_picks(table: TruthTable, picks: Picks, *, ap_mode: str = "11pt") -> EvalReport:
     """Aggregate picked rows of ``table`` against its ground truth into an EvalReport.
 
-    ``picks`` maps each class to its picked rows, in pick order (the last
-    tie-break of the ranking), and their confidences. Every class with picks
+    ``picks`` maps each class to its picked rows, in pick order, and their
+    confidences. Pick order is the last tie-break of the ranking, after the
+    image, so only each image's own order matters. Every class with picks
     or named in the table's ground truth gets an AP; one without ground-truth
     boxes is absent, with AP 0 and no CorLoc.
     """

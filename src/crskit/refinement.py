@@ -20,9 +20,11 @@ threshold, and checks every score list it is given, the scorer's too. The run
 likewise matches every proposal against its image's ground truth once
 (``ground_truth_table``), in a table whose row r is stacked proposal r: the
 run's only record of ground truth. Each score table is one ``(N,)`` array per
-class, in the same row order; the per-image score lists that selection walks
-are slices of it. Every evaluation flattens the suppression survivors into
-table rows in pick order, gathers their confidences from those arrays and
+class, in the same row order, and no per-image table is kept: selection reads
+each positive class's slice of an image's rows. Every evaluation takes all
+suppression survivors as table rows from one ``selection.suppress_columns``
+pass over the arrays (one array step per rank position of each proposal-count
+block, classes stacked), gathers their confidences from the arrays and
 passes both to ``evaluation.evaluate_picks``, with no ``Detection`` objects;
 every purity count reads the table's candidate counts. Features never change
 either, so ``run_adr`` stacks them once into a private feature state
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from .selection import (
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
     rank_order,
     suppress,
+    suppress_columns,
     world_overlaps,
 )
 from .world import ImageRecord
@@ -403,40 +406,23 @@ def score_table(
     return _image_scores(world, _score_columns(world, scorer))
 
 
-def _survivors(
-    world: Sequence[ImageRecord],
-    scores: Mapping[str, Mapping[str, Sequence[float]]],
-    overlaps: Sequence[ImageOverlaps],
-) -> Iterator[tuple[int, str, list[int], Sequence[float]]]:
-    """Image position, class, suppression survivors and scores of every scored class.
-
-    Survivors are proposal positions in rank order, ``overlaps`` holds the
-    images' masks in order, and the scores must have been checked.
-    """
-    for position, (record, masks) in enumerate(zip(world, overlaps)):
-        for name, class_scores in scores[record.image_id].items():
-            kept = suppress(rank_order(class_scores, masks.by_id), masks.suppress)
-            yield position, name, kept, class_scores
-
-
 def detections_from_scores(
     world: Sequence[ImageRecord],
     scores: Mapping[str, Mapping[str, Sequence[float]]],
     nms_threshold: float,
 ) -> list[Detection]:
-    """Suppression survivors of every image and scored class, as detections."""
+    """Suppression survivors of every image and scored class, as detections.
+
+    Each image's classes may differ, so every (image, class) walks its own masks.
+    """
     _check_score_table(world, scores)
     # Only the suppression masks are read; any selection threshold will do.
     overlaps = world_overlaps(world, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
     return [
-        Detection(
-            image_id=world[position].image_id,
-            class_id=name,
-            box=world[position].proposals[i].box,
-            confidence=class_scores[i],
-        )
-        for position, name, kept, class_scores in _survivors(world, scores, overlaps)
-        for i in kept
+        Detection(record.image_id, name, record.proposals[i].box, class_scores[i])
+        for record, masks in zip(world, overlaps)
+        for name, class_scores in scores[record.image_id].items()
+        for i in suppress(rank_order(class_scores, masks.by_id), masks.suppress)
     ]
 
 
@@ -462,29 +448,24 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
         name: np.fromiter(chain.from_iterable(scores[r.image_id][name] for r in world), float)
         for name in scores[world[0].image_id]
     }
+    del scores  # selection reads slices of the columns
+    offsets = world.offsets.tolist()
 
     def evaluate(purity: float | None) -> EvalReport:
-        # Every image scores every class, so each class's survivors come one
-        # list per image, in world order: as table rows they are in pick order.
-        kept: dict[str, list[list[int]]] = {name: [] for name in columns}
-        for _, name, survivors, _ in _survivors(world, scores, overlaps):
-            kept[name].append(survivors)
-        picks = {}
-        for name, lists in kept.items():
-            lengths = np.fromiter(map(len, lists), dtype=int, count=len(lists))
-            rows = np.fromiter(chain.from_iterable(lists), dtype=int, count=int(lengths.sum()))
-            rows += np.repeat(table.offsets[:-1], lengths)
-            picks[name] = (rows, columns[name][rows])
+        picks = {
+            name: (rows, columns[name][rows])
+            for name, rows in suppress_columns(overlaps, columns).items()
+        }
         return replace(evaluate_picks(table, picks, ap_mode=config.ap_mode), purity=purity)
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):
         pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
-        for record, masks in zip(world, overlaps):
-            image_scores = scores[record.image_id]
+        for record, masks, start, end in zip(world, overlaps, offsets, offsets[1:]):
             picks = {
                 name: select_pseudo_gt(
-                    record, image_scores[name], config.count_target(record.counts[name]), masks
+                    record, columns[name][start:end].tolist(),
+                    config.count_target(record.counts[name]), masks,
                 )
                 for name in record.positive_classes()
             }
@@ -492,7 +473,6 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
                 pseudo_gt[record.image_id] = picks
         scorer = retrain_scorer(pseudo_gt, world, previous=scorer)
         columns = _score_columns(world, scorer)
-        scores = _image_scores(world, columns)
         purity_value = selection_purity(pseudo_gt, world, table)
         report.iterations.append(IterationReport(iteration, evaluate(purity_value)))
         corloc = report.iterations[-1].report.mean_corloc

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -627,23 +628,22 @@ CONFIDENCES = (
     | st.integers(0, 1)
     | st.sampled_from([-0.0, 5e-324, np.float32(0.1), np.float32(1.0)])
 )
-IDS = (
-    st.text(st.characters(exclude_categories=()), max_size=6)
-    | st.sampled_from(AWKWARD_IDS)
-    | st.sampled_from([1, True, 1.0])
-)
+IDS = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(AWKWARD_IDS)
 # An empty image_id is refused on save, as on load.
 IMAGE_IDS = IDS.filter(lambda name: name != "")
+# Equal keys with different JSON, which the loader refuses as ids, and so does the writer.
+NON_STRING_IDS = [1, True, 1.0]
+ANY_IDS = IDS | st.sampled_from(NON_STRING_IDS)
 
 
 @st.composite
-def detections(draw) -> Detection:
+def detections(draw, image_ids=IMAGE_IDS, class_ids=IDS) -> Detection:
     x1, x2 = sorted(draw(st.lists(CORNERS, min_size=2, max_size=2, unique_by=float)))
     y1, y2 = sorted(draw(st.lists(CORNERS, min_size=2, max_size=2, unique_by=float)))
     width, height = float(x2) - float(x1), float(y2) - float(y1)
     if not np.isfinite(width * height):  # keep the box, give it a finite height
         y1, y2 = 0.0, 1e-300
-    return Detection(draw(IMAGE_IDS), draw(IDS), Box(x1, y1, x2, y2), draw(CONFIDENCES))
+    return Detection(draw(image_ids), draw(class_ids), Box(x1, y1, x2, y2), draw(CONFIDENCES))
 
 
 def encoder_lines(dets: list[Detection]) -> str:
@@ -679,8 +679,7 @@ class TestDetectionWriter:
     def test_edge_values(self):
         box = Box(0, 0, 4, 10)
         dets = [Detection(name, name, box, 0.5) for name in AWKWARD_IDS]
-        # Equal keys, different JSON: none may be written as another.
-        dets += [Detection(name, "cat", box, 0.5) for name in (1, True, 1.0, "1")]
+        dets += [Detection("1", "cat", box, 0.5)]
         dets += [
             Detection("img", "cat", Box(-0.0, 5e-324, 1e300, 2e-300), 1),
             Detection("img", "cat", Box(-1e300, -0.0, 1e300, 5e-324), 0),
@@ -689,8 +688,30 @@ class TestDetectionWriter:
         ]
         text = saved_lines(dets)
         assert text == encoder_lines(dets)
-        for spelling in ("1", "true", "1.0", '"1"'):
-            assert f'"class_id":"cat","confidence":0.5,"image_id":{spelling}}}\n' in text
+        assert '"class_id":"cat","confidence":0.5,"image_id":"1"}\n' in text
+        # Equal keys, different JSON: each is refused, with the loader's message.
+        for name in NON_STRING_IDS:
+            for field in ("image_id", "class_id"):
+                bad = replace(Detection("img", "cat", box, 0.5), **{field: name})
+                with pytest.raises(DatasetError) as caught:
+                    saved_lines(dets + [bad])
+                assert str(caught.value) == f"line {len(dets) + 1}: {field}: expected a string"
+
+    @given(st.lists(detections(ANY_IDS, ANY_IDS), max_size=4))
+    def test_what_saves_loads_back(self, dets):
+        # A file the writer writes loads back equal; a list the loader would
+        # refuse fails on save, with the message loading it would give.
+        with tempfile.TemporaryDirectory() as directory:
+            file = Path(directory) / "dets.jsonl"
+            try:
+                save_detections(dets, file)
+            except DatasetError as refused:
+                file.write_text(encoder_lines(dets), encoding="utf-8")
+                with pytest.raises(DatasetError) as caught:
+                    load_detections(file)
+                assert str(caught.value) == str(refused)
+            else:
+                assert load_detections(file) == dets
 
 
 # Lines a JSON Lines file may hold; each parses as json.loads parses it.

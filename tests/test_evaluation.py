@@ -466,6 +466,40 @@ class TestAgainstReference:
             expected, buckets=reference_slices(detections, gt, **kwargs)
         )
 
+    @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])
+    @given(st.integers(0, 2**32 - 1))
+    def test_pick_order_matters_only_within_an_image(self, corloc_variant, ap_mode, seed):
+        # Ranking ties break by image rank before pick position, so picks may
+        # come image after image in any order, as long as each image keeps its own.
+        rng = np.random.default_rng(seed)
+
+        def grid(k):
+            return [(x, y, x + w, y + h) for x, y, w, h in rng.integers(1, 5, (k, 4)).tolist()]
+
+        images = []
+        for _ in range(rng.integers(1, 8)):
+            gt = {name: [Box(*b) for b in grid(rng.integers(0, 3))] for name in "xy"}
+            images.append((grid(rng.integers(0, 6)), gt))
+        # Image ids out of rank order; class "z" has no ground truth.
+        image_ids = [f"img_{k}" for k in rng.permutation(len(images))]
+        table = truth_table(image_ids, images, corloc_variant)
+        total = int(table.offsets[-1])
+        picks, permuted = {}, {}
+        for name in "xyz":
+            rows = rng.permutation(total)[: rng.integers(0, total + 1)]
+            # Confidences on a half grid tie within and across images.
+            picks[name] = rows, rng.integers(0, 3, len(rows)) / 2
+            image = np.searchsorted(table.offsets, rows, side="right") - 1
+            # The j-th pick of an image fills that image's j-th slot in a shuffled sequence.
+            slots = np.argsort(rng.permutation(image), kind="stable")
+            order = np.empty(len(rows), dtype=int)
+            order[slots] = np.argsort(image, kind="stable")
+            permuted[name] = rows[order], picks[name][1][order]
+            for k in range(len(images)):
+                assert np.array_equal(rows[order][image[order] == k], rows[image == k])
+        report = evaluation.evaluate_picks(table, picks, ap_mode=ap_mode)
+        assert evaluation.evaluate_picks(table, permuted, ap_mode=ap_mode) == report
+
     @pytest.mark.parametrize("count_guided", [True, False])
     @pytest.mark.parametrize("corloc_variant, ap_mode", [("iou50", "11pt"), ("center", "area")])
     def test_run_adr_evaluation(self, count_guided, corloc_variant, ap_mode):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from crskit import selection
@@ -25,6 +26,9 @@ from crskit.selection import (
     crs_exact,
     crs_greedy,
     nms,
+    rank_order,
+    suppress,
+    suppress_columns,
     world_overlaps,
 )
 from crskit.world import ImageRecord, Proposal, generate_world
@@ -404,6 +408,42 @@ class TestWorldOverlaps:
         empty_ious, _ = pairwise_overlaps(np.zeros((3, 0, 4)))
         assert empty_ious.shape == (3, 0, 0)
         assert conflict_masks(empty_ious, 0.5) == []
+
+
+class TestSuppressColumns:
+    """The class-stacked kernel keeps what the per-problem walk keeps."""
+
+    @given(
+        # Repeated proposal counts share a block; 65 gives masks wider than 64 bits.
+        st.lists(st.sampled_from([0, 1, 2, 5, 8, 65]), max_size=8),
+        st.integers(1, 4),
+        # Grid boxes often overlap exactly at these IoUs; at 1.0 only copies suppress.
+        st.sampled_from([0.25, 0.5, 1.0]),
+        # 1 puts every image in its own chunk; 200 stacks three images of 8 a chunk.
+        st.sampled_from([1, 200, PAIRS_PER_BATCH]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(list(TestWorldOverlaps.COUNTS), 4, 0.5, 200, 0)
+    def test_survivors_equal_the_walks(self, counts, classes, nms_threshold, batch, seed):
+        rng = np.random.default_rng(seed)
+        world = [grid_image(rng, f"img_{k}", n) for k, n in enumerate(counts)]
+        with mock.patch.object(selection, "PAIRS_PER_BATCH", batch):
+            overlaps = world_overlaps(world, nms_threshold, 0.1)
+        offsets = np.cumsum([0] + counts)
+        # Scores on a quarter grid tie within and across images.
+        columns = {f"c{c}": rng.integers(0, 5, offsets[-1]) / 4 for c in range(classes)}
+        kept = suppress_columns(overlaps, columns)
+        assert list(kept) == list(columns)
+        for name, rows in kept.items():
+            image = np.searchsorted(offsets, rows, side="right") - 1
+            for k, masks in enumerate(overlaps):
+                scores = columns[name][offsets[k] : offsets[k + 1]].tolist()
+                walked = suppress(rank_order(scores, masks.by_id), masks.suppress)
+                assert (rows[image == k] - offsets[k]).tolist() == walked, (name, k)
+
+    def test_no_classes_no_rows(self):
+        world = [grid_image(np.random.default_rng(3), "img_0", 5)]
+        assert suppress_columns(world_overlaps(world, 0.3, 0.1), {}) == {}
 
 
 class TestWorkedExample:
