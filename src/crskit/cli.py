@@ -43,8 +43,8 @@ from .selection import (
     crs_exact,
     crs_greedy,
     greedy_walk,
-    rank_order,
-    suppress,
+    suppress_columns,
+    survivors_by_image,
     world_overlaps,
 )
 from .world import DEFAULT_FEATURE_DIM, generate_world
@@ -174,39 +174,39 @@ def _write_report(args: argparse.Namespace, config: RefinementConfig, payload: d
     return 0
 
 
-def _write_per_class(args: argparse.Namespace, config: RefinementConfig, step) -> int:
-    """Report ``step(record, masks, scores, name)`` for each image's positive classes."""
-    images: dict[str, Any] = {}
+def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.input)
-    for record, masks in zip(world, world_overlaps(world, config.nms_threshold, config.threshold)):
-        images[record.image_id] = {
-            name: step(record, masks, [p.scores.get(name, 0.0) for p in record.proposals], name)
+    overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
+    kept = survivors_by_image(overlaps, suppress_columns(overlaps, score_table(world, None)))
+    images = {
+        record.image_id: {
+            name: [record.proposals[i].region_id for i in kept[name][k]]
             for name in record.positive_classes()
         }
+        for k, record in enumerate(world)
+    }
     return _write_report(args, config, {"format_version": dataio.FORMAT_VERSION, "images": images})
 
 
-def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
-    def survivors(record, masks, scores, name):
-        kept = suppress(rank_order(scores, masks.by_id), masks.suppress)
-        return [record.proposals[i].region_id for i in kept]
-
-    return _write_per_class(args, config, survivors)
-
-
 def cmd_select(args: argparse.Namespace, config: RefinementConfig) -> int:
-    def selection(record, masks, scores, name):
-        target = config.count_target(record.counts[name])
-        order = rank_order(scores, masks.by_id)
-        chosen, total = greedy_walk(order, scores, masks.conflict, target)
-        return {
-            "selected": [record.proposals[i].region_id for i in chosen],
-            "boxes": [list(record.proposals[i].box.as_tuple()) for i in chosen],
-            "total_score": total,
-            "complete": len(chosen) == target,
-        }
-
-    return _write_per_class(args, config, selection)
+    world = dataio.load_dataset(args.input)
+    images: dict[str, Any] = {}
+    for record, masks in zip(world, world_overlaps(world, config.nms_threshold, config.threshold)):
+        images[record.image_id] = selections = {}
+        for name in record.positive_classes():
+            scores = [p.scores.get(name, 0.0) for p in record.proposals]
+            target = config.count_target(record.counts[name])
+            # Rank order: by_id lists the positions by region_id, and the stable
+            # sort keeps that order among equal scores.
+            order = sorted(masks.by_id, key=scores.__getitem__, reverse=True)
+            chosen, total = greedy_walk(order, scores, masks.conflict, target)
+            selections[name] = {
+                "selected": [record.proposals[i].region_id for i in chosen],
+                "boxes": [list(record.proposals[i].box.as_tuple()) for i in chosen],
+                "total_score": total,
+                "complete": len(chosen) == target,
+            }
+    return _write_report(args, config, {"format_version": dataio.FORMAT_VERSION, "images": images})
 
 
 def _random_problem(
@@ -366,7 +366,9 @@ def cli_dispatch(argv: list[str]) -> int:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
         pkg_logger.addHandler(handler)
-        pkg_logger.setLevel(getattr(logging, level.upper(), logging.WARNING))
+        # Only a level name maps to a number; BASIC_FORMAT is an attribute, not a level.
+        number = logging.getLevelName(level.upper())
+        pkg_logger.setLevel(number if isinstance(number, int) else logging.WARNING)
     try:
         if not args.settings:  # report reads no run setting
             return args.func(args)

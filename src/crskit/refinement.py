@@ -12,26 +12,25 @@ the single top-scoring region per image and class.
 
 Boxes and ground truth never change during a run, and the suppression and
 selection thresholds are fixed by the run's config, so ``run_adr``, like every
-dataset-level caller, builds every image's conflict masks once, in one batched
-pass over the world (``selection.world_overlaps``), and every selection and
-evaluation of the run walks those masks in the current score order:
-``select_pseudo_gt`` takes an image's masks and count target, reads no
-threshold, and checks every score list it is given, the scorer's too. The run
-likewise matches every proposal against its image's ground truth once
-(``ground_truth_table``), in a table whose row r is stacked proposal r: the
-run's only record of ground truth. Each score table is one ``(N,)`` array per
-class, in the same row order, and no per-image table is kept: selection reads
-each positive class's slice of an image's rows. Every evaluation takes all
-suppression survivors as table rows from one ``selection.suppress_columns``
-pass over the arrays (one array step per rank position of each proposal-count
-block, classes stacked), gathers their confidences from the arrays and
-passes both to ``evaluation.evaluate_picks``, with no ``Detection`` objects;
-every purity count reads the table's candidate counts. Features never change
+dataset-level caller, builds every image's masks once, in one batched pass
+over the world (``selection.world_overlaps``). The run likewise matches every
+proposal against its image's ground truth once (``ground_truth_table``), in a
+table whose row r is stacked proposal r: the run's only record of ground
+truth. A score table (``score_table``) is one ``(N,)`` array per class, in the
+same row order; no per-image table is kept. Each table is suppressed once, by
+one ``selection.suppress_columns`` pass over the arrays (one array step per
+rank position of each proposal-count block, classes stacked), into every
+(image, class) survivor as table rows. Its evaluation gathers their
+confidences from the arrays and passes both to ``evaluation.evaluate_picks``,
+with no ``Detection`` objects; the next selection walks the same survivors
+image by image (``selection.survivors_by_image``): ``select_pseudo_gt`` takes
+an image's survivors, masks and count target, and reads no threshold. Every
+purity count reads the table's candidate counts. Features never change
 either, so ``run_adr`` stacks them once into a private feature state
-(``_Features``): each rescoring computes all of a class's scores in one stacked
-kernel, and retraining and purity map the selected regions to its rows, which
-retraining averages by index. ``run_adr`` checks the initial score table up
-front.
+(``_Features``): each rescoring computes all of a class's scores in one
+stacked kernel, and retraining and purity map the selected regions to its
+rows, which retraining averages by index. ``run_adr`` checks the initial
+score table up front, ``detections_from_scores`` the one it is given.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,9 +60,8 @@ from .selection import (
     _check_threshold,
     greedy_walk,
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
-    rank_order,
-    suppress,
     suppress_columns,
+    survivors_by_image,
     world_overlaps,
 )
 from .world import ImageRecord
@@ -222,7 +219,7 @@ def score_proposals(scorer: CentroidScorer, image: ImageRecord) -> dict[str, lis
     Returns score lists aligned with ``image.proposals``. Scores live in
     [0, 1]; a zero-norm feature or prototype scores a neutral 0.5.
     """
-    return score_table([image], scorer)[image.image_id]
+    return {name: column.tolist() for name, column in score_table([image], scorer).items()}
 
 
 def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
@@ -234,16 +231,6 @@ def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
     for score in class_scores:
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"{image.image_id}: score must be in [0, 1], got {score}")
-
-
-def _check_score_table(
-    world: Sequence[ImageRecord], scores: Mapping[str, Mapping[str, Sequence[float]]]
-) -> None:
-    for record in world:
-        if record.image_id not in scores:
-            raise ValueError(f"{record.image_id}: has no scores")
-        for class_scores in scores[record.image_id].values():
-            _check_scores(record, class_scores)
 
 
 def ground_truth_table(
@@ -262,19 +249,25 @@ def ground_truth_table(
 
 
 def select_pseudo_gt(
-    image: ImageRecord, class_scores: Sequence[float], target: int, overlaps: ImageOverlaps
+    image: ImageRecord,
+    class_scores: Sequence[float],
+    kept: Sequence[int],
+    target: int,
+    overlaps: ImageOverlaps,
 ) -> SelectionResult:
     """Pick pseudo ground truth for one image and class from current scores.
 
-    Suppression runs first, then count-constrained selection of up to
-    ``target`` regions (a run passes ``RefinementConfig.count_target``), both
-    walking ``overlaps``, the image's masks from the run's ``world_overlaps``.
-    An image without proposals yields an empty, incomplete result.
+    ``kept`` holds the class's suppression survivors in the image, positions
+    in rank order, as ``selection.survivors_by_image`` splits them from a
+    ``suppress_columns`` pass over the same scores. Count-constrained
+    selection of up to ``target`` regions (a run passes
+    ``RefinementConfig.count_target``) walks them over ``overlaps``, the
+    image's masks from the run's ``world_overlaps``. An image without
+    proposals yields an empty, incomplete result.
     """
     if isinstance(target, bool) or not isinstance(target, int) or target < 1:
         raise ValueError(f"{image.image_id}: target must be an int >= 1, got {target!r}")
     _check_scores(image, class_scores)
-    kept = suppress(rank_order(class_scores, overlaps.by_id), overlaps.suppress)
     chosen, total = greedy_walk(kept, class_scores, overlaps.conflict, target)
     selected = tuple(image.proposals[i].region_id for i in chosen)
     return SelectionResult(selected, total, complete=len(chosen) == target)
@@ -361,8 +354,19 @@ def selection_purity(
     return pure / total if total else None
 
 
-def _score_columns(world: Sequence[ImageRecord], scorer: CentroidScorer) -> dict[str, np.ndarray]:
-    """Every proposal's score per class, one ``(N,)`` array in stacked row order."""
+def score_table(
+    world: Sequence[ImageRecord], scorer: CentroidScorer | None
+) -> dict[str, np.ndarray]:
+    """Every proposal's score per class, one ``(N,)`` array in stacked row order.
+
+    Without a scorer each proposal's stored score is read, 0 for a class it
+    lacks, and every class the world counts gets an array.
+    """
+    if scorer is None:
+        return {
+            name: np.fromiter((p.scores.get(name, 0.0) for r in world for p in r.proposals), float)
+            for name in sorted({c for record in world for c in record.counts})
+        }
     features = _Features(world)
     bad = np.flatnonzero(features.dims != scorer.feature_dim)
     if bad.size:
@@ -380,49 +384,39 @@ def _score_columns(world: Sequence[ImageRecord], scorer: CentroidScorer) -> dict
     return columns
 
 
-def _image_scores(
-    world: Sequence[ImageRecord], columns: Mapping[str, np.ndarray]
-) -> dict[str, dict[str, list[float]]]:
-    """``columns`` as score lists per image and class, aligned with each image's proposals."""
-    offsets = np.cumsum([0] + [len(record.proposals) for record in world]).tolist()
-    lists = {name: column.tolist() for name, column in columns.items()}
-    return {
-        record.image_id: {name: scores[start:end] for name, scores in lists.items()}
-        for record, start, end in zip(world, offsets, offsets[1:])
-    }
-
-
-def score_table(
-    world: Sequence[ImageRecord], scorer: CentroidScorer | None
-) -> dict[str, dict[str, list[float]]]:
-    """Every proposal's score per image and class: its stored score without a scorer."""
-    if scorer is None:
-        # Initial scores come straight off the proposals.
-        classes = sorted({c for record in world for c in record.counts})
-        return {
-            r.image_id: {name: [p.scores.get(name, 0.0) for p in r.proposals] for name in classes}
-            for r in world
-        }
-    return _image_scores(world, _score_columns(world, scorer))
+def _check_columns(world: Sequence[ImageRecord], columns: Mapping[str, np.ndarray]) -> None:
+    """Refuse a column that is not one score in [0, 1] per proposal, naming where."""
+    total = sum(len(record.proposals) for record in world)
+    for name, column in columns.items():
+        if len(column) > total:
+            raise ValueError(f"{name}: got {len(column)} scores for {total} proposals")
+        if len(column) < total:
+            raise ValueError(f"{_Features(world).locate(len(column))} has no {name} score")
+        bad = np.flatnonzero(~((column >= 0.0) & (column <= 1.0)))  # NaN is bad too
+        if bad.size:
+            where, score = _Features(world).locate(bad[0]), column[bad[0]]
+            raise ValueError(f"{where}: {name} score must be in [0, 1], got {score}")
 
 
 def detections_from_scores(
-    world: Sequence[ImageRecord],
-    scores: Mapping[str, Mapping[str, Sequence[float]]],
-    nms_threshold: float,
+    world: Sequence[ImageRecord], columns: Mapping[str, np.ndarray], nms_threshold: float
 ) -> list[Detection]:
     """Suppression survivors of every image and scored class, as detections.
 
-    Each image's classes may differ, so every (image, class) walks its own masks.
+    ``columns`` holds one score per proposal of ``world`` for each class, as
+    ``score_table`` returns them. Detections come image by image, then class
+    by class, each class's in rank order.
     """
-    _check_score_table(world, scores)
-    # Only the suppression masks are read; any selection threshold will do.
+    _check_columns(world, columns)
+    # Only the suppression blocks are read; any selection threshold will do.
     overlaps = world_overlaps(world, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
+    kept = survivors_by_image(overlaps, suppress_columns(overlaps, columns))
+    scores = {name: column.tolist() for name, column in columns.items()}
     return [
-        Detection(record.image_id, name, record.proposals[i].box, class_scores[i])
-        for record, masks in zip(world, overlaps)
-        for name, class_scores in scores[record.image_id].items()
-        for i in suppress(rank_order(class_scores, masks.by_id), masks.suppress)
+        Detection(record.image_id, name, record.proposals[i].box, scores[name][start + i])
+        for k, (record, start) in enumerate(zip(world, overlaps.offsets.tolist()))
+        for name in columns
+        for i in kept[name][k]
     ]
 
 
@@ -442,29 +436,24 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     table = ground_truth_table(world, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
-    scores = score_table(world, scorer)
-    _check_score_table(world, scores)
-    columns = {
-        name: np.fromiter(chain.from_iterable(scores[r.image_id][name] for r in world), float)
-        for name in scores[world[0].image_id]
-    }
-    del scores  # selection reads slices of the columns
+    columns = score_table(world, scorer)
+    _check_columns(world, columns)
+    survivors = suppress_columns(overlaps, columns)
     offsets = world.offsets.tolist()
 
     def evaluate(purity: float | None) -> EvalReport:
-        picks = {
-            name: (rows, columns[name][rows])
-            for name, rows in suppress_columns(overlaps, columns).items()
-        }
+        picks = {name: (rows, columns[name][rows]) for name, rows in survivors.items()}
         return replace(evaluate_picks(table, picks, ap_mode=config.ap_mode), purity=purity)
 
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):
+        # Selection walks the survivors the last evaluation suppressed these scores to.
+        kept = survivors_by_image(overlaps, survivors)
         pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
-        for record, masks, start, end in zip(world, overlaps, offsets, offsets[1:]):
+        for k, (record, masks, start, end) in enumerate(zip(world, overlaps, offsets, offsets[1:])):
             picks = {
                 name: select_pseudo_gt(
-                    record, columns[name][start:end].tolist(),
+                    record, columns[name][start:end].tolist(), kept[name][k],
                     config.count_target(record.counts[name]), masks,
                 )
                 for name in record.positive_classes()
@@ -472,7 +461,8 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
             if picks:
                 pseudo_gt[record.image_id] = picks
         scorer = retrain_scorer(pseudo_gt, world, previous=scorer)
-        columns = _score_columns(world, scorer)
+        columns = score_table(world, scorer)
+        survivors = suppress_columns(overlaps, columns)
         purity_value = selection_purity(pseudo_gt, world, table)
         report.iterations.append(IterationReport(iteration, evaluate(purity_value)))
         corloc = report.iterations[-1].report.mean_corloc

@@ -11,12 +11,12 @@ verification oracle for the greedy path.
 Every solver only tests bits of per-region conflict masks (``conflict_masks``),
 which compare each overlap with the threshold once, when they are built.
 Dataset-level callers (refinement, ``crskit nms``/``select``) build all images'
-masks in one batched pass (``world_overlaps``) and walk them per image and class
-(``rank_order``, ``suppress``, ``greedy_walk``); a refinement evaluation instead
-suppresses a whole score table at once over that pass's proposal-count blocks
-(``suppress_columns``). ``nms``, ``crs_greedy`` and
-``crs_exact`` build the masks of one ``ScoredRegion`` problem, and ``crs_exact``
-finds directional insertion orders by peeling.
+masks in one batched pass (``world_overlaps``), suppress a whole score table at
+once over that pass's proposal-count blocks (``suppress_columns``, split per
+image by ``survivors_by_image``) and walk the masks per image and class
+(``greedy_walk``). ``nms``, ``crs_greedy`` and ``crs_exact``
+build the masks of one ``ScoredRegion`` problem, and ``crs_exact`` finds
+directional insertion orders by peeling.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ __all__ = [
     "ImageOverlaps",
     "conflict_masks",
     "world_overlaps",
-    "rank_order",
-    "suppress",
     "suppress_columns",
+    "survivors_by_image",
     "greedy_walk",
     "nms",
     "crs_greedy",
@@ -129,38 +128,38 @@ def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class ImageOverlaps:
-    """One image's proposal overlaps as conflict masks, indexed by proposal position.
+    """One image's selection conflict masks, indexed by proposal position.
 
     ``by_id`` lists the positions in region_id order (the rank tie-break).
-    ``suppress[i]`` marks the proposals whose IoU with proposal i reaches the
-    suppression threshold; ``conflict[j]`` marks the proposals that, once
-    selected, keep proposal j out because its directed overlap with them
-    reaches the selection threshold. The masks are the only record of the
-    thresholds ``world_overlaps`` built them at. See ``conflict_masks``.
+    ``conflict[j]`` marks the proposals that, once selected, keep proposal j
+    out because its directed overlap with them reaches the selection
+    threshold. The masks are the only record of the threshold
+    ``world_overlaps`` built them at. See ``conflict_masks``.
     """
 
     by_id: tuple[int, ...]
-    suppress: list[int]
     conflict: list[int]
 
 
 class _WorldOverlaps(list):
     """``world_overlaps``' per-image masks, with the ``blocks`` ``suppress_columns`` walks.
 
-    A block holds the m images of one proposal count n > 0: their first stacked
+    ``offsets`` holds each image's first stacked row, then the row count. A
+    block holds the m images of one proposal count n > 0: their first stacked
     rows ``(m,)``, their positions' ranks in region_id order ``(m, n)`` and
     ``hits`` ``(m, n, n)``, where ``hits[c, i, j]`` means keeping i suppresses j.
     """
 
-    def __init__(self, images: Iterable[ImageOverlaps], blocks: list) -> None:
+    def __init__(self, images: Iterable[ImageOverlaps], offsets: np.ndarray, blocks: list) -> None:
         super().__init__(images)
+        self.offsets = offsets
         self.blocks = blocks
 
 
 def world_overlaps(
     images: Sequence[ImageRecord], nms_threshold: float, threshold: float
 ) -> list[ImageOverlaps]:
-    """Every image's suppression and selection conflict masks, in order; thresholds in (0, 1].
+    """Every image's conflict masks in order, with the suppression blocks; thresholds in (0, 1].
 
     Images of equal proposal count are stacked, at most ``PAIRS_PER_BATCH``
     box pairs (or one image) a chunk, one ``pairwise_overlaps`` call each.
@@ -183,58 +182,40 @@ def world_overlaps(
             chunk = members[start : start + step]
             boxes = [p.box.as_tuple() for k in chunk for p in images[k].proposals]
             ious, directed = pairwise_overlaps(np.reshape(boxes, (len(chunk), n, 4)))
-            suppress = conflict_masks(ious, nms_threshold)
             # Row i of this transpose marks the proposals that keeping i suppresses.
             hits.append(~(ious.swapaxes(-1, -2) < nms_threshold))
             # Row j of each transpose holds the overlaps of every member with candidate j.
             conflict = conflict_masks(directed.swapaxes(-1, -2), threshold)
             for c, k in enumerate(chunk):
                 out[k] = ImageOverlaps(
-                    tuple(sorted(range(n), key=ids[k].__getitem__)),
-                    suppress[c * n : c * n + n], conflict[c * n : c * n + n],
+                    tuple(sorted(range(n), key=ids[k].__getitem__)), conflict[c * n : c * n + n]
                 )
         if n:
             by_id = np.array([out[k].by_id for k in members])
             blocks.append((starts[members], np.argsort(by_id, axis=-1), np.concatenate(hits)))
-    return _WorldOverlaps((out[k] for k in range(len(images))), blocks)
-
-
-def rank_order(scores: Sequence[float], by_id: Sequence[int]) -> list[int]:
-    """Positions in rank order: score descending, ties by region_id.
-
-    ``by_id`` lists the positions sorted by region_id; the stable sort keeps
-    that order among equal scores.
-    """
-    return sorted(by_id, key=scores.__getitem__, reverse=True)
-
-
-def suppress(order: Iterable[int], masks: Sequence[int]) -> list[int]:
-    """NMS walk: keep each position whose mask hits no position kept before it."""
-    kept = []
-    kept_mask = 0
-    for i in order:
-        if not masks[i] & kept_mask:
-            kept.append(i)
-            kept_mask |= 1 << i
-    return kept
+    return _WorldOverlaps((out[k] for k in range(len(images))), starts, blocks)
 
 
 def suppress_columns(
     overlaps: Sequence[ImageOverlaps], columns: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
-    """Every image's ``suppress`` survivors for every class, as stacked rows.
+    """Every image's suppression survivors for every class, as stacked rows.
 
     ``overlaps`` comes from ``world_overlaps`` and ``columns`` holds one score
-    per stacked row for each class. Each proposal-count block is ranked by one
-    ``lexsort`` with all classes stacked and walked one array step per rank
-    position, so the cost grows with the distinct proposal counts, not with
-    the images: at 5-21 proposals an image it beats the per-image walks from
-    about 150 images on. Rows come block by block, each image's in rank order.
+    per stacked row for each class. A survivor is a proposal whose IoU with
+    every higher-ranked survivor (score descending, ties by region_id) stays
+    below the threshold, as ``nms`` keeps them. Each proposal-count block is
+    ranked by one ``lexsort`` with all classes stacked and walked one array
+    step per rank position, so the cost grows with the distinct proposal
+    counts, not with the images: at 5-21 proposals an image it beats
+    per-image walks from about 150 images on. Rows come image by image in
+    world order, each image's in rank order.
     """
     if not columns:
         return {}
     names = list(columns)
-    parts = {name: [np.empty(0, dtype=np.intp)] for name in names}
+    # Each image's rank-ordered rows in its own row range, -1 where suppressed.
+    slots = np.full((len(names), overlaps.offsets[-1]), -1, dtype=np.intp)
     for starts, id_rank, hits in overlaps.blocks:
         m, n = id_rank.shape
         scores = np.stack([columns[name][starts[:, None] + np.arange(n)] for name in names])
@@ -244,10 +225,22 @@ def suppress_columns(
         for k in range(n):
             kept[:, k] = keep = ~suppressed[line, order[:, k]]
             suppressed |= hits[image, order[:, k]] & keep[:, None]
-        ranked = (order + starts[image][:, None]).reshape(len(names), m, n)
-        for name, rows, keep in zip(names, ranked, kept.reshape(ranked.shape)):
-            parts[name].append(rows[keep])
-    return {name: np.concatenate(rows) for name, rows in parts.items()}
+        ranked = np.where(kept, order + starts[image][:, None], -1)
+        slots[:, starts[:, None] + np.arange(n)] = ranked.reshape(len(names), m, n)
+    return {name: rows[rows >= 0] for name, rows in zip(names, slots)}
+
+
+def survivors_by_image(
+    overlaps: Sequence[ImageOverlaps], survivors: Mapping[str, np.ndarray]
+) -> dict[str, list[list[int]]]:
+    """``suppress_columns``' rows as each class's positions in each image, in rank order."""
+    offsets, out = overlaps.offsets, {}
+    for name, rows in survivors.items():
+        image = np.searchsorted(offsets, rows, side="right") - 1
+        bounds = np.searchsorted(image, np.arange(len(offsets))).tolist()
+        positions = (rows - offsets[image]).tolist()
+        out[name] = [positions[a:b] for a, b in zip(bounds, bounds[1:])]
+    return out
 
 
 def greedy_walk(
@@ -288,8 +281,13 @@ def nms(
     _check_threshold("iou_threshold", iou_threshold)
     ranked, boxes = _ranked(regions)
     ious, _ = pairwise_overlaps(boxes)
-    kept = suppress(range(len(ranked)), conflict_masks(ious, iou_threshold))
-    return [ranked[i] for i in kept]
+    kept = []
+    kept_mask = 0
+    for i, mask in enumerate(conflict_masks(ious, iou_threshold)):
+        if not mask & kept_mask:
+            kept.append(ranked[i])
+            kept_mask |= 1 << i
+    return kept
 
 
 def _ranked_conflicts(problem: SelectionProblem) -> tuple[list[ScoredRegion], list[int]]:

@@ -143,8 +143,9 @@ class TestNms:
     [([], 0.1, 3, True), (["--no-count-guided", "--k", "2", "--T", "0.3"], 0.3, 2, False)],
 )
 def test_nms_and_select_match_the_object_api(tmp_path, capsys, flags, T, k, count_guided):
-    # The commands walk each image's conflict masks once per image; the
-    # reference solves one ScoredRegion problem per image and positive class.
+    # nms suppresses the whole score table in one pass and select walks each
+    # image's conflict masks; the reference solves one ScoredRegion problem
+    # per image and positive class.
     world = generate_world(30, 3, seed=4)
     for record in world:
         # Positions run against region_id order and rounded scores often
@@ -752,3 +753,16 @@ def test_log_env_enables_progress_messages(tmp_path, monkeypatch, capsys):
     assert "generated 2 images" in capsys.readouterr().err
     # the handler is removed again after the invocation
     assert not logging.getLogger("crskit").handlers
+
+
+@pytest.mark.parametrize("name", ["basic_format", "nonsense", "warn"])
+def test_log_env_takes_only_level_names(tmp_path, monkeypatch, capsys, name):
+    # BASIC_FORMAT is a logging attribute but no level: like an unknown name,
+    # it falls back to WARNING instead of failing the command.
+    monkeypatch.setenv("CRSKIT_LOG", name)
+    code = cli_dispatch(["gen", "--images", "2", "--classes", "1",
+                         "--out", str(tmp_path / "w.jsonl")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert not logging.getLogger("crskit").handlers
+    assert logging.getLogger("crskit").level == logging.NOTSET

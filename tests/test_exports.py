@@ -86,7 +86,7 @@ SLOTTED = [
     SelectionResult((0,), 0.5, True),
     Proposal(0, BOX, {"cat": 0.5}),
     Detection("img", "cat", BOX, 0.5),
-    ImageOverlaps((0,), [1], [1]),
+    ImageOverlaps((0,), [1]),
     ClassTruth(hit=np.ones(1, dtype=bool), candidates=np.ones(1, dtype=int), matches={0: [0]}),
 ]
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from crskit import refinement
 from crskit.evaluation import Detection
 from crskit.geometry import Box, asymmetric_overlap, iou
 from crskit.refinement import (
@@ -33,6 +34,8 @@ from crskit.selection import (
     SelectionResult,
     crs_greedy,
     nms,
+    suppress_columns,
+    survivors_by_image,
     world_overlaps,
 )
 from crskit.world import ImageRecord, Proposal, generate_world
@@ -51,9 +54,22 @@ def trained_scorer(world) -> CentroidScorer:
 
 
 def select(image, name, scores, config):
-    """``select_pseudo_gt`` as a run calls it: the image's masks, then its count target."""
-    masks = world_overlaps([image], config.nms_threshold, config.threshold)[0]
-    return select_pseudo_gt(image, scores, config.count_target(image.counts[name]), masks)
+    """``select_pseudo_gt`` as a run calls it: the image's survivors of one
+    ``suppress_columns`` pass, then its count target and masks."""
+    overlaps = world_overlaps([image], config.nms_threshold, config.threshold)
+    survivors = suppress_columns(overlaps, {name: np.array(scores, dtype=float)})
+    kept = survivors_by_image(overlaps, survivors)[name][0]
+    target = config.count_target(image.counts[name])
+    return select_pseudo_gt(image, scores, kept, target, overlaps[0])
+
+
+def image_lists(world, columns):
+    """A ``score_table`` cut into each image's score lists, by image_id and class."""
+    offsets = np.cumsum([0] + [len(record.proposals) for record in world]).tolist()
+    return {
+        record.image_id: {name: column[start:end].tolist() for name, column in columns.items()}
+        for record, start, end in zip(world, offsets, offsets[1:])
+    }
 
 
 def one_image(proposals, count=1) -> ImageRecord:
@@ -237,7 +253,7 @@ class TestBatchedKernel:
         prototypes = {"cat": features[1:60].mean(axis=0), "dog": features[100], "cow": np.zeros(16)}
         scorer = CentroidScorer(prototypes, feature_dim=16)
         world = feature_world(features)
-        table = score_table(world, scorer)
+        table = image_lists(world, score_table(world, scorer))
         for image in world:
             expected = reference_scores(scorer, image)
             for name, scores in table[image.image_id].items():
@@ -247,14 +263,14 @@ class TestBatchedKernel:
 
     def test_table_equals_per_image_scores(self, canonical_world):
         scorer = trained_scorer(canonical_world)
-        table = score_table(canonical_world, scorer)
+        table = image_lists(canonical_world, score_table(canonical_world, scorer))
         assert table == {r.image_id: score_proposals(scorer, r) for r in canonical_world}
         assert table == {r.image_id: reference_scores(scorer, r) for r in canonical_world}
 
     @pytest.mark.parametrize("count_guided", [True, False])
     def test_indexed_mean_matches_per_row_mean(self, canonical_world, count_guided):
         config = RefinementConfig(count_guided=count_guided)
-        scores, scorer = score_table(canonical_world, None), None
+        scores, scorer = image_lists(canonical_world, score_table(canonical_world, None)), None
         for _ in range(2):
             pseudo_gt = {
                 r.image_id: {
@@ -272,7 +288,7 @@ class TestBatchedKernel:
                     for region_id in pseudo_gt[r.image_id][name].selected
                 ]
                 assert prototype.tobytes() == np.mean(rows, axis=0).tobytes()
-            scores = score_table(canonical_world, scorer)
+            scores = image_lists(canonical_world, score_table(canonical_world, scorer))
 
     def test_feature_too_large_to_score_is_located(self):
         scorer = CentroidScorer({"cat": np.ones(2)}, feature_dim=2)
@@ -289,17 +305,18 @@ class TestBatchedKernel:
         assert str(info.value) == "img_0: proposal 1 has a feature too large to score"
 
 
-def test_stored_scores_are_the_proposals_own_objects():
-    # Without a scorer the lists hold each proposal's own score objects, not
-    # copies. Building them through _score_columns and tolist() would make a
-    # new float per proposal: about 1 MB more peak memory on the cli benchmark,
-    # whose set-up calls score_table(images, None). So that path stays separate.
+def test_stored_scores_fill_every_counted_class():
+    # Without a scorer each row holds its proposal's stored score, 0 for a
+    # class it has no score for, and every class any image counts gets a
+    # column, so every image has the same classes.
     world = generate_world(5, 3, seed=6)
+    world[1].counts["ghost"] = 0
+    del world[2].proposals[0].scores["class_0"]
     table = score_table(world, None)
-    for record in world:
-        for name, scores in table[record.image_id].items():
-            assert len(scores) == len(record.proposals)
-            assert all(s is p.scores[name] for s, p in zip(scores, record.proposals))
+    assert list(table) == ["class_0", "class_1", "class_2", "ghost"]
+    for name, column in table.items():
+        assert column.dtype == float
+        assert column.tolist() == [p.scores.get(name, 0.0) for r in world for p in r.proposals]
 
 
 class TestSelectPseudoGt:
@@ -355,7 +372,7 @@ class TestSelectPseudoGt:
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
         masks = world_overlaps([image], 0.3, 0.1)[0]
         with pytest.raises(ValueError) as caught:
-            select_pseudo_gt(image, [0.9], target, masks)
+            select_pseudo_gt(image, [0.9], [0], target, masks)
         assert str(caught.value) == f"img_0: target must be an int >= 1, got {target!r}"
 
     def test_score_alignment_checked(self):
@@ -396,9 +413,11 @@ class TestSelectPseudoGt:
         # rank the proposals differently over the same masks.
         world = generate_world(30, 3, seed=12)
         config = RefinementConfig(count_guided=count_guided)
-        table = score_table(world, trained_scorer(world) if rescored else None)
+        columns = score_table(world, trained_scorer(world) if rescored else None)
+        table = image_lists(world, columns)
         overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
-        for record, masks in zip(world, overlaps):
+        kept = survivors_by_image(overlaps, suppress_columns(overlaps, columns))
+        for k, (record, masks) in enumerate(zip(world, overlaps)):
             for name in record.positive_classes():
                 scores = table[record.image_id][name]
                 regions = [
@@ -411,7 +430,7 @@ class TestSelectPseudoGt:
                         tuple(nms(regions, config.nms_threshold)), target, config.threshold
                     )
                 )
-                result = select_pseudo_gt(record, scores, target, masks)
+                result = select_pseudo_gt(record, scores, kept[name][k], target, masks)
                 assert result == expected
 
 
@@ -419,8 +438,9 @@ class TestDetectionsFromScores:
     @pytest.mark.parametrize("rescored", [False, True])
     def test_matches_public_nms(self, rescored):
         world = generate_world(20, 3, seed=5)
-        scores = score_table(world, trained_scorer(world) if rescored else None)
-        detections = detections_from_scores(world, scores, 0.3)
+        columns = score_table(world, trained_scorer(world) if rescored else None)
+        detections = detections_from_scores(world, columns, 0.3)
+        scores = image_lists(world, columns)
         expected = [
             (record.image_id, name, region.box, region.score)
             for record in world
@@ -436,18 +456,37 @@ class TestDetectionsFromScores:
         assert [(d.image_id, d.class_id, d.box, d.confidence) for d in detections] == expected
 
     def test_out_of_range_score_rejected(self):
+        # The first bad score is located at its image and proposal.
         world = generate_world(3, 2, seed=1)
-        scores = score_table(world, None)
-        name = next(iter(scores[world[1].image_id]))
-        scores[world[1].image_id][name][0] = 1.5
-        with pytest.raises(ValueError, match="score must be in"):
-            detections_from_scores(world, scores, 0.3)
+        region_id = world[1].proposals[1].region_id
+        for bad in (1.5, -0.25, math.nan):
+            columns = score_table(world, None)
+            name = list(columns)[1]
+            columns[name][len(world[0].proposals) + 1] = bad
+            columns[name][-1] = 2.0
+            with pytest.raises(ValueError) as caught:
+                detections_from_scores(world, columns, 0.3)
+            assert str(caught.value) == (
+                f"{world[1].image_id}: proposal {region_id}: {name} score must be in [0, 1], "
+                f"got {bad}"
+            )
 
-    def test_image_without_scores_is_named(self):
+    def test_short_column_is_located(self):
+        # A column that stops early names the first proposal without a score.
         world = generate_world(2, 2, seed=1)
+        columns = score_table(world, None)
+        name = list(columns)[1]
+        full = columns[name]
+        columns[name] = full[: len(world[0].proposals)]
         with pytest.raises(ValueError) as caught:
-            detections_from_scores(world, {}, 0.3)
-        assert str(caught.value) == f"{world[0].image_id}: has no scores"
+            detections_from_scores(world, columns, 0.3)
+        region_id = world[1].proposals[0].region_id
+        assert str(caught.value) == f"{world[1].image_id}: proposal {region_id} has no {name} score"
+        # One past the last proposal has no proposal to name.
+        columns[name] = np.append(full, 0.5)
+        with pytest.raises(ValueError) as caught:
+            detections_from_scores(world, columns, 0.3)
+        assert str(caught.value) == f"{name}: got {len(full) + 1} scores for {len(full)} proposals"
 
 
 class TestRetrain:
@@ -548,6 +587,21 @@ class TestRunAdr:
         world[2].proposals[0].scores["ghost"] = 1.5
         with pytest.raises(ValueError, match="score must be in"):
             run_adr(world, RefinementConfig(iterations=1))
+
+    @pytest.mark.parametrize("count_guided", [True, False])
+    def test_each_score_table_is_suppressed_once(self, monkeypatch, count_guided):
+        # Selection walks the survivors its evaluation suppressed the same table to.
+        tables = []
+
+        def counted(overlaps, columns):
+            tables.append(columns)
+            return suppress_columns(overlaps, columns)
+
+        monkeypatch.setattr(refinement, "suppress_columns", counted)
+        world = generate_world(12, 2, seed=3)
+        run_adr(world, RefinementConfig(iterations=3, count_guided=count_guided))
+        assert len(tables) == 3 + 1
+        assert len({id(table) for table in tables}) == len(tables)
 
     def test_image_without_proposals(self):
         world = generate_world(8, 2, seed=9)
@@ -679,7 +733,7 @@ class TestGroundTruthTable:
     def test_purity_matches_is_pure_on_real_selections(self, count_guided):
         world = generate_world(30, 3, seed=13)
         config = RefinementConfig(count_guided=count_guided)
-        scores = score_table(world, None)
+        scores = image_lists(world, score_table(world, None))
         pseudo_gt = {
             record.image_id: {
                 name: select(record, name, scores[record.image_id][name], config)

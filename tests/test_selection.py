@@ -26,9 +26,8 @@ from crskit.selection import (
     crs_exact,
     crs_greedy,
     nms,
-    rank_order,
-    suppress,
     suppress_columns,
+    survivors_by_image,
     world_overlaps,
 )
 from crskit.world import ImageRecord, Proposal, generate_world
@@ -373,16 +372,30 @@ class TestWorldOverlaps:
             ids = [p.region_id for p in image.proposals]
             n = len(boxes)
             assert [ids[i] for i in masks.by_id] == sorted(ids)
-            assert masks.suppress == [
-                sum(1 << k for k in range(n) if iou(boxes[i], boxes[k]) >= 0.3)
-                for i in range(n)
-            ]
             # conflict[j] marks the members k that keep candidate j out.
             assert masks.conflict == [
                 sum(1 << k for k in range(n) if asymmetric_overlap(boxes[k], boxes[j]) >= 0.5)
                 for j in range(n)
             ]
             assert world_overlaps([image], 0.3, 0.5)[0] == masks
+        offsets = np.cumsum([0] + [len(image.proposals) for image in world])
+        assert overlaps.offsets.tolist() == offsets.tolist()
+        blocked = []
+        for starts, id_rank, hits in overlaps.blocks:
+            assert id_rank.shape == hits.shape[:2] == (len(starts), hits.shape[2])
+            for first, ranks, image_hits in zip(starts.tolist(), id_rank, hits):
+                # The image that starts at this row; an empty image before it starts there too.
+                k = int(np.searchsorted(offsets, first, side="right")) - 1
+                blocked.append(k)
+                boxes = [p.box for p in world[k].proposals]
+                ids = [p.region_id for p in world[k].proposals]
+                assert ranks.tolist() == [sorted(ids).index(i) for i in ids]
+                # hits[i, j]: keeping i suppresses candidate j.
+                assert image_hits.tolist() == [
+                    [iou(boxes[j], boxes[i]) >= 0.3 for j in range(len(boxes))]
+                    for i in range(len(boxes))
+                ]
+        assert sorted(blocked) == [k for k, image in enumerate(world) if image.proposals]
 
     def test_first_duplicate_in_world_order_is_named(self):
         rng = np.random.default_rng(12)
@@ -411,7 +424,7 @@ class TestWorldOverlaps:
 
 
 class TestSuppressColumns:
-    """The class-stacked kernel keeps what the per-problem walk keeps."""
+    """The class-stacked kernel keeps what the per-problem ``nms`` keeps."""
 
     @given(
         # Repeated proposal counts share a block; 65 gives masks wider than 64 bits.
@@ -434,12 +447,21 @@ class TestSuppressColumns:
         columns = {f"c{c}": rng.integers(0, 5, offsets[-1]) / 4 for c in range(classes)}
         kept = suppress_columns(overlaps, columns)
         assert list(kept) == list(columns)
+        by_image = survivors_by_image(overlaps, kept)
         for name, rows in kept.items():
-            image = np.searchsorted(offsets, rows, side="right") - 1
-            for k, masks in enumerate(overlaps):
+            expected = []
+            for k, image in enumerate(world):
                 scores = columns[name][offsets[k] : offsets[k + 1]].tolist()
-                walked = suppress(rank_order(scores, masks.by_id), masks.suppress)
-                assert (rows[image == k] - offsets[k]).tolist() == walked, (name, k)
+                position = {p.region_id: i for i, p in enumerate(image.proposals)}
+                regions = [
+                    ScoredRegion(p.box, s, p.region_id) for p, s in zip(image.proposals, scores)
+                ]
+                expected.append([position[r.region_id] for r in nms(regions, nms_threshold)])
+            assert by_image[name] == expected, name
+            # Image by image in world order, each image's survivors in rank order.
+            assert rows.tolist() == [
+                offsets[k] + i for k, positions in enumerate(expected) for i in positions
+            ]
 
     def test_no_classes_no_rows(self):
         world = [grid_image(np.random.default_rng(3), "img_0", 5)]
