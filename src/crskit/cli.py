@@ -25,7 +25,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -281,10 +281,19 @@ def cmd_refine(args: argparse.Namespace, config: RefinementConfig) -> int:
     return 0
 
 
+def _load(flag: str, loader: Callable[[str], Any], path: str) -> Any:
+    """Run one of ``eval``'s loaders; its data errors name the flag of the file."""
+    try:
+        return loader(path)
+    except DatasetError as exc:
+        raise DatasetError(f"{flag}: {exc}") from exc
+
+
 def cmd_eval(args: argparse.Namespace, config: RefinementConfig) -> int:
-    detections = dataio.load_detections(args.detections)
-    world = dataio.load_dataset(args.dataset)
-    gt = {record.image_id: dict(record.gt_boxes) for record in world}
+    # Only the ground truth outlives the records, so the world is gone before
+    # the detections are read.
+    gt = {r.image_id: r.gt_boxes for r in _load("--dataset", dataio.load_dataset, args.dataset)}
+    detections = _load("--detections", dataio.load_detections, args.detections)
     report = (slice_by_count if args.by_count else build_report)(
         detections, gt, corloc_variant=config.corloc_variant, ap_mode=config.ap_mode
     )

@@ -303,18 +303,20 @@ def _check_ids(image_id: Any, class_id: Any, line_no: int) -> None:
 
 def load_detections(path: str | Path) -> list[Detection]:
     detections = []
+    ids: dict[str, str] = {}  # one string per distinct id, not one per line
     for line_no, data in _json_lines(path):
         if not isinstance(data, dict):
             _fail(line_no, "detection", "expected a JSON object")
         _require_keys(data, {"image_id", "class_id", "box", "confidence"}, line_no, "detection")
-        _check_ids(data["image_id"], data["class_id"], line_no)
+        image_id, class_id = data["image_id"], data["class_id"]
+        _check_ids(image_id, class_id, line_no)
         confidence = _number(data["confidence"], line_no, "confidence")
         if not 0.0 <= confidence <= 1.0:
             _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
         detections.append(
             Detection(
-                image_id=data["image_id"],
-                class_id=data["class_id"],
+                image_id=ids.setdefault(image_id, image_id),
+                class_id=ids.setdefault(class_id, class_id),
                 box=_box(data["box"], line_no, "box"),
                 confidence=confidence,
             )

@@ -7,11 +7,12 @@ import json
 import logging
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from crskit import evaluation
+from crskit import dataio, evaluation
 from crskit.cli import build_parser, cli_dispatch
 from crskit.dataio import (
     CONFIG_KEYS,
@@ -311,6 +312,44 @@ class TestRefineAndEval:
         assert code == 0
         del payload["buckets"]
         assert payload == json.loads(plain)
+
+    def test_eval_drops_the_records_before_reading_detections(
+        self, small_dataset, tmp_path, capsys, monkeypatch
+    ):
+        dets_path = tmp_path / "dets.jsonl"
+        run(capsys, "refine", "--input", str(small_dataset), "--iterations", "1",
+            "--seed", "3", "--out", str(tmp_path / "r.json"),
+            "--detections-out", str(dets_path))
+        records = []
+        read_dataset, read_detections = dataio.load_dataset, dataio.load_detections
+
+        def tracked(path):
+            world = read_dataset(path)
+            records.extend(weakref.ref(record) for record in world)
+            return world
+
+        def checked(path):
+            # The dataset was read first, and none of its records is alive.
+            assert records and all(ref() is None for ref in records)
+            return read_detections(path)
+
+        monkeypatch.setattr(dataio, "load_dataset", tracked)
+        monkeypatch.setattr(dataio, "load_detections", checked)
+        code, _, _ = run(capsys, "eval", "--detections", str(dets_path),
+                         "--dataset", str(small_dataset), "--by-count")
+        assert code == 0
+
+    def test_equal_detection_ids_are_one_string(self, small_dataset, tmp_path, capsys):
+        dets_path = tmp_path / "dets.jsonl"
+        run(capsys, "refine", "--input", str(small_dataset), "--iterations", "1",
+            "--seed", "3", "--out", str(tmp_path / "r.json"),
+            "--detections-out", str(dets_path))
+        detections = load_detections(dets_path)
+        ids = {}
+        for d in detections:
+            for value in (d.image_id, d.class_id):
+                assert ids.setdefault(value, value) is value
+        assert len(ids) < len(detections)
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
     def test_evaluation_settings_reach_the_refinement(self, tmp_path, capsys, from_file):
@@ -693,6 +732,34 @@ class TestExitCodes:
         code, _, err = run(capsys, command, "--input", str(path))
         assert code == 1
         assert err.startswith("error: line 1: proposals[0].box[2]: expected a finite number")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"dataset"}, "error: --dataset: line 1: malformed JSON: "),
+            ({"detections"}, "error: --detections: line 2: box: degenerate box "),
+            # The dataset is read first, so its error is the one reported.
+            ({"dataset", "detections"}, "error: --dataset: line 1: malformed JSON: "),
+        ],
+    )
+    def test_eval_data_errors_name_their_file(self, small_dataset, tmp_path, capsys,
+                                              bad, message):
+        detection = {"image_id": "img_0000", "class_id": "class_0",
+                     "box": [0.0, 0.0, 10.0, 10.0], "confidence": 0.5}
+        dets = [detection]
+        if "detections" in bad:
+            dets.append({**detection, "box": [10.0, 0.0, 0.0, 10.0]})
+        dets_path = tmp_path / "dets.jsonl"
+        dets_path.write_text("".join(json.dumps(d) + "\n" for d in dets))
+        dataset = small_dataset
+        if "dataset" in bad:
+            dataset = tmp_path / "bad.jsonl"
+            dataset.write_text("{not json\n")
+        code, out, err = run(capsys, "eval", "--detections", str(dets_path),
+                             "--dataset", str(dataset))
+        assert (code, out) == (1, "")
+        assert err.startswith(message), err
+        assert err.count("error:") == 1
 
     @pytest.mark.parametrize("command", ["nms", "select"])
     def test_overflowing_box_exits_one_without_warnings(self, tmp_path, capsys, command):
