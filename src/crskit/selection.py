@@ -356,12 +356,16 @@ def crs_exact(
     Returns the highest-scoring feasible set of up to ``count`` regions; ties
     prefer larger sets, then the rank-lexicographically earliest. A depth-first
     search extends sets in that order while they stay feasible (feasibility is
-    hereditary in both modes) and skips a branch only when its total plus the
-    next scores in rank order, added one at a time, is strictly below the best,
-    so no tie is skipped. Feasibility tests bits of the conflict masks
-    ``crs_greedy`` walks. "symmetric" ``constraint_mode`` requires the directed
-    overlap below the threshold for both orders of every pair, "directional"
-    only that some insertion order exists, found by peeling
+    hereditary in both modes). A child's bound is the set's total plus the
+    scores from the child on in rank order, as many as the set has room for,
+    added one at a time; a node's child loop stops, before any feasibility
+    test, at the first child whose bound is strictly below the best, so no tie
+    is cut. No later sibling's bound is higher: ranked scores never rise,
+    scores are >= 0 so a window cut short by the list's end only lowers it,
+    and rounded addition is monotone. Feasibility tests bits of the conflict
+    masks ``crs_greedy`` walks. "symmetric" ``constraint_mode`` requires the
+    directed overlap below the threshold for both orders of every pair,
+    "directional" only that some insertion order exists, found by peeling
     (``_feasible_order``). Greedy admits members in rank order only, so
     directional is a looser upper bound on it: it can admit a high-scoring
     merged hull after the tight boxes inside it, an order greedy never tries
@@ -381,12 +385,12 @@ def crs_exact(
     best: list = [(-scores[0], -1, (0,)), (0,)]  # singletons are always feasible
 
     def extend(combo: tuple[int, ...], total: float, start: int, room: int) -> None:
-        bound = total
-        for s in scores[start : start + room]:
-            bound += s
-        if bound < -best[0][0]:
-            return
         for i in range(start, n):
+            bound = total
+            for s in scores[i : i + room]:
+                bound += s
+            if bound < -best[0][0]:
+                return  # no later child's bound is higher
             grown = combo + (i,)
             if (order := _feasible_order(grown, masks, symmetric)) is None:
                 continue

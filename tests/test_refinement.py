@@ -380,6 +380,25 @@ class TestSelectPseudoGt:
         with pytest.raises(ValueError):
             select(image, "cat", [0.9, 0.1], RefinementConfig())
 
+    def test_nan_score_is_named(self):
+        # A NaN fails every comparison; the check names it, not the one after it.
+        boxes = [Box(20.0 * i, 0, 20.0 * i + 10, 10) for i in range(3)]
+        image = one_image([proposal(i, b, 0.5) for i, b in enumerate(boxes)])
+        masks = world_overlaps([image], 0.3, 0.1)[0]
+        with pytest.raises(ValueError, match=r"^img_0: score must be in \[0, 1\], got nan$"):
+            select_pseudo_gt(image, [0.5, math.nan, 0.7], [0, 1, 2], 1, masks)
+
+    @pytest.mark.parametrize("array", [list, np.array], ids=["list", "array"])
+    def test_score_check_takes_lists_and_arrays(self, array):
+        refinement._check_scores(one_image([]), array([]))
+        boxes = [Box(20.0 * i, 0, 20.0 * i + 10, 10) for i in range(3)]
+        image = one_image([proposal(i, b, 0.5) for i, b in enumerate(boxes)])
+        refinement._check_scores(image, array([0.0, 1.0, 0.5]))
+        for bad in (1.5, -0.25, math.inf):
+            message = f"^img_0: score must be in \\[0, 1\\], got {bad}$"
+            with pytest.raises(ValueError, match=message):
+                refinement._check_scores(image, array([0.5, bad, 0.7]))
+
     def test_no_proposals_gives_empty_incomplete_result(self):
         image = one_image([], count=2)
         result = select(image, "cat", [], RefinementConfig())

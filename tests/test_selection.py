@@ -181,6 +181,25 @@ def tie_problem(rng: np.random.Generator) -> SelectionProblem:
     return SelectionProblem(tuple(regions), count, float(rng.choice([0.05, 1.0])))
 
 
+def large_problem(rng: np.random.Generator, few_scores: bool) -> SelectionProblem:
+    """13 to 20 regions and a count of 1 to 4: the deep searches. With few
+    distinct scores the integer-grid boxes crowd a smaller canvas, so sets
+    often stay below the count and many tie exactly."""
+    n = int(rng.integers(13, 21))
+    canvas = 8 if few_scores else 30
+    regions = []
+    for rid in rng.permutation(n):
+        x, y = (float(v) for v in rng.integers(0, canvas, 2))
+        w, h = (float(v) for v in rng.integers(2, 15, 2))
+        if few_scores:
+            score = float(rng.choice([0.0, 0.1, 0.2, 0.3, 0.5]))
+        else:
+            score = float(rng.uniform(0, 1))
+        regions.append(ScoredRegion(Box(x, y, x + w, y + h), score, int(rid)))
+    count = int(rng.integers(1, 5))
+    return SelectionProblem(tuple(regions), count, float(rng.choice([0.1, 0.3, 1.0])))
+
+
 def real_problems(threshold: float, count_cap: int = 3) -> list[SelectionProblem]:
     """The post-NMS problems refinement solves on a small world's initial scores."""
     problems = []
@@ -549,6 +568,20 @@ class TestAgainstBruteForce:
                 expected.complete,
             )
 
+    @pytest.mark.parametrize("mode", ["directional", "symmetric"])
+    def test_exact_matches_reference_solver_on_large_problems(self, mode):
+        # Deep searches, where the sibling cut skips the most children.
+        rng = np.random.default_rng(2718)
+        for index in range(40):
+            problem = large_problem(rng, few_scores=index % 2 == 1)
+            expected = reference_exact(problem, mode)
+            result = crs_exact(problem, constraint_mode=mode)
+            assert (result.selected, result.total_score.hex(), result.complete) == (
+                expected.selected,
+                expected.total_score.hex(),
+                expected.complete,
+            )
+
     def test_greedy_never_beats_brute_force(self):
         rng = np.random.default_rng(1337)
         for _ in range(150):
@@ -558,6 +591,44 @@ class TestAgainstBruteForce:
             )
             result = crs_greedy(problem)
             assert result.total_score <= expected + 1e-9
+
+
+class TestExactSearchWork:
+    """Result tests cannot see pruning, so these pin where the search stops."""
+
+    def test_children_below_the_best_are_not_entered(self, monkeypatch):
+        # Every later singleton scores below the top one, so the root's loop
+        # stops at its second child, before its feasibility test, instead of
+        # testing all 20.
+        regions = tuple(
+            ScoredRegion(Box(20.0 * i, 0, 20.0 * i + 10, 10), 1.0 - 0.01 * i, i)
+            for i in range(20)
+        )
+        calls = []
+        feasible_order = selection._feasible_order
+
+        def counting(members, *args):
+            calls.append(members)
+            return feasible_order(members, *args)
+
+        monkeypatch.setattr(selection, "_feasible_order", counting)
+        result = crs_exact(SelectionProblem(regions, count=1))
+        assert result.selected == (0,)
+        assert calls == [(0,)]
+
+    @pytest.mark.parametrize("mode", ["directional", "symmetric"])
+    @pytest.mark.parametrize("score", [0.0, 0.5])
+    def test_tied_children_are_entered(self, mode, score):
+        # All scores equal, so a full window's bound ties the best: the strict
+        # test must enter it. At 0.0 every set ties the top singleton, and
+        # only entering the tied children finds the larger sets.
+        rng = np.random.default_rng(31)
+        regions = tuple(
+            ScoredRegion(Box(x, y, x + 8.0, y + 8.0), score, i)
+            for i, (x, y) in enumerate(rng.integers(0, 24, (12, 2)).astype(float).tolist())
+        )
+        problem = SelectionProblem(regions, count=4, threshold=0.3)
+        assert crs_exact(problem, constraint_mode=mode) == reference_exact(problem, mode)
 
 
 class TestResultInvariants:
