@@ -191,15 +191,16 @@ def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
 def cmd_select(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.input)
     images: dict[str, Any] = {}
-    for record, masks in zip(world, world_overlaps(world, config.nms_threshold, config.threshold)):
+    overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
+    for record, masks in zip(world, overlaps.conflict):
         images[record.image_id] = selections = {}
+        by_id = sorted(range(len(record.proposals)), key=lambda i: record.proposals[i].region_id)
         for name in record.positive_classes():
             scores = [p.scores.get(name, 0.0) for p in record.proposals]
             target = config.count_target(record.counts[name])
-            # Rank order: by_id lists the positions by region_id, and the stable
-            # sort keeps that order among equal scores.
-            order = sorted(masks.by_id, key=scores.__getitem__, reverse=True)
-            chosen, total = greedy_walk(order, scores, masks.conflict, target)
+            # Rank order: the stable sort keeps region_id order among equal scores.
+            order = sorted(by_id, key=scores.__getitem__, reverse=True)
+            chosen, total = greedy_walk(order, scores, masks, target)
             selections[name] = {
                 "selected": [record.proposals[i].region_id for i in chosen],
                 "boxes": [list(record.proposals[i].box.as_tuple()) for i in chosen],

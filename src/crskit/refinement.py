@@ -55,7 +55,6 @@ from .evaluation import (
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
-    ImageOverlaps,
     SelectionResult,
     _check_threshold,
     greedy_walk,
@@ -253,7 +252,7 @@ def select_pseudo_gt(
     class_scores: Sequence[float],
     kept: Sequence[int],
     target: int,
-    overlaps: ImageOverlaps,
+    masks: Sequence[int],
 ) -> SelectionResult:
     """Pick pseudo ground truth for one image and class from current scores.
 
@@ -261,14 +260,14 @@ def select_pseudo_gt(
     in rank order, as ``selection.survivors_by_image`` splits them from a
     ``suppress_columns`` pass over the same scores. Count-constrained
     selection of up to ``target`` regions (a run passes
-    ``RefinementConfig.count_target``) walks them over ``overlaps``, the
-    image's masks from the run's ``world_overlaps``. An image without
+    ``RefinementConfig.count_target``) walks them over ``masks``, the image's
+    conflict masks from the run's ``world_overlaps``. An image without
     proposals yields an empty, incomplete result.
     """
     if isinstance(target, bool) or not isinstance(target, int) or target < 1:
         raise ValueError(f"{image.image_id}: target must be an int >= 1, got {target!r}")
     _check_scores(image, class_scores)
-    chosen, total = greedy_walk(kept, class_scores, overlaps.conflict, target)
+    chosen, total = greedy_walk(kept, class_scores, masks, target)
     selected = tuple(image.proposals[i].region_id for i in chosen)
     return SelectionResult(selected, total, complete=len(chosen) == target)
 
@@ -450,7 +449,8 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
         # Selection walks the survivors the last evaluation suppressed these scores to.
         kept = survivors_by_image(overlaps, survivors)
         pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
-        for k, (record, masks, start, end) in enumerate(zip(world, overlaps, offsets, offsets[1:])):
+        images = zip(world, overlaps.conflict, offsets, offsets[1:])
+        for k, (record, masks, start, end) in enumerate(images):
             picks = {
                 name: select_pseudo_gt(
                     record, columns[name][start:end].tolist(), kept[name][k],

@@ -37,7 +37,7 @@ __all__ = [
     "ScoredRegion",
     "SelectionProblem",
     "SelectionResult",
-    "ImageOverlaps",
+    "WorldOverlaps",
     "conflict_masks",
     "world_overlaps",
     "suppress_columns",
@@ -127,39 +127,29 @@ def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
 
 
 @dataclass(frozen=True, slots=True)
-class ImageOverlaps:
-    """One image's selection conflict masks, indexed by proposal position.
+class WorldOverlaps:
+    """A world's selection conflict masks and suppression blocks, built by ``world_overlaps``.
 
-    ``by_id`` lists the positions in region_id order (the rank tie-break).
-    ``conflict[j]`` marks the proposals that, once selected, keep proposal j
-    out because its directed overlap with them reaches the selection
-    threshold. The masks are the only record of the threshold
-    ``world_overlaps`` built them at. See ``conflict_masks``.
+    ``offsets`` holds each image's first stacked row, then the row count.
+    ``conflict[k][j]`` marks the proposals of image k that, once selected, keep
+    its proposal j out because j's directed overlap with them reaches the
+    selection threshold; ``conflict[k]`` is ``[]`` for an image without
+    proposals. The masks are the only record of that threshold; see
+    ``conflict_masks``. A block holds the m images of one proposal count
+    n > 0: their first stacked rows ``(m,)``, their positions' ranks in
+    region_id order ``(m, n)`` and ``hits`` ``(m, n, n)``, where
+    ``hits[c, i, j]`` means keeping i suppresses j.
     """
 
-    by_id: tuple[int, ...]
-    conflict: list[int]
-
-
-class _WorldOverlaps(list):
-    """``world_overlaps``' per-image masks, with the ``blocks`` ``suppress_columns`` walks.
-
-    ``offsets`` holds each image's first stacked row, then the row count. A
-    block holds the m images of one proposal count n > 0: their first stacked
-    rows ``(m,)``, their positions' ranks in region_id order ``(m, n)`` and
-    ``hits`` ``(m, n, n)``, where ``hits[c, i, j]`` means keeping i suppresses j.
-    """
-
-    def __init__(self, images: Iterable[ImageOverlaps], offsets: np.ndarray, blocks: list) -> None:
-        super().__init__(images)
-        self.offsets = offsets
-        self.blocks = blocks
+    offsets: np.ndarray
+    conflict: list[list[int]]
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def world_overlaps(
     images: Sequence[ImageRecord], nms_threshold: float, threshold: float
-) -> list[ImageOverlaps]:
-    """Every image's conflict masks in order, with the suppression blocks; thresholds in (0, 1].
+) -> WorldOverlaps:
+    """Every image's conflict masks and the suppression blocks; thresholds in (0, 1].
 
     Images of equal proposal count are stacked, at most ``PAIRS_PER_BATCH``
     box pairs (or one image) a chunk, one ``pairwise_overlaps`` call each.
@@ -171,12 +161,13 @@ def world_overlaps(
     for k, (image, image_ids) in enumerate(zip(images, ids)):
         if len(set(image_ids)) != len(image_ids):
             raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
-        groups.setdefault(len(image_ids), []).append(k)
+        if image_ids:
+            groups.setdefault(len(image_ids), []).append(k)
     starts = np.cumsum([0] + [len(image_ids) for image_ids in ids])
-    out: dict[int, ImageOverlaps] = {}
+    conflict: list[list[int]] = [[] for _ in images]
     blocks = []
     for n, members in groups.items():
-        step = max(1, PAIRS_PER_BATCH // max(1, n * n))
+        step = max(1, PAIRS_PER_BATCH // (n * n))
         hits = []
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
@@ -185,31 +176,29 @@ def world_overlaps(
             # Row i of this transpose marks the proposals that keeping i suppresses.
             hits.append(~(ious.swapaxes(-1, -2) < nms_threshold))
             # Row j of each transpose holds the overlaps of every member with candidate j.
-            conflict = conflict_masks(directed.swapaxes(-1, -2), threshold)
+            masks = conflict_masks(directed.swapaxes(-1, -2), threshold)
             for c, k in enumerate(chunk):
-                out[k] = ImageOverlaps(
-                    tuple(sorted(range(n), key=ids[k].__getitem__)), conflict[c * n : c * n + n]
-                )
-        if n:
-            by_id = np.array([out[k].by_id for k in members])
-            blocks.append((starts[members], np.argsort(by_id, axis=-1), np.concatenate(hits)))
-    return _WorldOverlaps((out[k] for k in range(len(images))), starts, blocks)
+                conflict[k] = masks[c * n : c * n + n]
+        # Ids are unique, so each position's rank among them is the argsort's inverse.
+        id_rank = np.argsort(np.argsort([ids[k] for k in members], axis=-1), axis=-1)
+        blocks.append((starts[members], id_rank, np.concatenate(hits)))
+    return WorldOverlaps(starts, conflict, blocks)
 
 
 def suppress_columns(
-    overlaps: Sequence[ImageOverlaps], columns: Mapping[str, np.ndarray]
+    overlaps: WorldOverlaps, columns: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Every image's suppression survivors for every class, as stacked rows.
 
-    ``overlaps`` comes from ``world_overlaps`` and ``columns`` holds one score
-    per stacked row for each class. A survivor is a proposal whose IoU with
-    every higher-ranked survivor (score descending, ties by region_id) stays
-    below the threshold, as ``nms`` keeps them. Each proposal-count block is
-    ranked by one ``lexsort`` with all classes stacked and walked one array
-    step per rank position, so the cost grows with the distinct proposal
-    counts, not with the images: at 5-21 proposals an image it beats
-    per-image walks from about 150 images on. Rows come image by image in
-    world order, each image's in rank order.
+    ``overlaps`` comes from ``world_overlaps``, whose blocks it walks, and
+    ``columns`` holds one score per stacked row for each class. A survivor is
+    a proposal whose IoU with every higher-ranked survivor (score descending,
+    ties by region_id) stays below the threshold, as ``nms`` keeps them. Each
+    proposal-count block is ranked by one ``lexsort`` with all classes
+    stacked and walked one array step per rank position, so the cost grows
+    with the distinct proposal counts, not with the images: at 5-21
+    proposals an image it beats per-image walks from about 150 images on.
+    Rows come image by image in world order, each image's in rank order.
     """
     if not columns:
         return {}
@@ -231,7 +220,7 @@ def suppress_columns(
 
 
 def survivors_by_image(
-    overlaps: Sequence[ImageOverlaps], survivors: Mapping[str, np.ndarray]
+    overlaps: WorldOverlaps, survivors: Mapping[str, np.ndarray]
 ) -> dict[str, list[list[int]]]:
     """``suppress_columns``' rows as each class's positions in each image, in rank order."""
     offsets, out = overlaps.offsets, {}

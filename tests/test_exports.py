@@ -16,7 +16,7 @@ import pytest
 import crskit
 from crskit.evaluation import ClassTruth, Detection
 from crskit.geometry import Box
-from crskit.selection import ImageOverlaps, ScoredRegion, SelectionProblem, SelectionResult
+from crskit.selection import ScoredRegion, SelectionProblem, SelectionResult
 from crskit.world import Proposal
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crskit.__path__, "crskit."))
@@ -86,7 +86,6 @@ SLOTTED = [
     SelectionResult((0,), 0.5, True),
     Proposal(0, BOX, {"cat": 0.5}),
     Detection("img", "cat", BOX, 0.5),
-    ImageOverlaps((0,), [1]),
     ClassTruth(hit=np.ones(1, dtype=bool), candidates=np.ones(1, dtype=int), matches={0: [0]}),
 ]
 

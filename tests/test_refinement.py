@@ -60,7 +60,7 @@ def select(image, name, scores, config):
     survivors = suppress_columns(overlaps, {name: np.array(scores, dtype=float)})
     kept = survivors_by_image(overlaps, survivors)[name][0]
     target = config.count_target(image.counts[name])
-    return select_pseudo_gt(image, scores, kept, target, overlaps[0])
+    return select_pseudo_gt(image, scores, kept, target, overlaps.conflict[0])
 
 
 def image_lists(world, columns):
@@ -370,7 +370,7 @@ class TestSelectPseudoGt:
     @pytest.mark.parametrize("target", [-1, True, 1.5], ids=repr)
     def test_bad_target_rejected(self, target):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        masks = world_overlaps([image], 0.3, 0.1)[0]
+        masks = world_overlaps([image], 0.3, 0.1).conflict[0]
         with pytest.raises(ValueError) as caught:
             select_pseudo_gt(image, [0.9], [0], target, masks)
         assert str(caught.value) == f"img_0: target must be an int >= 1, got {target!r}"
@@ -384,7 +384,7 @@ class TestSelectPseudoGt:
         # A NaN fails every comparison; the check names it, not the one after it.
         boxes = [Box(20.0 * i, 0, 20.0 * i + 10, 10) for i in range(3)]
         image = one_image([proposal(i, b, 0.5) for i, b in enumerate(boxes)])
-        masks = world_overlaps([image], 0.3, 0.1)[0]
+        masks = world_overlaps([image], 0.3, 0.1).conflict[0]
         with pytest.raises(ValueError, match=r"^img_0: score must be in \[0, 1\], got nan$"):
             select_pseudo_gt(image, [0.5, math.nan, 0.7], [0, 1, 2], 1, masks)
 
@@ -436,7 +436,7 @@ class TestSelectPseudoGt:
         table = image_lists(world, columns)
         overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
         kept = survivors_by_image(overlaps, suppress_columns(overlaps, columns))
-        for k, (record, masks) in enumerate(zip(world, overlaps)):
+        for k, (record, masks) in enumerate(zip(world, overlaps.conflict)):
             for name in record.positive_classes():
                 scores = table[record.image_id][name]
                 regions = [
@@ -649,6 +649,26 @@ class TestRunAdr:
         with pytest.raises(FeatureDimensionError) as info:
             run_adr(world, RefinementConfig(count_guided=count_guided))
         assert str(info.value) == message
+
+    def test_threshold_binds_on_the_canonical_world_only_at_one(self, canonical_world):
+        # Same-class tight boxes keep apart, so from 0.02 to 0.8 count guidance
+        # picks the same pure regions; at 1.0 merged hulls get in for one
+        # iteration and retraining heals them.
+        runs = {
+            t: run_adr(canonical_world, RefinementConfig(threshold=t))
+            for t in (0.1, 0.02, 0.3, 0.8, 1.0)
+        }
+        base = runs[0.1]
+        assert [entry.report.purity for entry in base.iterations] == [None, 1.0, 1.0, 1.0]
+        for t in (0.02, 0.3, 0.8):
+            assert runs[t].iterations == base.iterations, t
+            assert runs[t].scorer.prototypes.keys() == base.scorer.prototypes.keys()
+            for name, prototype in base.scorer.prototypes.items():
+                assert np.array_equal(runs[t].scorer.prototypes[name], prototype), (t, name)
+        loose = runs[1.0].iterations
+        assert loose[1] != base.iterations[1]
+        assert loose[1].report.purity < 1.0
+        assert [entry.report.purity for entry in loose[2:]] == [1.0, 1.0]
 
     def test_metrics_in_range(self):
         world = generate_world(12, 2, seed=8)

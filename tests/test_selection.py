@@ -265,7 +265,7 @@ class TestValidation:
 THRESHOLD_WORLD = generate_world(3, 2, seed=1)
 THRESHOLD_CALLERS = {
     "nms": ("iou_threshold", lambda t: nms([HULL], t)),
-    # One image's masks (``ImageOverlaps``), built for a world of that image.
+    # One image's masks, built by ``world_overlaps`` for a world of that image.
     "image_overlaps-nms_threshold": (
         "nms_threshold", lambda t: world_overlaps(THRESHOLD_WORLD[:1], t, 0.1)
     ),
@@ -385,18 +385,16 @@ class TestWorldOverlaps:
         rng = np.random.default_rng(11)
         world = [grid_image(rng, f"img_{k}", n) for k, n in enumerate(self.COUNTS)]
         overlaps = world_overlaps(world, 0.3, 0.5)
-        assert len(overlaps) == len(world)
-        for image, masks in zip(world, overlaps):
+        assert len(overlaps.conflict) == len(world)
+        for image, masks in zip(world, overlaps.conflict):
             boxes = [p.box for p in image.proposals]
-            ids = [p.region_id for p in image.proposals]
             n = len(boxes)
-            assert [ids[i] for i in masks.by_id] == sorted(ids)
             # conflict[j] marks the members k that keep candidate j out.
-            assert masks.conflict == [
+            assert masks == [
                 sum(1 << k for k in range(n) if asymmetric_overlap(boxes[k], boxes[j]) >= 0.5)
                 for j in range(n)
             ]
-            assert world_overlaps([image], 0.3, 0.5)[0] == masks
+            assert world_overlaps([image], 0.3, 0.5).conflict[0] == masks
         offsets = np.cumsum([0] + [len(image.proposals) for image in world])
         assert overlaps.offsets.tolist() == offsets.tolist()
         blocked = []
