@@ -15,10 +15,12 @@ Serialization is canonical (sorted keys, fixed separators), so writing the
 same data twice produces identical bytes. A detection line is one f-string of
 the bytes the json encoder would write: float reprs, and string ids through the
 encoder's own escaping function. A line of only JSON whitespace (space, tab, CR,
-LF) is blank; ``json.loads`` parses every other line.
-Loaders check a list of numbers (a box, a feature) whole, and only a list
-holding anything but finite floats goes value by value, so that each error
-is located at its first bad index.
+LF) is blank; the decoder's scanner parses every other line, and ``json.loads``
+each line the scanner does not take whole, so every error is ``json.loads``'s.
+Loaders check a record's proposal list or a detection line whole, and only one
+that is not plain (exact JSON types, floats for numbers) and valid is checked
+field by field and value by value, so that its error is located at its first
+bad field or index.
 
 A run config file is a JSON object keyed by the CLI's flag names that loads as
 a ``RefinementConfig``; ``CONFIG_KEYS`` maps its keys to fields for the
@@ -31,7 +33,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, replace
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
@@ -116,6 +120,7 @@ def _numbers(values: list, line: int | None, path: str) -> list[float]:
 
 
 _blank = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once
 
 
 def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
@@ -124,9 +129,16 @@ def _json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
         for line_no, raw in enumerate(handle, start=1):
             try:
                 text = raw.decode("utf-8")
-                if _blank(text).end() == len(text):
+                start = _blank(text).end()
+                if start == len(text):
                     continue
-                data = json.loads(text)
+                try:
+                    data, end = _scan(text, start)
+                except (StopIteration, ValueError, RecursionError):
+                    end = 0
+                # json.loads takes one value and JSON whitespace; any other line gets its message.
+                if _blank(text, end).end() != len(text):
+                    data = json.loads(text)
             # ValueError covers bad bytes and overlong integers; RecursionError, deep nesting.
             except (ValueError, RecursionError) as exc:
                 raise DatasetError(f"line {line_no}: malformed JSON: {exc}") from exc
@@ -149,6 +161,48 @@ def _box(value: Any, line: int | None, path: str) -> Box:
     except GeometryError as exc:
         _fail(line, path, str(exc))
     raise AssertionError  # unreachable
+
+
+_PROPOSAL_KEYS = {"region_id", "box", "scores", "feature", "provenance"}
+_proposal_fields = itemgetter("region_id", "box", "scores", "feature")
+
+
+def _plain_proposals(entries: list) -> list[Proposal] | None:
+    """A record's proposals when its list is plain and valid as a whole, else None.
+
+    Plain: known keys, distinct int region ids, boxes of four floats, float
+    scores in [0, 1], float features of one length and string provenances. A
+    finite sum has no inf or NaN term, so one sum checks every number.
+    """
+    if not entries:
+        return []
+    if set(map(type, entries)) != {dict} or not _PROPOSAL_KEYS.issuperset(set().union(*entries)):
+        return None
+    try:
+        region_ids, boxes, scores, features = zip(*map(_proposal_fields, entries))
+    except KeyError:
+        return None
+    provenances = list(map(dict.get, entries, repeat("provenance")))
+    if (
+        set(map(type, region_ids)) != {int} or len(set(region_ids)) != len(entries)
+        or set(map(type, boxes)) != {list} or set(map(len, boxes)) != {4}
+        or set(map(type, features)) != {list} or not all(features)
+        or len(set(map(len, features))) != 1
+        or set(map(type, scores)) != {dict}
+        or not set(map(type, provenances)) <= {str, type(None)}
+    ):
+        return None
+    values = list(chain.from_iterable(map(dict.values, scores)))
+    numbers = [*chain.from_iterable(boxes), *chain.from_iterable(features), *values]
+    if set(map(type, numbers)) != {float} or not math.isfinite(sum(numbers)):
+        return None
+    if values and not (min(values) >= 0.0 and max(values) <= 1.0):
+        return None
+    try:
+        boxes = list(starmap(Box, boxes))
+    except GeometryError:
+        return None
+    return list(map(Proposal, region_ids, boxes, scores, map(np.array, features), provenances))
 
 
 def record_from_dict(data: Any, line: int | None = None) -> ImageRecord:
@@ -183,14 +237,17 @@ def record_from_dict(data: Any, line: int | None = None) -> ImageRecord:
         record.counts[name] = count
     if not isinstance(data["proposals"], list):
         _fail(line, "proposals", "expected a list")
+    proposals = _plain_proposals(data["proposals"])
+    if proposals is not None:
+        record.proposals = proposals
+        return record
     seen_ids = set()
     dims = set()
     for i, entry in enumerate(data["proposals"]):
         path = f"proposals[{i}]"
         if not isinstance(entry, dict):
             _fail(line, path, "expected an object")
-        _require_keys(entry, {"region_id", "box", "scores", "feature", "provenance"}, line, path,
-                      required={"region_id", "box", "scores"})
+        _require_keys(entry, _PROPOSAL_KEYS, line, path, required={"region_id", "box", "scores"})
         region_id = entry["region_id"]
         if isinstance(region_id, bool) or not isinstance(region_id, int):
             _fail(line, f"{path}.region_id", "expected an integer")
@@ -248,7 +305,7 @@ def record_to_dict(record: ImageRecord) -> dict[str, Any]:
             "scores": {k: float(v) for k, v in p.scores.items()},
         }
         if p.feature is not None:
-            entry["feature"] = [float(v) for v in p.feature]
+            entry["feature"] = np.asarray(p.feature, dtype=float).tolist()
         if p.provenance is not None:
             entry["provenance"] = p.provenance
         proposals.append(entry)
@@ -301,23 +358,53 @@ def _check_ids(image_id: Any, class_id: Any, line_no: int) -> None:
         _fail(line_no, "class_id", "expected a string")
 
 
+_DETECTION_KEYS = {"image_id", "class_id", "box", "confidence"}
+_detection_fields = itemgetter("image_id", "class_id", "box", "confidence")
+
+
+def _plain_detection(data: Any) -> tuple[str, str, Box, float] | None:
+    """A detection line's ids, box and confidence when the line is plain and valid, else None.
+
+    Plain: exactly the four keys, string ids (a non-empty image id), a float
+    confidence in [0, 1] and a box of four floats, which ``Box`` refuses when
+    any is inf or NaN.
+    """
+    if type(data) is not dict or data.keys() != _DETECTION_KEYS:
+        return None
+    image_id, class_id, box, confidence = _detection_fields(data)
+    if (
+        type(image_id) is not str or not image_id or type(class_id) is not str
+        or type(confidence) is not float or not 0.0 <= confidence <= 1.0
+        or type(box) is not list or len(box) != 4 or set(map(type, box)) != {float}
+    ):
+        return None
+    try:
+        return image_id, class_id, Box(*box), confidence
+    except GeometryError:
+        return None
+
+
 def load_detections(path: str | Path) -> list[Detection]:
     detections = []
     ids: dict[str, str] = {}  # one string per distinct id, not one per line
     for line_no, data in _json_lines(path):
-        if not isinstance(data, dict):
-            _fail(line_no, "detection", "expected a JSON object")
-        _require_keys(data, {"image_id", "class_id", "box", "confidence"}, line_no, "detection")
-        image_id, class_id = data["image_id"], data["class_id"]
-        _check_ids(image_id, class_id, line_no)
-        confidence = _number(data["confidence"], line_no, "confidence")
-        if not 0.0 <= confidence <= 1.0:
-            _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
+        plain = _plain_detection(data)
+        if plain is None:
+            if not isinstance(data, dict):
+                _fail(line_no, "detection", "expected a JSON object")
+            _require_keys(data, _DETECTION_KEYS, line_no, "detection")
+            image_id, class_id = data["image_id"], data["class_id"]
+            _check_ids(image_id, class_id, line_no)
+            confidence = _number(data["confidence"], line_no, "confidence")
+            if not 0.0 <= confidence <= 1.0:
+                _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
+            plain = image_id, class_id, _box(data["box"], line_no, "box"), confidence
+        image_id, class_id, box, confidence = plain
         detections.append(
             Detection(
                 image_id=ids.setdefault(image_id, image_id),
                 class_id=ids.setdefault(class_id, class_id),
-                box=_box(data["box"], line_no, "box"),
+                box=box,
                 confidence=confidence,
             )
         )

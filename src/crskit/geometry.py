@@ -35,26 +35,29 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Box:
-    """Axis-aligned rectangle in corner format with strictly positive, finite extent."""
+    """Axis-aligned rectangle in corner format with strictly positive, finite extent.
+
+    The constructor converts each coordinate with ``float`` (ints are stored as
+    floats), checks the extent and stores the four values, one step each.
+    """
 
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        if not type(self.x1) is type(self.y1) is type(self.x2) is type(self.y2) is float:
-            for name in ("x1", "y1", "x2", "y2"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise GeometryError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+    def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
+        if not type(x1) is type(y1) is type(x2) is type(y2) is float:
+            x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+        if not (x2 > x1 and y2 > y1):
+            raise GeometryError(f"degenerate box ({x1}, {y1}, {x2}, {y2})")
         # Infinite coordinates, overflowing sides or area: overlap ratios would be NaN.
-        if not math.isfinite(self.width * self.height):
-            raise GeometryError(
-                f"box ({self.x1}, {self.y1}, {self.x2}, {self.y2}) has a non-finite extent"
-            )
+        if not math.isfinite((x2 - x1) * (y2 - y1)):
+            raise GeometryError(f"box ({x1}, {y1}, {x2}, {y2}) has a non-finite extent")
+        _set_x1(self, x1)
+        _set_y1(self, y1)
+        _set_x2(self, x2)
+        _set_y2(self, y2)
 
     @property
     def width(self) -> float:
@@ -66,6 +69,11 @@ class Box:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
+
+
+# The slot setters of the class that @dataclass(slots=True) built, which store
+# a field of a frozen Box without going through its refusing __setattr__.
+_set_x1, _set_y1, _set_x2, _set_y2 = (Box.__dict__[name].__set__ for name in Box.__slots__)
 
 
 def area(box: Box) -> float:

@@ -7,6 +7,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -842,3 +843,143 @@ class TestDetectionLines:
         with pytest.raises(DatasetError) as caught:
             load_detections(file)
         assert str(caught.value) == "line 1: detection: missing keys: ['confidence']"
+
+
+def plain_record() -> dict:
+    """A record that the whole check of a proposal list takes: every number a float."""
+    return {
+        "format_version": 1,
+        "image_id": "img_0",
+        "classes": {"cat": {"count": 1, "gt_boxes": [[0.0, 0.0, 10.0, 10.0]]}},
+        "proposals": [
+            {
+                "region_id": 0,
+                "box": [0.0, 0.0, 10.0, 10.0],
+                "scores": {"cat": 0.9, "dog": 0.1},
+                "feature": [0.5, -1.0],
+                "provenance": "tight",
+            },
+            {
+                "region_id": 1,
+                "box": [2.0, 1.0, 6.5, 9.0],
+                "scores": {"cat": 0.4, "dog": 0.7},
+                "feature": [0.25, 2.0],
+                "provenance": "part",
+            },
+        ],
+    }
+
+
+def plain_detection() -> dict:
+    return dict(minimal_detection(), box=[0.0, 0.0, 10.0, 10.0])
+
+
+# Faults that the whole checks must leave to the located checks: (record, where, value).
+WHOLE_CHECK_FAULTS = {
+    "bool-region-id": (plain_record, ("proposals", 1, "region_id"), True),
+    "int-provenance": (plain_record, ("proposals", 1, "provenance"), 3),
+    "duplicate-region-id": (plain_record, ("proposals", 1, "region_id"), 0),
+    "degenerate-box": (plain_record, ("proposals", 1, "box"), [2.0, 1.0, 2.0, 9.0]),
+    # After a valid score, so that the smallest and largest scores are valid.
+    "nan-score": (plain_record, ("proposals", 1, "scores", "dog"), float("nan")),
+    "nan-feature": (plain_record, ("proposals", 1, "feature", 1), float("nan")),
+    "empty-feature": (
+        plain_record,
+        ("proposals",),
+        [dict(plain_record()["proposals"][0], feature=[])],
+    ),
+    "mixed-dimensions": (plain_record, ("proposals", 1, "feature"), [0.5, 1.0, 2.0]),
+    "nan-confidence": (plain_detection, ("confidence",), float("nan")),
+    "inf-box": (plain_detection, ("box", 2), float("inf")),
+    "empty-image-id": (plain_detection, ("image_id",), ""),
+}
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def loaded(make, file: Path) -> Any:
+    """What loading ``file`` gives: the error text, or each object's repr with its features."""
+    try:
+        if make is plain_detection:
+            return [(repr(d), []) for d in load_detections(file)]
+        return [
+            (
+                repr((r.image_id, r.gt_boxes, r.counts))
+                + repr([(p.region_id, p.box, p.scores, p.provenance) for p in r.proposals]),
+                [p.feature for p in r.proposals],
+            )
+            for r in load_dataset(file)
+        ]
+    except DatasetError as exc:
+        return str(exc)
+
+
+def assert_located_checks_agree(make, file: Path) -> None:
+    """Loading ``file`` gives the same outcome with the whole checks turned off."""
+    whole = loaded(make, file)
+    with mock.patch.object(dataio, "_plain_proposals", lambda entries: None):
+        with mock.patch.object(dataio, "_plain_detection", lambda data: None):
+            located = loaded(make, file)
+    if isinstance(whole, str) or isinstance(located, str):
+        assert whole == located
+        return
+    # Everything but the features by repr, each feature by dtype and values.
+    assert [text for text, _ in whole] == [text for text, _ in located]
+    for (_, ours), (_, theirs) in zip(whole, located):
+        for a, b in zip(ours, theirs, strict=True):
+            assert (a is None) == (b is None)
+            assert a is None or (a.dtype == b.dtype and np.array_equal(a, b))
+
+
+class TestWholeChecks:
+    """A proposal list or a detection line checked whole loads as the located checks load it."""
+
+    @given(
+        st.tuples(
+            st.sampled_from(
+                [(plain_record, path) for path in RECORD_FIELDS]
+                + [(plain_detection, path) for path in DETECTION_FIELDS]
+            ),
+            JSON_VALUES,
+        )
+    )
+    def test_located_checks_alone_give_the_same_outcome(self, case):
+        (make, path), value = case
+        with tempfile.TemporaryDirectory() as directory:
+            file = Path(directory) / "one.jsonl"
+            file.write_text(json.dumps(with_value(make(), path, value)) + "\n")
+            assert_located_checks_agree(make, file)
+
+    @pytest.mark.parametrize(
+        "make, path, value", WHOLE_CHECK_FAULTS.values(), ids=WHOLE_CHECK_FAULTS.keys()
+    )
+    def test_each_fault_fails_as_the_located_checks_fail(self, tmp_path, make, path, value):
+        file = tmp_path / "one.jsonl"
+        file.write_text(json.dumps(with_value(make(), path, value)) + "\n")
+        assert isinstance(loaded(make, file), str)
+        assert_located_checks_agree(make, file)
+
+    def test_written_files_are_taken_whole(self, tmp_path):
+        world = generate_world(6, 2, seed=11)
+        detections = [
+            Detection(r.image_id, name, p.box, score)
+            for r in world
+            for p in r.proposals
+            for name, score in p.scores.items()
+        ]
+        files = {plain_record: tmp_path / "world.jsonl", plain_detection: tmp_path / "dets.jsonl"}
+        save_dataset(world, files[plain_record])
+        save_detections(detections, files[plain_detection])
+        for _, data in dataio._json_lines(files[plain_record]):
+            assert dataio._plain_proposals(data["proposals"]) is not None
+        for _, data in dataio._json_lines(files[plain_detection]):
+            assert dataio._plain_detection(data) is not None
+        for make, file in files.items():
+            assert_located_checks_agree(make, file)
+        # The differential test perturbs these two, so they must take the whole checks.
+        assert dataio._plain_proposals(plain_record()["proposals"]) is not None
+        assert dataio._plain_detection(plain_detection()) is not None

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +67,22 @@ class TestFrozenValues:
     def test_non_finite_extent_rejected(self, coords):
         with pytest.raises(GeometryError, match="non-finite extent"):
             Box(*coords)
+
+    def test_constructor_converts_checks_and_freezes(self):
+        with pytest.raises(GeometryError) as caught:
+            Box(2, 3, 2, 5)
+        assert str(caught.value) == "degenerate box (2.0, 3.0, 2.0, 5.0)"
+        with pytest.raises(GeometryError) as caught:
+            Box(0, 0, 1e200, 1e200)
+        assert str(caught.value) == "box (0.0, 0.0, 1e+200, 1e+200) has a non-finite extent"
+        box = Box(1, 2, 3, 4)
+        assert box.as_tuple() == (1.0, 2.0, 3.0, 4.0)
+        assert all(type(v) is float for v in box.as_tuple())
+        assert Box(x1=1.0, y1=2, x2=3, y2=4.0) == box
+        assert copy.deepcopy(box) == box
+        assert pickle.loads(pickle.dumps(box)) == box
+        with pytest.raises(FrozenInstanceError):
+            box.x1 = 0.0
 
     def test_half_overlap_intersection(self):
         # overlap strip is 5 wide, 10 tall
