@@ -6,8 +6,8 @@ absent, outside the mean metrics. A detection matches a ground-truth box at
 the PASCAL criterion, IoU >= 0.5 (``MATCH_IOU``).
 
 Every metric works from a ``TruthTable``, which ``truth_table`` builds for a
-set of images. It numbers every box of those images by one row, image after
-image, and holds per-row arrays for each class with ground truth: whether the
+set of images. It holds one row per box, each row keyed by its image, in any
+image order, and per-row arrays for each class with ground truth: whether the
 row localizes an instance for CorLoc, how many of its image's boxes of the
 class it reaches IoU 0.5 with, and, for rows with any, those boxes best first.
 It also counts each named class's boxes per image. ``evaluate_picks`` is the
@@ -17,15 +17,16 @@ over the rows with candidates only, reads CorLoc from each image's first
 ranked row and assembles the report. ``build_report``, ``slice_by_count``
 (that report with its count buckets, each a view of the table that keeps one
 bucket's box counts), ``match_detections`` and ``corloc`` (the report's CorLoc
-of one class) build one table with a row per ``Detection``; the refinement
-loop builds one over its proposals once per run and picks its suppression
-survivors' rows.
+of one class) build one table with a row per ``Detection``, in input order;
+the refinement loop builds one over its proposals once per run and picks its
+suppression survivors' rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,8 +54,6 @@ AP_MODES = ("11pt", "area")
 CORLOC_VARIANTS = ("iou50", "center")
 MATCH_IOU = 0.5
 
-# One image for ``truth_table``: its corner boxes and its ground truth by class.
-ImageTruth = tuple[Sequence[tuple[float, float, float, float]], Mapping[str, Sequence[Box]]]
 # Each class's picked table rows, in pick order, and their confidences.
 Picks = Mapping[str, tuple[np.ndarray, np.ndarray]]
 _NO_PICKS = (np.zeros(0, dtype=int), np.zeros(0))
@@ -91,76 +90,19 @@ class ClassTruth:
     matches: dict[int, list[int]]
 
 
-def _batch_rows(
-    images: Sequence[ImageTruth], first_row: int, gt_offset: int, corloc_variant: str
-) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per class in the batch: its hit rows, and its candidate rows with their boxes' numbers.
-
-    Rows start at ``first_row``, and the batch's ground-truth boxes are numbered
-    from ``gt_offset`` in image order.
-    """
-    boxes: list[tuple[float, float, float, float]] = []
-    gt_boxes: list[tuple[float, float, float, float]] = []
-    gt_class: list[int] = []
-    names: dict[str, int] = {}
-    box_counts: list[int] = []
-    gt_counts: list[int] = []
-    for image_boxes, gt in images:
-        first = len(gt_boxes)
-        for name, class_gt in gt.items():
-            if class_gt:
-                gt_boxes.extend(box.as_tuple() for box in class_gt)
-                gt_class.extend([names.setdefault(name, len(names))] * len(class_gt))
-        boxes.extend(image_boxes)
-        box_counts.append(len(image_boxes))
-        gt_counts.append(len(gt_boxes) - first)
-    # Pair every box with every ground-truth box of its image; pair_box and
-    # pair_gt index the flat lists.
-    n_boxes = np.asarray(box_counts, dtype=int)
-    n_gt = np.asarray(gt_counts, dtype=int)
-    image = np.repeat(np.arange(len(n_boxes)), n_boxes)
-    per_box = n_gt[image]
-    pair_box = np.repeat(np.arange(len(boxes)), per_box)
-    first_pair = np.cumsum(per_box) - per_box
-    first_gt = (np.cumsum(n_gt) - n_gt)[image]
-    pair_gt = np.arange(len(pair_box)) - first_pair[pair_box] + first_gt[pair_box]
-    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    g = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)[pair_gt]
-    group = np.asarray(gt_class, dtype=int)[pair_gt]
-    number = pair_gt + gt_offset
-    row = pair_box + first_row
-    ious, _ = paired_overlaps(b[pair_box], g)
-    candidate = np.flatnonzero(ious >= MATCH_IOU)
-    if corloc_variant == "iou50":
-        hit = candidate
-    else:
-        cx = ((b[:, 0] + b[:, 2]) / 2.0)[pair_box]
-        cy = ((b[:, 1] + b[:, 3]) / 2.0)[pair_box]
-        hit = np.flatnonzero(
-            (g[:, 0] <= cx) & (cx <= g[:, 2]) & (g[:, 1] <= cy) & (cy <= g[:, 3])
-        )
-    # By row, then IoU descending, then number: the order greedy matching tries.
-    candidate = candidate[np.lexsort((number[candidate], -ious[candidate], row[candidate]))]
-    for name, k in names.items():
-        hits = hit[group[hit] == k]
-        ours = candidate[group[candidate] == k]
-        yield name, row[hits], row[ours], number[ours]
-
-
 @dataclass(frozen=True, eq=False)
 class TruthTable:
     """The ground truth of a set of images, by one row per box.
 
-    Image k's boxes are rows ``offsets[k]:offsets[k + 1]``. ``image_rank[r]``
-    is row r's image's position in image_id order, the ranking's tie-break.
-    ``classes`` holds a ``ClassTruth`` for each class with ground-truth boxes
-    in any image of the table. ``gt_counts`` has a key for every class that
-    the images' ground truth names, empty box lists included, and counts that
-    class's boxes in each image, indexed by image rank.
+    ``image_rank[r]`` is row r's image's position in image_id order, the
+    ranking's tie-break. ``classes`` holds a ``ClassTruth`` for each class
+    with ground-truth boxes in any image of the table. ``gt_counts`` has a key
+    for every class that the images' ground truth names, empty box lists
+    included, and counts that class's boxes in each image, indexed by image
+    rank.
     """
 
     image_ids: tuple[str, ...]
-    offsets: np.ndarray
     image_rank: np.ndarray
     classes: dict[str, ClassTruth]
     gt_counts: dict[str, np.ndarray]
@@ -174,65 +116,83 @@ class TruthTable:
 
 
 def truth_table(
-    image_ids: Sequence[str], images: Iterable[ImageTruth], corloc_variant: str = "iou50"
+    image_ids: Sequence[str],
+    gt: Sequence[Mapping[str, Sequence[Box]]],
+    row_image: np.ndarray,
+    boxes: np.ndarray,
+    corloc_variant: str = "iou50",
 ) -> TruthTable:
-    """Match data of ``images``, the corner boxes and ground truth of the named images.
+    """Match data of ``boxes``, an ``(N, 4)`` corner array, against their images' ground truth.
 
-    The IoU of every box with every ground-truth box of its image comes from
-    ``geometry.paired_overlaps``, so it is ``iou(box, gt_box)`` bit for bit.
-    The ``iou50`` CorLoc hit is a match candidate; ``center`` asks that the
-    box's center lie inside a ground-truth box, boundary included.
+    Table image k is ``image_ids[k]`` with ground truth ``gt[k]``, and row r
+    is ``boxes[r]`` in table image ``row_image[r]``; rows may come in any
+    image order. The IoU of every box with every ground-truth box of its image
+    comes from ``geometry.paired_overlaps``, so it is ``iou(box, gt_box)`` bit
+    for bit. The ``iou50`` CorLoc hit is a match candidate; ``center`` asks
+    that the box's center lie inside a ground-truth box, boundary included.
     """
     if len(set(image_ids)) != len(image_ids):
         raise ValueError("image_ids must be unique within a table")
     if corloc_variant not in CORLOC_VARIANTS:
         raise ValueError(f"unknown corloc variant: {corloc_variant!r}")
-    rank = {image_id: r for r, image_id in enumerate(sorted(image_ids))}
-    counts: list[int] = []
-    truths: list[Mapping[str, Sequence[Box]]] = []
-    found: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    batch: list[ImageTruth] = []
-    pairs = first_row = gt_offset = gt_total = 0
-
-    def flush() -> None:
-        for name, *arrays in _batch_rows(batch, first_row, gt_offset, corloc_variant):
-            found.setdefault(name, []).append(arrays)
-
-    for image in images:
-        batch.append(image)
-        counts.append(len(image[0]))
-        truths.append(image[1])
-        gt_count = sum(len(boxes) for boxes in image[1].values())
-        pairs += len(image[0]) * gt_count
-        gt_total += gt_count
-        if pairs >= PAIRS_PER_BATCH:
-            flush()
-            batch, pairs, first_row, gt_offset = [], 0, sum(counts), gt_total
-    if len(counts) != len(image_ids):
-        raise ValueError(f"{len(image_ids)} image ids but {len(counts)} images")
-    flush()
-    total = sum(counts)
-    classes = {}
-    for name, parts in found.items():
-        hit_rows, candidate_rows, numbers = (np.concatenate(a) for a in zip(*parts))
-        hit = np.zeros(total, dtype=bool)
-        hit[hit_rows] = True
-        matches: dict[int, list[int]] = {}
-        for r, j in zip(candidate_rows.tolist(), numbers.tolist()):
-            matches.setdefault(r, []).append(j)
-        candidates = np.bincount(candidate_rows, minlength=total).astype(np.int32)
-        classes[name] = ClassTruth(hit, candidates, matches)
-    ranks = np.array([rank[i] for i in image_ids], dtype=int)
-    gt_counts: dict[str, np.ndarray] = {}
-    for r, truth in zip(ranks.tolist(), truths):
-        for name, boxes in truth.items():
-            if name not in gt_counts:
-                gt_counts[name] = np.zeros(len(ranks), dtype=np.int32)
-            gt_counts[name][r] = len(boxes)
+    if len(gt) != len(image_ids):
+        raise ValueError(f"{len(image_ids)} image ids but {len(gt)} images")
+    if len(row_image) != len(boxes) or ((row_image < 0) | (row_image >= len(gt))).any():
+        raise ValueError(f"row_image must name one of the {len(gt)} table images per box")
+    # Ground-truth boxes are numbered image after image, class by class.
+    names: dict[str, int] = {}
+    gt_class = np.fromiter(
+        (names.setdefault(name, len(names)) for t in gt for name, bs in t.items() for _ in bs), int
+    )
+    gt_boxes = np.fromiter(
+        chain.from_iterable(b.as_tuple() for t in gt for bs in t.values() for b in bs), float
+    ).reshape(-1, 4)
+    n_gt = np.fromiter((sum(map(len, t.values())) for t in gt), int, len(gt))
+    # Row r's pairs with its image's ground truth are numbered from ends[r] - per_row[r];
+    # adding shift[r] turns a pair's number into its ground-truth box's number.
+    per_row = n_gt[row_image]
+    ends = np.cumsum(per_row)
+    shift = (np.cumsum(n_gt) - n_gt)[row_image] - (ends - per_row)
+    total = len(row_image)
+    hit = np.zeros((len(names), total), dtype=bool)
+    candidates = np.zeros((len(names), total), dtype=np.int32)
+    matches: list[dict[int, list[int]]] = [{} for _ in names]
+    start = 0
+    while start < total:
+        # At most PAIRS_PER_BATCH pairs a chunk, or one row.
+        first = ends[start] - per_row[start]
+        stop = max(start + 1, int(np.searchsorted(ends, first + PAIRS_PER_BATCH, side="right")))
+        counts = per_row[start:stop]
+        row = np.repeat(np.arange(start, stop), counts)
+        number = np.arange(first, ends[stop - 1]) + np.repeat(shift[start:stop], counts)
+        b, g = boxes[row], gt_boxes[number]
+        ious, _ = paired_overlaps(b, g)
+        candidate = np.flatnonzero(ious >= MATCH_IOU)
+        if corloc_variant == "iou50":
+            localizes = candidate
+        else:
+            cx, cy = (b[:, 0] + b[:, 2]) / 2.0, (b[:, 1] + b[:, 3]) / 2.0
+            localizes = np.flatnonzero(
+                (g[:, 0] <= cx) & (cx <= g[:, 2]) & (g[:, 1] <= cy) & (cy <= g[:, 3])
+            )
+        hit[gt_class[number[localizes]], row[localizes]] = True
+        # By row, then IoU descending, then number: the order greedy matching tries.
+        candidate = candidate[np.lexsort((number[candidate], -ious[candidate], row[candidate]))]
+        group, rows, numbers = gt_class[number[candidate]], row[candidate], number[candidate]
+        np.add.at(candidates, (group, rows), 1)
+        for k, r, j in zip(group.tolist(), rows.tolist(), numbers.tolist()):
+            matches[k].setdefault(r, []).append(j)
+        start = stop
+    classes = {name: ClassTruth(hit[k], candidates[k], matches[k]) for name, k in names.items()}
+    # Table images in image_id order; argsort inverts that order into each image's rank.
+    order = sorted(range(len(image_ids)), key=image_ids.__getitem__)
+    gt_counts = {
+        name: np.array([len(gt[k].get(name, ())) for k in order], dtype=np.int32)
+        for name in dict.fromkeys(chain.from_iterable(gt))
+    }
     return TruthTable(
         image_ids=tuple(image_ids),
-        offsets=np.concatenate(([0], np.cumsum(counts, dtype=int))),
-        image_rank=np.repeat(ranks, counts),
+        image_rank=np.argsort(order)[row_image],
         classes=classes,
         gt_counts=gt_counts,
     )
@@ -271,39 +231,27 @@ def _detection_picks(
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     corloc_variant: str,
 ) -> tuple[TruthTable, Picks]:
-    """A table with one row per detection, and each class's rows and confidences.
+    """A table with one row per detection, in input order, and each class's rows and confidences.
 
-    Rows run image by image, then class by class, in input order within each,
-    so each class's runs of rows are known before the table is built. Images of
-    ``gt`` without detections follow, as images without rows.
+    Images of ``gt`` without detections follow the detections' images, as
+    images without rows.
     """
-    by_image: dict[str, dict[str, list[Detection]]] = {}
-    for d in detections:
-        by_image.setdefault(d.image_id, {}).setdefault(d.class_id, []).append(d)
-    # Each class's rows are runs, one per image: their first rows and lengths,
-    # and the confidences of all its rows.
-    runs: dict[str, tuple[list[int], list[int], list[float]]] = {}
-    row = 0
-    for by_class in by_image.values():
-        for name, dets in by_class.items():
-            firsts, lengths, confidences = runs.setdefault(name, ([], [], []))
-            firsts.append(row)
-            lengths.append(len(dets))
-            confidences.extend(d.confidence for d in dets)
-            row += len(dets)
-    # The table takes images a batch at a time, so few boxes are held at once.
-    image_ids = [*by_image, *(image_id for image_id in gt if image_id not in by_image)]
-    images = (
-        ([d.box.as_tuple() for dets in by_image.get(i, {}).values() for d in dets], gt.get(i, {}))
-        for i in image_ids
+    n = len(detections)
+    image_codes: dict[str, int] = {}
+    class_codes: dict[str, int] = {}
+    row_image = np.fromiter(
+        (image_codes.setdefault(d.image_id, len(image_codes)) for d in detections), int, n
     )
-    table = truth_table(image_ids, images, corloc_variant)
-    picks = {}
-    for name, (firsts, lengths, confidences) in runs.items():
-        n = np.array(lengths, dtype=int)
-        rows = np.arange(n.sum()) + np.repeat(np.array(firsts, dtype=int) - (np.cumsum(n) - n), n)
-        picks[name] = (rows, np.array(confidences, dtype=float))
-    return table, picks
+    row_class = np.fromiter(
+        (class_codes.setdefault(d.class_id, len(class_codes)) for d in detections), int, n
+    )
+    boxes = np.fromiter(chain.from_iterable(d.box.as_tuple() for d in detections), float, 4 * n)
+    confidence = np.fromiter((d.confidence for d in detections), float, n)
+    image_ids = [*image_codes, *(image_id for image_id in gt if image_id not in image_codes)]
+    truths = [gt.get(image_id, {}) for image_id in image_ids]
+    table = truth_table(image_ids, truths, row_image, boxes.reshape(n, 4), corloc_variant)
+    picks = {name: np.flatnonzero(row_class == c) for name, c in class_codes.items()}
+    return table, {name: (rows, confidence[rows]) for name, rows in picks.items()}
 
 
 def match_detections(

@@ -39,6 +39,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,7 +90,7 @@ MAX_ITERATIONS = 100
 
 
 class FeatureDimensionError(ValueError):
-    """Raised when a proposal feature is missing, of another dimension, or too large."""
+    """Raised for a missing, mismatched or too large feature, or a mismatched prototype."""
 
 
 def abbreviate(value: int) -> str:
@@ -158,8 +159,8 @@ class _Features(tuple):
     """A world's images with their proposal features, stacked once per run.
 
     Image k's proposals are rows ``offsets[k]:offsets[k + 1]``, ``positions[k]``
-    maps its region ids to positions in the image, and ``dims`` holds each row's
-    feature length (-1 for none), so length checks precede the stacking.
+    maps its unique region ids to positions in the image, and ``dims`` holds
+    each row's feature length (-1 for none), so length checks precede the stacking.
     """
 
     def __new__(cls, world: Sequence[ImageRecord]) -> "_Features":
@@ -168,6 +169,9 @@ class _Features(tuple):
         self = super().__new__(cls, world)
         self.offsets = np.cumsum([0] + [len(r.proposals) for r in self])
         self.positions = [{p.region_id: i for i, p in enumerate(r.proposals)} for r in self]
+        for record, positions in zip(self, self.positions):
+            if len(positions) != len(record.proposals):
+                raise ValueError(f"{record.image_id}: region_ids must be unique within an image")
         self._rows = [p.feature for r in self for p in r.proposals]
         self.dims = np.array([-1 if f is None else len(f) for f in self._rows], dtype=int)
         return self
@@ -237,12 +241,14 @@ def ground_truth_table(
 ) -> TruthTable:
     """Match every proposal of ``world`` against its image's ground truth.
 
-    Table image k is ``world[k]``, and row r is the world's r-th proposal, so
-    image k's proposals are rows ``offsets[k]:offsets[k + 1]`` in order.
+    Table image k is ``world[k]``, and row r is the world's r-th proposal.
     """
+    boxes = chain.from_iterable(p.box.as_tuple() for r in world for p in r.proposals)
     return truth_table(
         [record.image_id for record in world],
-        (([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world),
+        [record.gt_boxes for record in world],
+        np.repeat(np.arange(len(world)), [len(record.proposals) for record in world]),
+        np.fromiter(boxes, float).reshape(-1, 4),
         corloc_variant,
     )
 
@@ -366,6 +372,11 @@ def score_table(
             name: np.fromiter((p.scores.get(name, 0.0) for r in world for p in r.proposals), float)
             for name in sorted({c for record in world for c in record.counts})
         }
+    prototypes = {name: np.asarray(p, dtype=float) for name, p in scorer.prototypes.items()}
+    for name, prototype in prototypes.items():
+        if prototype.shape != (scorer.feature_dim,):
+            found = f"{name}: prototype has shape {prototype.shape}"
+            raise FeatureDimensionError(f"{found}, scorer expects ({scorer.feature_dim},)")
     features = _Features(world)
     bad = np.flatnonzero(features.dims != scorer.feature_dim)
     if bad.size:
@@ -374,8 +385,7 @@ def score_table(
         raise FeatureDimensionError(f"{features.locate(bad[0])} has {found}")
     matrix, norms = features.stacked
     columns = {}
-    for name, prototype in scorer.prototypes.items():
-        prototype = np.asarray(prototype, dtype=float)
+    for name, prototype in prototypes.items():
         dots, denominator = _row_dots(matrix, prototype), norms * math.sqrt(prototype @ prototype)
         # A zero norm gives cosine 0, a neutral 0.5; rounding can push others a hair past [0, 1].
         cosine = np.divide(dots, denominator, out=np.zeros_like(dots), where=denominator != 0.0)

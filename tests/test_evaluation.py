@@ -247,7 +247,14 @@ class TestReports:
     @pytest.mark.parametrize("images", [1, 3])
     def test_truth_table_takes_one_image_per_id(self, images):
         with pytest.raises(ValueError, match=f"^2 image ids but {images} images$"):
-            truth_table(["a", "b"], [([], {})] * images)
+            truth_table(["a", "b"], [{}] * images, np.zeros(0, dtype=int), np.zeros((0, 4)))
+
+    # An image out of range, or one image per box too many or too few.
+    @pytest.mark.parametrize("row_image, rows", [([0, 2], 2), ([-1, 0], 2), ([0, 1], 3), ([0], 2)])
+    def test_truth_table_rows_name_a_table_image_each(self, row_image, rows):
+        boxes = np.tile(GT_UNIT.as_tuple(), (rows, 1))
+        with pytest.raises(ValueError):
+            truth_table(["a", "b"], [{}] * 2, np.array(row_image), boxes)
 
 
 # Reference implementation: Detection-based loops over the scalar ``iou``,
@@ -357,6 +364,16 @@ def tied_world():
     return world
 
 
+def world_rows(world):
+    """``truth_table``'s arguments for ``world``, one row per proposal in world order."""
+    return (
+        [r.image_id for r in world],
+        [r.gt_boxes for r in world],
+        np.repeat(np.arange(len(world)), [len(r.proposals) for r in world]),
+        np.array([p.box.as_tuple() for r in world for p in r.proposals]),
+    )
+
+
 box_coords = st.integers(0, 6)
 grid_boxes = st.tuples(box_coords, box_coords, st.integers(1, 4), st.integers(1, 4)).map(
     lambda t: Box(t[0], t[1], t[0] + t[2], t[1] + t[3])
@@ -378,13 +395,11 @@ class TestAgainstReference:
     def test_truth_rows_do_not_depend_on_batching(self, corloc_variant, monkeypatch):
         world = generate_world(30, 3, seed=4)[::-1]
         world[7].gt_boxes["empty"] = []
-        image_ids = [r.image_id for r in world]
-        images = [([p.box.as_tuple() for p in r.proposals], r.gt_boxes) for r in world]
-        unbatched = truth_table(image_ids, images, corloc_variant)
+        rows = world_rows(world)
+        unbatched = truth_table(*rows, corloc_variant)
         monkeypatch.setattr(evaluation, "PAIRS_PER_BATCH", 64)
-        batched = truth_table(image_ids, images, corloc_variant)
+        batched = truth_table(*rows, corloc_variant)
         assert batched.image_ids == unbatched.image_ids
-        assert np.array_equal(batched.offsets, unbatched.offsets)
         assert np.array_equal(batched.image_rank, unbatched.image_rank)
         assert list(batched.classes) == list(unbatched.classes)
         # Every named class has box counts, by image rank; "empty" has no boxes.
@@ -399,6 +414,29 @@ class TestAgainstReference:
             assert np.array_equal(other.hit, truth.hit), name
             assert np.array_equal(other.candidates, truth.candidates), name
             assert other.matches == truth.matches, name
+
+    @pytest.mark.parametrize("corloc_variant", ["iou50", "center"])
+    def test_truth_rows_do_not_depend_on_row_order(self, corloc_variant, monkeypatch):
+        # Small chunks, so rows of one image land in several of them.
+        monkeypatch.setattr(evaluation, "PAIRS_PER_BATCH", 64)
+        world = generate_world(30, 3, seed=4)[::-1]
+        world[7].gt_boxes["empty"] = []
+        image_ids, gt, row_image, boxes = world_rows(world)
+        grouped = truth_table(image_ids, gt, row_image, boxes, corloc_variant)
+        order = np.random.default_rng(8).permutation(len(boxes))
+        shuffled = truth_table(image_ids, gt, row_image[order], boxes[order], corloc_variant)
+        # Row r of the shuffled table is row order[r] of the grouped one.
+        assert np.array_equal(shuffled.image_rank, grouped.image_rank[order])
+        assert set(shuffled.gt_counts) == set(grouped.gt_counts)
+        for name, counts in grouped.gt_counts.items():
+            assert np.array_equal(shuffled.gt_counts[name], counts), name
+        assert set(shuffled.classes) == set(grouped.classes)
+        for name, truth in grouped.classes.items():
+            other = shuffled.classes[name]
+            assert np.array_equal(other.hit, truth.hit[order]), name
+            assert np.array_equal(other.candidates, truth.candidates[order]), name
+            moved = {r: truth.matches[j] for r, j in enumerate(order) if j in truth.matches}
+            assert other.matches == moved, name
 
     @pytest.mark.parametrize("variant", ["iou50", "center"])
     @given(
@@ -482,14 +520,16 @@ class TestAgainstReference:
             images.append((grid(rng.integers(0, 6)), gt))
         # Image ids out of rank order; class "z" has no ground truth.
         image_ids = [f"img_{k}" for k in rng.permutation(len(images))]
-        table = truth_table(image_ids, images, corloc_variant)
-        total = int(table.offsets[-1])
+        row_image = np.repeat(np.arange(len(images)), [len(corners) for corners, _ in images])
+        boxes = np.array([box for corners, _ in images for box in corners], float).reshape(-1, 4)
+        table = truth_table(image_ids, [gt for _, gt in images], row_image, boxes, corloc_variant)
+        total = len(row_image)
         picks, permuted = {}, {}
         for name in "xyz":
             rows = rng.permutation(total)[: rng.integers(0, total + 1)]
             # Confidences on a half grid tie within and across images.
             picks[name] = rows, rng.integers(0, 3, len(rows)) / 2
-            image = np.searchsorted(table.offsets, rows, side="right") - 1
+            image = row_image[rows]
             # The j-th pick of an image fills that image's j-th slot in a shuffled sequence.
             slots = np.argsort(rng.permutation(image), kind="stable")
             order = np.empty(len(rows), dtype=int)

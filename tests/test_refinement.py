@@ -81,6 +81,16 @@ def one_image(proposals, count=1) -> ImageRecord:
     )
 
 
+def duplicate_ids_image() -> ImageRecord:
+    """An image whose instance box and background box share region id 0."""
+    return one_image(
+        [
+            proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 0.0])),
+            proposal(0, Box(50, 50, 60, 60), 0.1, np.array([0.0, 1.0])),
+        ]
+    )
+
+
 class TestConfig:
     def test_defaults(self):
         config = RefinementConfig()
@@ -161,6 +171,15 @@ class TestScorer:
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.ones(3))])
         with pytest.raises(FeatureDimensionError):
             score_proposals(scorer, image)
+
+    def test_prototype_of_another_length_is_named(self, monkeypatch):
+        world = generate_world(3, 2, seed=2)
+        scorer = CentroidScorer({"class_0": np.zeros(16), "class_1": np.zeros(3)}, 16)
+        # Refused before any score is computed.
+        monkeypatch.setattr(refinement, "_row_dots", None)
+        with pytest.raises(FeatureDimensionError) as info:
+            score_table(world, scorer)
+        assert str(info.value) == "class_1: prototype has shape (3,), scorer expects (16,)"
 
     def test_missing_feature_raises(self):
         scorer = CentroidScorer({"cat": np.zeros(4)}, feature_dim=4)
@@ -556,6 +575,12 @@ class TestRetrain:
             retrain_scorer(pseudo_gt, world)
         assert str(caught.value) == "img_9999: pseudo ground truth for an image not in the world"
 
+    def test_duplicate_region_ids_rejected(self):
+        pseudo_gt = {"img_0": {"cat": SelectionResult((0,), 0.9, True)}}
+        with pytest.raises(ValueError) as caught:
+            retrain_scorer(pseudo_gt, [duplicate_ids_image()])
+        assert str(caught.value) == "img_0: region_ids must be unique within an image"
+
     def test_mixed_dimensions_name_where_each_was_seen(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 2.0]))])
         previous = CentroidScorer({"cat": np.array([3.0, 4.0, 5.0])}, 3)
@@ -716,6 +741,13 @@ class TestSelectionPurity:
         with pytest.raises(ValueError) as caught:
             selection_purity(pseudo_gt, world, ground_truth_table(world))
         assert str(caught.value) == "img_9999: pseudo ground truth for an image not in the world"
+
+    def test_duplicate_region_ids_rejected(self):
+        image = duplicate_ids_image()
+        pseudo_gt = {"img_0": {"cat": SelectionResult((0,), 0.9, True)}}
+        with pytest.raises(ValueError) as caught:
+            selection_purity(pseudo_gt, [image], ground_truth_table([image]))
+        assert str(caught.value) == "img_0: region_ids must be unique within an image"
 
 
 def is_pure_purity(pseudo_gt, world):
