@@ -17,20 +17,21 @@ over the rows with candidates only, reads CorLoc from each image's first
 ranked row and assembles the report. ``build_report``, ``slice_by_count``
 (that report with its count buckets, each a view of the table that keeps one
 bucket's box counts), ``match_detections`` and ``corloc`` (the report's CorLoc
-of one class) build one table with a row per ``Detection``, in input order;
-the refinement loop builds one over its proposals once per run and picks its
-suppression survivors' rows.
+of one class) build one table with a row per ``Detection``, in input order,
+whose table images are (image, class) pairs, so each detection meets only its
+own class's boxes; the refinement loop builds one over its proposals once per
+run, a table image per image, and picks its suppression survivors' rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import PAIRS_PER_BATCH, Box, paired_overlaps
+from .geometry import PAIRS_PER_BATCH, Box, box_array, paired_overlaps
 
 __all__ = [
     "AP_MODES",
@@ -94,15 +95,15 @@ class ClassTruth:
 class TruthTable:
     """The ground truth of a set of images, by one row per box.
 
-    ``image_rank[r]`` is row r's image's position in image_id order, the
-    ranking's tie-break. ``classes`` holds a ``ClassTruth`` for each class
-    with ground-truth boxes in any image of the table. ``gt_counts`` has a key
-    for every class that the images' ground truth names, empty box lists
-    included, and counts that class's boxes in each image, indexed by image
-    rank.
+    ``image_ids`` holds each table image's key, and ``image_rank[r]`` is row
+    r's image's position in key order, the ranking's tie-break. ``classes``
+    holds a ``ClassTruth`` for each class with ground-truth boxes in any image
+    of the table. ``gt_counts`` has a key for every class that the images'
+    ground truth names, empty box lists included, and counts that class's
+    boxes in each image, indexed by image rank.
     """
 
-    image_ids: tuple[str, ...]
+    image_ids: tuple[Hashable, ...]
     image_rank: np.ndarray
     classes: dict[str, ClassTruth]
     gt_counts: dict[str, np.ndarray]
@@ -116,7 +117,7 @@ class TruthTable:
 
 
 def truth_table(
-    image_ids: Sequence[str],
+    image_ids: Sequence[Hashable],
     gt: Sequence[Mapping[str, Sequence[Box]]],
     row_image: np.ndarray,
     boxes: np.ndarray,
@@ -124,11 +125,12 @@ def truth_table(
 ) -> TruthTable:
     """Match data of ``boxes``, an ``(N, 4)`` corner array, against their images' ground truth.
 
-    Table image k is ``image_ids[k]`` with ground truth ``gt[k]``, and row r
-    is ``boxes[r]`` in table image ``row_image[r]``; rows may come in any
-    image order. The IoU of every box with every ground-truth box of its image
-    comes from ``geometry.paired_overlaps``, so it is ``iou(box, gt_box)`` bit
-    for bit. The ``iou50`` CorLoc hit is a match candidate; ``center`` asks
+    Table image k is ``image_ids[k]``, any unique key that sorts with the
+    others (an image id, or an (image id, class id) pair), with ground truth
+    ``gt[k]``, and row r is ``boxes[r]`` in table image ``row_image[r]``; rows
+    may come in any image order. The IoU of every box with every ground-truth
+    box of its image comes from ``geometry.paired_overlaps``, so it is
+    ``iou(box, gt_box)`` bit for bit. The ``iou50`` CorLoc hit is a match candidate; ``center`` asks
     that the box's center lie inside a ground-truth box, boundary included.
     """
     if len(set(image_ids)) != len(image_ids):
@@ -144,9 +146,7 @@ def truth_table(
     gt_class = np.fromiter(
         (names.setdefault(name, len(names)) for t in gt for name, bs in t.items() for _ in bs), int
     )
-    gt_boxes = np.fromiter(
-        chain.from_iterable(b.as_tuple() for t in gt for bs in t.values() for b in bs), float
-    ).reshape(-1, 4)
+    gt_boxes = box_array(b for t in gt for bs in t.values() for b in bs)
     n_gt = np.fromiter((sum(map(len, t.values())) for t in gt), int, len(gt))
     # Row r's pairs with its image's ground truth are numbered from ends[r] - per_row[r];
     # adding shift[r] turns a pair's number into its ground-truth box's number.
@@ -230,27 +230,32 @@ def _detection_picks(
     detections: Sequence[Detection],
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     corloc_variant: str,
+    keys: Iterable[tuple[str, str]] | None = None,
 ) -> tuple[TruthTable, Picks]:
     """A table with one row per detection, in input order, and each class's rows and confidences.
 
-    Images of ``gt`` without detections follow the detections' images, as
-    images without rows.
+    Row r is ``detections[r]``'s box in the table image named by the r-th
+    of ``keys``, by default the detection's ``(image_id, class_id)``. A
+    table image's ground truth is that class's boxes in that image, so a row
+    meets only its own class's boxes. Each (image, class) pair that ``gt``
+    names and no row has follows, as a table image without rows.
     """
     n = len(detections)
-    image_codes: dict[str, int] = {}
-    class_codes: dict[str, int] = {}
-    row_image = np.fromiter(
-        (image_codes.setdefault(d.image_id, len(image_codes)) for d in detections), int, n
-    )
-    row_class = np.fromiter(
-        (class_codes.setdefault(d.class_id, len(class_codes)) for d in detections), int, n
-    )
-    boxes = np.fromiter(chain.from_iterable(d.box.as_tuple() for d in detections), float, 4 * n)
+    if keys is None:
+        keys = ((d.image_id, d.class_id) for d in detections)
+    codes: dict[tuple[str, str], int] = {}
+    row_image = np.fromiter((codes.setdefault(key, len(codes)) for key in keys), int, n)
+    names: dict[str, int] = {}
+    key_class = np.fromiter((names.setdefault(name, len(names)) for _, name in codes), int)
+    row_class = key_class[row_image]
     confidence = np.fromiter((d.confidence for d in detections), float, n)
-    image_ids = [*image_codes, *(image_id for image_id in gt if image_id not in image_codes)]
-    truths = [gt.get(image_id, {}) for image_id in image_ids]
-    table = truth_table(image_ids, truths, row_image, boxes.reshape(n, 4), corloc_variant)
-    picks = {name: np.flatnonzero(row_class == c) for name, c in class_codes.items()}
+    for image_id, truth in gt.items():
+        for name in truth:
+            codes.setdefault((image_id, name), len(codes))
+    truths = [{name: gt[i][name]} if name in gt.get(i, ()) else {} for i, name in codes]
+    boxes = box_array(d.box for d in detections)
+    table = truth_table(list(codes), truths, row_image, boxes, corloc_variant)
+    picks = {name: np.flatnonzero(row_class == c) for name, c in names.items()}
     return table, {name: (rows, confidence[rows]) for name, rows in picks.items()}
 
 
@@ -263,10 +268,10 @@ def match_detections(
     image when that IoU reaches 0.5; every ground-truth box absorbs at most
     one detection, so duplicates become false positives.
     """
-    # One class: every detection is matched against its image's boxes.
-    single = [replace(d, class_id="") for d in detections]
+    # One class, "": every detection is matched against its image's boxes.
+    keys = ((d.image_id, "") for d in detections)
     gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
-    table, picks = _detection_picks(single, gt, "iou50")
+    table, picks = _detection_picks(detections, gt, "iou50", keys)
     ranked, _ = _ranked(table, *picks.get("", _NO_PICKS))
     return _true_positives(table.truth(""), ranked).tolist()
 
@@ -317,9 +322,10 @@ def corloc(
     counts for the image it is filed under; images without ground truth are
     ignored, and with no positive images the rate is undefined (None).
     """
-    tops = [replace(d, image_id=key, class_id="") for key, d in top_detections.items() if d]
+    tops = {key: d for key, d in top_detections.items() if d}
     gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
-    return build_report(tops, gt, corloc_variant=variant).per_class_corloc.get("")
+    table, picks = _detection_picks(list(tops.values()), gt, variant, ((key, "") for key in tops))
+    return evaluate_picks(table, picks).per_class_corloc.get("")
 
 
 @dataclass

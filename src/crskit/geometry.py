@@ -3,12 +3,14 @@
 The scalar kernels work on ``Box`` objects; ``pairwise_overlaps`` computes the
 same quantities for every pair of an ``(n, 4)`` box array (or of each in a
 stack) at once, and ``paired_overlaps`` for the matching rows of two arrays.
+``box_array`` is the one conversion from ``Box`` objects to such an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "asymmetric_overlap",
     "pairwise_overlaps",
     "paired_overlaps",
+    "box_array",
     "hull",
 ]
 
@@ -59,14 +62,6 @@ class Box:
         _set_x2(self, x2)
         _set_y2(self, y2)
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -78,7 +73,7 @@ _set_x1, _set_y1, _set_x2, _set_y2 = (Box.__dict__[name].__set__ for name in Box
 
 def area(box: Box) -> float:
     """Box area; positive for any valid Box."""
-    return box.width * box.height
+    return (box.x2 - box.x1) * (box.y2 - box.y1)
 
 
 def intersection_area(a: Box, b: Box) -> float:
@@ -163,6 +158,11 @@ def paired_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``asymmetric_overlap(a_k, b_k)``, bit for bit, as in ``pairwise_overlaps``.
     """
     return _overlaps(*_corners(a), *_corners(b))
+
+
+def box_array(boxes: Iterable[Box]) -> np.ndarray:
+    """The ``(n, 4)`` float array of ``boxes``' corners, one ``as_tuple`` row per box."""
+    return np.fromiter(chain.from_iterable(b.as_tuple() for b in boxes), float).reshape(-1, 4)
 
 
 def hull(boxes: Iterable[Box]) -> Box:

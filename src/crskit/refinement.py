@@ -39,7 +39,6 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,6 +52,7 @@ from .evaluation import (
     evaluate_picks,
     truth_table,
 )
+from .geometry import box_array
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
@@ -243,12 +243,11 @@ def ground_truth_table(
 
     Table image k is ``world[k]``, and row r is the world's r-th proposal.
     """
-    boxes = chain.from_iterable(p.box.as_tuple() for r in world for p in r.proposals)
     return truth_table(
         [record.image_id for record in world],
         [record.gt_boxes for record in world],
         np.repeat(np.arange(len(world)), [len(record.proposals) for record in world]),
-        np.fromiter(boxes, float).reshape(-1, 4),
+        box_array(p.box for r in world for p in r.proposals),
         corloc_variant,
     )
 
@@ -267,12 +266,18 @@ def select_pseudo_gt(
     ``suppress_columns`` pass over the same scores. Count-constrained
     selection of up to ``target`` regions (a run passes
     ``RefinementConfig.count_target``) walks them over ``masks``, the image's
-    conflict masks from the run's ``world_overlaps``. An image without
-    proposals yields an empty, incomplete result.
+    conflict masks from the run's ``world_overlaps``, one per proposal. A
+    position of ``kept`` outside the image's proposals is a ``ValueError``.
+    An image without proposals yields an empty, incomplete result.
     """
     if isinstance(target, bool) or not isinstance(target, int) or target < 1:
         raise ValueError(f"{image.image_id}: target must be an int >= 1, got {target!r}")
     _check_scores(image, class_scores)
+    n = len(image.proposals)
+    if len(masks) != n:
+        raise ValueError(f"{image.image_id}: got {len(masks)} masks for {n} proposals")
+    if len(kept) and (min(kept) < 0 or max(kept) >= n):
+        raise ValueError(f"{image.image_id}: kept positions must be in [0, {n}), got {kept}")
     chosen, total = greedy_walk(kept, class_scores, masks, target)
     selected = tuple(image.proposals[i].region_id for i in chosen)
     return SelectionResult(selected, total, complete=len(chosen) == target)

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import PAIRS_PER_BATCH, Box, pairwise_overlaps
+from .geometry import PAIRS_PER_BATCH, Box, box_array, pairwise_overlaps
 from .world import ImageRecord
 
 __all__ = [
@@ -115,7 +115,7 @@ def _check_threshold(name: str, value: float) -> None:
 def _ranked(regions: Iterable[ScoredRegion]) -> tuple[list[ScoredRegion], np.ndarray]:
     """Regions in the canonical order (score descending, ties by region_id) and their boxes."""
     ranked = sorted(regions, key=lambda r: (-r.score, r.region_id))
-    return ranked, np.array([r.box.as_tuple() for r in ranked], dtype=float).reshape(-1, 4)
+    return ranked, box_array(r.box for r in ranked)
 
 
 def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
@@ -171,8 +171,8 @@ def world_overlaps(
         hits = []
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            boxes = [p.box.as_tuple() for k in chunk for p in images[k].proposals]
-            ious, directed = pairwise_overlaps(np.reshape(boxes, (len(chunk), n, 4)))
+            boxes = box_array(p.box for k in chunk for p in images[k].proposals)
+            ious, directed = pairwise_overlaps(boxes.reshape(len(chunk), n, 4))
             # Row i of this transpose marks the proposals that keeping i suppresses.
             hits.append(~(ious.swapaxes(-1, -2) < nms_threshold))
             # Row j of each transpose holds the overlaps of every member with candidate j.

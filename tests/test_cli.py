@@ -6,6 +6,8 @@ import hashlib
 import json
 import logging
 import re
+import runpy
+import sys
 import warnings
 import weakref
 
@@ -718,10 +720,26 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_module_run_exits_with_the_dispatch_code(self, monkeypatch, capsys):
+        # python -m crskit.cli: main() hands cli_dispatch's code to sys.exit.
+        monkeypatch.setattr(sys, "argv", ["crskit", "bogus"])
+        monkeypatch.delitem(sys.modules, "crskit.cli")  # a fresh module, as -m runs it
+        with pytest.raises(SystemExit) as caught:
+            runpy.run_module("crskit.cli", run_name="__main__")
+        assert caught.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: crskit")
+
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code, _, err = run(capsys, "select", "--input", str(tmp_path / "nope.jsonl"))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_refine_on_empty_dataset_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        code, _, err = run(capsys, "refine", "--input", str(path))
+        assert code == 1
+        assert err == "error: dataset is empty\n"
 
     @pytest.mark.parametrize("command", ["nms", "select", "refine"])
     def test_unparsable_dataset_exits_one(self, tmp_path, capsys, command):

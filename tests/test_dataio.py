@@ -257,6 +257,18 @@ class TestDetectionsValidation:
         with pytest.raises(DatasetError, match=r"line 1: detection: unknown keys"):
             load_detections(path)
 
+    def test_detection_line_not_an_object(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(DatasetError, match=r"^line 1: detection: expected a JSON object$"):
+            load_detections(path)
+
+    def test_config_file_not_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(DatasetError, match=r"^config: expected a JSON object$"):
+            load_run_config(path)
+
     def test_confidence_range_enforced(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         path.write_text(
@@ -882,6 +894,7 @@ WHOLE_CHECK_FAULTS = {
     "degenerate-box": (plain_record, ("proposals", 1, "box"), [2.0, 1.0, 2.0, 9.0]),
     # After a valid score, so that the smallest and largest scores are valid.
     "nan-score": (plain_record, ("proposals", 1, "scores", "dog"), float("nan")),
+    "score-above-one": (plain_record, ("proposals", 1, "scores", "dog"), 1.5),
     "nan-feature": (plain_record, ("proposals", 1, "feature", 1), float("nan")),
     "empty-feature": (
         plain_record,

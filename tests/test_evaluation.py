@@ -239,6 +239,22 @@ class TestReports:
         assert report.mean_corloc is None
         assert slice_by_count([], {}) == replace(report, buckets={})
 
+    def test_detections_meet_only_their_own_class(self):
+        # Each (image, class) pair is a table image holding that class's boxes only.
+        gt = {"img_a": {"cat": [GT_UNIT], "dog": [GT_UNIT]}, "img_b": {"dog": []}}
+        detections = [det("img_a", 0.9, GT_UNIT), det("img_a", 0.8, GT_UNIT, class_id="dog")]
+        table, picks = evaluation._detection_picks(detections, gt, "iou50")
+        assert table.image_ids == (("img_a", "cat"), ("img_a", "dog"), ("img_b", "dog"))
+        assert table.truth("cat").candidates.tolist() == [1, 0]
+        assert table.truth("dog").candidates.tolist() == [0, 1]
+        assert table.truth("cat").hit.tolist() == [True, False]
+        assert {name: rows.tolist() for name, (rows, _) in picks.items()} == {
+            "cat": [0], "dog": [1]
+        }
+        assert {name: c.tolist() for name, c in table.gt_counts.items()} == {
+            "cat": [1, 0, 0], "dog": [0, 1, 0]
+        }
+
     @pytest.mark.parametrize("report", [build_report, slice_by_count])
     def test_ap_mode_is_checked_without_classes(self, report):
         with pytest.raises(ValueError, match="unknown AP mode: 'bogus'"):

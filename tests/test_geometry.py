@@ -16,6 +16,7 @@ from crskit.geometry import (
     GeometryError,
     area,
     asymmetric_overlap,
+    box_array,
     hull,
     intersection_area,
     iou,
@@ -115,7 +116,13 @@ class TestFrozenValues:
 
     def test_box_helpers(self):
         b = Box(1, 2, 5, 10)
-        assert b.width == 4 and b.height == 8
+        assert area(b) == 4 * 8
+
+    def test_box_array_stacks_corners(self):
+        stacked = box_array(iter([Box(1, 2, 5, 10), Box(0.5, 0, 1, 3)]))
+        assert stacked.dtype == float and stacked.shape == (2, 4)
+        assert stacked.tolist() == [[1.0, 2.0, 5.0, 10.0], [0.5, 0.0, 1.0, 3.0]]
+        assert box_array([]).shape == (0, 4)
 
 
 class TestProperties:

@@ -407,6 +407,23 @@ class TestSelectPseudoGt:
         with pytest.raises(ValueError, match=r"^img_0: score must be in \[0, 1\], got nan$"):
             select_pseudo_gt(image, [0.5, math.nan, 0.7], [0, 1, 2], 1, masks)
 
+    # kept=[-1] would pick the image's last region, a 3 would index past the masks.
+    @pytest.mark.parametrize(
+        "kept, masks, message",
+        [
+            ([-1], 3, "kept positions must be in [0, 3), got [-1]"),
+            ([0, 3], 3, "kept positions must be in [0, 3), got [0, 3]"),
+            ([0, 1, 2], 2, "got 2 masks for 3 proposals"),
+        ],
+    )
+    def test_positions_and_masks_must_fit_the_image(self, kept, masks, message):
+        boxes = [Box(20.0 * i, 0, 20.0 * i + 10, 10) for i in range(3)]
+        image = one_image([proposal(i, b, 0.5) for i, b in enumerate(boxes)])
+        conflict = world_overlaps([image], 0.3, 0.1).conflict[0]
+        with pytest.raises(ValueError) as caught:
+            select_pseudo_gt(image, [0.5, 0.6, 0.7], kept, 1, conflict[:masks])
+        assert str(caught.value) == f"img_0: {message}"
+
     @pytest.mark.parametrize("array", [list, np.array], ids=["list", "array"])
     def test_score_check_takes_lists_and_arrays(self, array):
         refinement._check_scores(one_image([]), array([]))

@@ -27,6 +27,7 @@ from crskit.world import (
     _jittered,
     _layout_ok,
     _part_of,
+    _place_instances,
     _random_box,
     _spread_layout,
     generate_world,
@@ -177,6 +178,14 @@ def test_spread_layout_fallback_is_valid():
         layout = _spread_layout(count)
         assert len(layout) == count
         assert _layout_ok(layout)
+
+
+def test_placement_falls_back_to_spread_layout(monkeypatch):
+    # With no random tries left, every instance count gets the quadrant layout.
+    monkeypatch.setattr("crskit.world.MAX_PLACEMENT_TRIES", 0)
+    rng = np.random.default_rng(0)
+    for count in range(1, 5):
+        assert _place_instances(rng, count) == _spread_layout(count)
 
 
 # One scalar draw per value: the generator's draws as first written. The
