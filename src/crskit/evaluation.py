@@ -26,7 +26,6 @@ run, a table image per image, and picks its suppression survivors' rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -186,15 +185,22 @@ def truth_table(
     classes = {name: ClassTruth(hit[k], candidates[k], matches[k]) for name, k in names.items()}
     # Table images in image_id order; argsort inverts that order into each image's rank.
     order = sorted(range(len(image_ids)), key=image_ids.__getitem__)
-    gt_counts = {
-        name: np.array([len(gt[k].get(name, ())) for k in order], dtype=np.int32)
-        for name in dict.fromkeys(chain.from_iterable(gt))
-    }
+    rank = np.argsort(order)
+    # One pass over the ground truth: (class, image, box count) for each class it names.
+    counted: dict[str, int] = {}
+    cells = [
+        (counted.setdefault(name, len(counted)), k, len(bs))
+        for k, t in enumerate(gt)
+        for name, bs in t.items()
+    ]
+    group, image, size = np.array(cells, dtype=np.intp).reshape(-1, 3).T
+    gt_counts = np.zeros((len(counted), len(gt)), dtype=np.int32)
+    gt_counts[group, rank[image]] = size
     return TruthTable(
         image_ids=tuple(image_ids),
-        image_rank=np.argsort(order)[row_image],
+        image_rank=rank[row_image],
         classes=classes,
-        gt_counts=gt_counts,
+        gt_counts=dict(zip(counted, gt_counts)),
     )
 
 

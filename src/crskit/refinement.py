@@ -22,15 +22,17 @@ one ``selection.suppress_columns`` pass over the arrays (one array step per
 rank position of each proposal-count block, classes stacked), into every
 (image, class) survivor as table rows. Its evaluation gathers their
 confidences from the arrays and passes both to ``evaluation.evaluate_picks``,
-with no ``Detection`` objects; the next selection walks the same survivors
-image by image (``selection.survivors_by_image``): ``select_pseudo_gt`` takes
-an image's survivors, masks and count target, and reads no threshold. Every
-purity count reads the table's candidate counts. Features never change
+with no ``Detection`` objects. The next selection is one ``select_pseudo_gt``
+call over the same table, overlaps and survivors: it splits the survivors per
+image (``selection.survivors_by_image``) and walks each positive class's over
+the image's masks to its count target, reading no threshold. Every purity
+count reads the table's candidate counts. Features never change
 either, so ``run_adr`` stacks them once into a private feature state
 (``_Features``): each rescoring computes all of a class's scores in one
 stacked kernel, and retraining and purity map the selected regions to its
 rows, which retraining averages by index. ``run_adr`` checks the initial
-score table up front, ``detections_from_scores`` the one it is given.
+score table up front, ``select_pseudo_gt`` and ``detections_from_scores`` the
+one they are given.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
     SelectionResult,
+    WorldOverlaps,
     _check_threshold,
     greedy_walk,
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
@@ -225,17 +228,6 @@ def score_proposals(scorer: CentroidScorer, image: ImageRecord) -> dict[str, lis
     return {name: column.tolist() for name, column in score_table([image], scorer).items()}
 
 
-def _check_scores(image: ImageRecord, class_scores: Sequence[float]) -> None:
-    if len(class_scores) != len(image.proposals):
-        raise ValueError(
-            f"{image.image_id}: got {len(class_scores)} scores for "
-            f"{len(image.proposals)} proposals"
-        )
-    for score in class_scores:
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"{image.image_id}: score must be in [0, 1], got {score}")
-
-
 def ground_truth_table(
     world: Sequence[ImageRecord], corloc_variant: str = "iou50"
 ) -> TruthTable:
@@ -253,34 +245,47 @@ def ground_truth_table(
 
 
 def select_pseudo_gt(
-    image: ImageRecord,
-    class_scores: Sequence[float],
-    kept: Sequence[int],
-    target: int,
-    masks: Sequence[int],
-) -> SelectionResult:
-    """Pick pseudo ground truth for one image and class from current scores.
+    world: Sequence[ImageRecord],
+    columns: Mapping[str, np.ndarray],
+    overlaps: WorldOverlaps,
+    survivors: Mapping[str, np.ndarray],
+    config: RefinementConfig,
+) -> dict[str, dict[str, SelectionResult]]:
+    """Pick pseudo ground truth for every positive class of every image from current scores.
 
-    ``kept`` holds the class's suppression survivors in the image, positions
-    in rank order, as ``selection.survivors_by_image`` splits them from a
-    ``suppress_columns`` pass over the same scores. Count-constrained
-    selection of up to ``target`` regions (a run passes
-    ``RefinementConfig.count_target``) walks them over ``masks``, the image's
-    conflict masks from the run's ``world_overlaps``, one per proposal. A
-    position of ``kept`` outside the image's proposals is a ``ValueError``.
-    An image without proposals yields an empty, incomplete result.
+    ``columns`` is a score table (``score_table``), ``overlaps`` the world's
+    ``world_overlaps`` and ``survivors`` a ``suppress_columns`` pass over both.
+    Count-constrained selection of up to ``config.count_target(count)``
+    regions walks each class's survivors in an image, in rank order, over the
+    image's conflict masks; it reads no threshold. Images without a positive
+    class are left out; an image without proposals gets empty, incomplete
+    results. Overlaps of another world, a survivor row outside the world and a
+    positive class without a column or survivors are ``ValueError``s.
     """
-    if isinstance(target, bool) or not isinstance(target, int) or target < 1:
-        raise ValueError(f"{image.image_id}: target must be an int >= 1, got {target!r}")
-    _check_scores(image, class_scores)
-    n = len(image.proposals)
-    if len(masks) != n:
-        raise ValueError(f"{image.image_id}: got {len(masks)} masks for {n} proposals")
-    if len(kept) and (min(kept) < 0 or max(kept) >= n):
-        raise ValueError(f"{image.image_id}: kept positions must be in [0, {n}), got {kept}")
-    chosen, total = greedy_walk(kept, class_scores, masks, target)
-    selected = tuple(image.proposals[i].region_id for i in chosen)
-    return SelectionResult(selected, total, complete=len(chosen) == target)
+    _check_columns(world, columns)
+    offsets = _Features(world).offsets
+    if not np.array_equal(overlaps.offsets, offsets):
+        raise ValueError("overlaps were built for another world or image order")
+    for name, rows in survivors.items():
+        bad = rows[(rows < 0) | (rows >= offsets[-1])]
+        if bad.size:
+            raise ValueError(f"{name}: survivor row {bad[0]} is not in [0, {offsets[-1]})")
+    kept, starts = survivors_by_image(overlaps, survivors), offsets.tolist()
+    pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
+    images = zip(world, overlaps.conflict, starts, starts[1:])
+    for k, (record, masks, start, end) in enumerate(images):
+        picks = {}
+        for name in record.positive_classes():
+            if name not in columns or name not in kept:
+                raise ValueError(f"{record.image_id}: {name} has no score column or survivors")
+            target = config.count_target(record.counts[name])
+            scores = columns[name][start:end].tolist()
+            chosen, total = greedy_walk(kept[name][k], scores, masks, target)
+            selected = tuple(record.proposals[i].region_id for i in chosen)
+            picks[name] = SelectionResult(selected, total, complete=len(chosen) == target)
+        if picks:
+            pseudo_gt[record.image_id] = picks
+    return pseudo_gt
 
 
 def retrain_scorer(
@@ -453,7 +458,6 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     columns = score_table(world, scorer)
     _check_columns(world, columns)
     survivors = suppress_columns(overlaps, columns)
-    offsets = world.offsets.tolist()
 
     def evaluate(purity: float | None) -> EvalReport:
         picks = {name: (rows, columns[name][rows]) for name, rows in survivors.items()}
@@ -462,19 +466,7 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     report.iterations.append(IterationReport(iteration=0, report=evaluate(None)))
     for iteration in range(1, config.iterations + 1):
         # Selection walks the survivors the last evaluation suppressed these scores to.
-        kept = survivors_by_image(overlaps, survivors)
-        pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
-        images = zip(world, overlaps.conflict, offsets, offsets[1:])
-        for k, (record, masks, start, end) in enumerate(images):
-            picks = {
-                name: select_pseudo_gt(
-                    record, columns[name][start:end].tolist(), kept[name][k],
-                    config.count_target(record.counts[name]), masks,
-                )
-                for name in record.positive_classes()
-            }
-            if picks:
-                pseudo_gt[record.image_id] = picks
+        pseudo_gt = select_pseudo_gt(world, columns, overlaps, survivors, config)
         scorer = retrain_scorer(pseudo_gt, world, previous=scorer)
         columns = score_table(world, scorer)
         survivors = suppress_columns(overlaps, columns)

@@ -255,6 +255,25 @@ class TestReports:
             "cat": [1, 0, 0], "dog": [0, 1, 0]
         }
 
+    def test_gt_counts_of_a_detections_table_match_a_count_per_class(self):
+        # A detections table has a table image per (image, class). Its one pass over the
+        # ground truth must count what a comprehension per class over those images does.
+        world = generate_world(30, 3, seed=4)
+        world[7].gt_boxes["empty"] = []
+        gt = {record.image_id: record.gt_boxes for record in world}
+        detections = detections_from_scores(world, score_table(world, None), 0.3)
+        table, _ = evaluation._detection_picks(detections, gt, "iou50")
+        truths = {(i, c): {c: gt[i][c]} if c in gt.get(i, ()) else {} for i, c in table.image_ids}
+        names = dict.fromkeys(name for key in table.image_ids for name in truths[key])
+        assert len(names) == 4 and len(table.image_ids) > len(world)
+        expected = {
+            name: [len(truths[key].get(name, ())) for key in sorted(table.image_ids)]
+            for name in names
+        }
+        assert list(table.gt_counts) == list(names)
+        assert {name: c.tolist() for name, c in table.gt_counts.items()} == expected
+        assert {c.dtype for c in table.gt_counts.values()} == {np.dtype(np.int32)}
+
     @pytest.mark.parametrize("report", [build_report, slice_by_count])
     def test_ap_mode_is_checked_without_classes(self, report):
         with pytest.raises(ValueError, match="unknown AP mode: 'bogus'"):

@@ -35,7 +35,6 @@ from crskit.selection import (
     crs_greedy,
     nms,
     suppress_columns,
-    survivors_by_image,
     world_overlaps,
 )
 from crskit.world import ImageRecord, Proposal, generate_world
@@ -53,14 +52,18 @@ def trained_scorer(world) -> CentroidScorer:
     return run_adr(world, RefinementConfig(iterations=1)).scorer
 
 
+def select_world(world, columns, config):
+    """``select_pseudo_gt`` as a run calls it: the table ``columns``, the world's
+    masks and one ``suppress_columns`` pass over both."""
+    overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
+    survivors = suppress_columns(overlaps, columns)
+    return select_pseudo_gt(world, columns, overlaps, survivors, config)
+
+
 def select(image, name, scores, config):
-    """``select_pseudo_gt`` as a run calls it: the image's survivors of one
-    ``suppress_columns`` pass, then its count target and masks."""
-    overlaps = world_overlaps([image], config.nms_threshold, config.threshold)
-    survivors = suppress_columns(overlaps, {name: np.array(scores, dtype=float)})
-    kept = survivors_by_image(overlaps, survivors)[name][0]
-    target = config.count_target(image.counts[name])
-    return select_pseudo_gt(image, scores, kept, target, overlaps.conflict[0])
+    """``select_world`` on a one-image world scored only for ``name``: its result there."""
+    columns = {name: np.array(scores, dtype=float)}
+    return select_world([image], columns, config)[image.image_id][name]
 
 
 def image_lists(world, columns):
@@ -289,15 +292,9 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("count_guided", [True, False])
     def test_indexed_mean_matches_per_row_mean(self, canonical_world, count_guided):
         config = RefinementConfig(count_guided=count_guided)
-        scores, scorer = image_lists(canonical_world, score_table(canonical_world, None)), None
+        columns, scorer = score_table(canonical_world, None), None
         for _ in range(2):
-            pseudo_gt = {
-                r.image_id: {
-                    name: select(r, name, scores[r.image_id][name], config)
-                    for name in r.positive_classes()
-                }
-                for r in canonical_world
-            }
+            pseudo_gt = select_world(canonical_world, columns, config)
             scorer = retrain_scorer(pseudo_gt, canonical_world, previous=scorer)
             for name, prototype in scorer.prototypes.items():
                 rows = [
@@ -307,7 +304,7 @@ class TestBatchedKernel:
                     for region_id in pseudo_gt[r.image_id][name].selected
                 ]
                 assert prototype.tobytes() == np.mean(rows, axis=0).tobytes()
-            scores = image_lists(canonical_world, score_table(canonical_world, scorer))
+            columns = score_table(canonical_world, scorer)
 
     def test_feature_too_large_to_score_is_located(self):
         scorer = CentroidScorer({"cat": np.ones(2)}, feature_dim=2)
@@ -378,62 +375,81 @@ class TestSelectPseudoGt:
         result = select(image, "cat", [0.9, 0.85, 0.5], config)
         assert result.selected == (0, 2)
 
-    def test_zero_count_rejected(self):
-        # A count of 0 gives a target of 0.
+    def test_zero_count_class_is_not_selected(self):
+        # Only positive classes are selected, so no count gives a target below 1.
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)], count=1)
         image.counts["cat"] = 0
-        with pytest.raises(ValueError, match="^img_0: target must be an int >= 1, got 0$"):
-            select(image, "cat", [0.9], RefinementConfig())
+        assert select_world([image], score_table([image], None), RefinementConfig()) == {}
 
-    # A bool is an int, and 1.5 would let the walk select every compatible region.
+    # A target is config.count_target of a positive count (>= 1), so only the cap could
+    # make it a bool, a fraction or below 1; the config refuses each such cap.
     @pytest.mark.parametrize("target", [-1, True, 1.5], ids=repr)
     def test_bad_target_rejected(self, target):
-        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        masks = world_overlaps([image], 0.3, 0.1).conflict[0]
         with pytest.raises(ValueError) as caught:
-            select_pseudo_gt(image, [0.9], [0], target, masks)
-        assert str(caught.value) == f"img_0: target must be an int >= 1, got {target!r}"
+            RefinementConfig(count_cap=target)
+        if target == -1:
+            assert str(caught.value) == "count_cap must be >= 1, got -1"
+        else:
+            assert str(caught.value) == f"count_cap must be int, got {type(target).__name__}"
 
     def test_score_alignment_checked(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cat: got 2 scores for 1 proposals$"):
             select(image, "cat", [0.9, 0.1], RefinementConfig())
 
     def test_nan_score_is_named(self):
-        # A NaN fails every comparison; the check names it, not the one after it.
-        boxes = [Box(20.0 * i, 0, 20.0 * i + 10, 10) for i in range(3)]
-        image = one_image([proposal(i, b, 0.5) for i, b in enumerate(boxes)])
-        masks = world_overlaps([image], 0.3, 0.1).conflict[0]
-        with pytest.raises(ValueError, match=r"^img_0: score must be in \[0, 1\], got nan$"):
-            select_pseudo_gt(image, [0.5, math.nan, 0.7], [0, 1, 2], 1, masks)
-
-    # kept=[-1] would pick the image's last region, a 3 would index past the masks.
-    @pytest.mark.parametrize(
-        "kept, masks, message",
-        [
-            ([-1], 3, "kept positions must be in [0, 3), got [-1]"),
-            ([0, 3], 3, "kept positions must be in [0, 3), got [0, 3]"),
-            ([0, 1, 2], 2, "got 2 masks for 3 proposals"),
-        ],
-    )
-    def test_positions_and_masks_must_fit_the_image(self, kept, masks, message):
-        boxes = [Box(20.0 * i, 0, 20.0 * i + 10, 10) for i in range(3)]
-        image = one_image([proposal(i, b, 0.5) for i, b in enumerate(boxes)])
-        conflict = world_overlaps([image], 0.3, 0.1).conflict[0]
+        # A NaN fails every comparison; the check names it, not the score after it.
+        world = generate_world(3, 2, seed=1)
+        columns = score_table(world, None)
+        name = world[1].positive_classes()[0]
+        columns[name][len(world[0].proposals) + 1] = math.nan
+        overlaps = world_overlaps(world, 0.3, 0.1)
+        survivors = suppress_columns(overlaps, score_table(world, None))
         with pytest.raises(ValueError) as caught:
-            select_pseudo_gt(image, [0.5, 0.6, 0.7], kept, 1, conflict[:masks])
-        assert str(caught.value) == f"img_0: {message}"
+            select_pseudo_gt(world, columns, overlaps, survivors, RefinementConfig())
+        region_id = world[1].proposals[1].region_id
+        assert str(caught.value) == (
+            f"{world[1].image_id}: proposal {region_id}: {name} score must be in [0, 1], got nan"
+        )
 
-    @pytest.mark.parametrize("array", [list, np.array], ids=["list", "array"])
-    def test_score_check_takes_lists_and_arrays(self, array):
-        refinement._check_scores(one_image([]), array([]))
-        boxes = [Box(20.0 * i, 0, 20.0 * i + 10, 10) for i in range(3)]
-        image = one_image([proposal(i, b, 0.5) for i, b in enumerate(boxes)])
-        refinement._check_scores(image, array([0.0, 1.0, 0.5]))
-        for bad in (1.5, -0.25, math.inf):
-            message = f"^img_0: score must be in \\[0, 1\\], got {bad}$"
-            with pytest.raises(ValueError, match=message):
-                refinement._check_scores(image, array([0.5, bad, 0.7]))
+    def test_overlaps_of_another_world_rejected(self):
+        # Masks of another world or image order would walk the wrong proposals.
+        world = generate_world(4, 2, seed=2)
+        columns = score_table(world, None)
+        for other in (world[:3], world[::-1]):
+            overlaps = world_overlaps(other, 0.3, 0.1)
+            survivors = suppress_columns(overlaps, score_table(other, None))
+            with pytest.raises(ValueError) as caught:
+                select_pseudo_gt(world, columns, overlaps, survivors, RefinementConfig())
+            assert str(caught.value) == "overlaps were built for another world or image order"
+
+    # Neither row is in an image: -1 lies before the first, the row count past the last.
+    @pytest.mark.parametrize("row", [-1, "total"])
+    def test_survivor_row_outside_the_world_rejected(self, row):
+        world = generate_world(4, 2, seed=2)
+        columns = score_table(world, None)
+        overlaps = world_overlaps(world, 0.3, 0.1)
+        survivors = suppress_columns(overlaps, columns)
+        total = int(overlaps.offsets[-1])
+        row = total if row == "total" else row
+        name = next(iter(survivors))
+        survivors[name] = np.append(survivors[name], row)
+        with pytest.raises(ValueError) as caught:
+            select_pseudo_gt(world, columns, overlaps, survivors, RefinementConfig())
+        assert str(caught.value) == f"{name}: survivor row {row} is not in [0, {total})"
+
+    @pytest.mark.parametrize("missing", ["column", "survivors"])
+    def test_positive_class_without_column_or_survivors_rejected(self, missing):
+        world = generate_world(4, 2, seed=2)
+        columns = score_table(world, None)
+        overlaps = world_overlaps(world, 0.3, 0.1)
+        survivors = suppress_columns(overlaps, columns)
+        record = next(r for r in world if r.positive_classes())
+        name = record.positive_classes()[0]
+        del (columns if missing == "column" else survivors)[name]
+        with pytest.raises(ValueError) as caught:
+            select_pseudo_gt(world, columns, overlaps, survivors, RefinementConfig())
+        assert str(caught.value) == f"{record.image_id}: {name} has no score column or survivors"
 
     def test_no_proposals_gives_empty_incomplete_result(self):
         image = one_image([], count=2)
@@ -470,23 +486,19 @@ class TestSelectPseudoGt:
         config = RefinementConfig(count_guided=count_guided)
         columns = score_table(world, trained_scorer(world) if rescored else None)
         table = image_lists(world, columns)
-        overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
-        kept = survivors_by_image(overlaps, suppress_columns(overlaps, columns))
-        for k, (record, masks) in enumerate(zip(world, overlaps.conflict)):
+        expected = {}
+        for record in world:
             for name in record.positive_classes():
-                scores = table[record.image_id][name]
                 regions = [
                     ScoredRegion(p.box, s, p.region_id)
-                    for p, s in zip(record.proposals, scores)
+                    for p, s in zip(record.proposals, table[record.image_id][name])
                 ]
                 target = min(record.counts[name], config.count_cap) if count_guided else 1
-                expected = crs_greedy(
-                    SelectionProblem(
-                        tuple(nms(regions, config.nms_threshold)), target, config.threshold
-                    )
+                problem = SelectionProblem(
+                    tuple(nms(regions, config.nms_threshold)), target, config.threshold
                 )
-                result = select_pseudo_gt(record, scores, kept[name][k], target, masks)
-                assert result == expected
+                expected.setdefault(record.image_id, {})[name] = crs_greedy(problem)
+        assert select_world(world, columns, config) == expected
 
 
 class TestDetectionsFromScores:
@@ -821,14 +833,7 @@ class TestGroundTruthTable:
     def test_purity_matches_is_pure_on_real_selections(self, count_guided):
         world = generate_world(30, 3, seed=13)
         config = RefinementConfig(count_guided=count_guided)
-        scores = image_lists(world, score_table(world, None))
-        pseudo_gt = {
-            record.image_id: {
-                name: select(record, name, scores[record.image_id][name], config)
-                for name in record.positive_classes()
-            }
-            for record in world
-        }
+        pseudo_gt = select_world(world, score_table(world, None), config)
         expected = is_pure_purity(pseudo_gt, world)
         assert selection_purity(pseudo_gt, world, ground_truth_table(world)) == expected
 
