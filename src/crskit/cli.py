@@ -34,7 +34,13 @@ from .dataio import COUNT_UI_CAP, DatasetError
 from .evaluation import AP_MODES, CORLOC_VARIANTS, build_report, slice_by_count
 from .geometry import Box
 from .refinement import (
-    MAX_ITERATIONS, RefinementConfig, abbreviate, detections_from_scores, run_adr, score_table
+    MAX_ITERATIONS,
+    RefinementConfig,
+    abbreviate,
+    count_targets,
+    detections_from_scores,
+    run_adr,
+    score_table,
 )
 from .selection import (
     DEFAULT_ENUMERATION_CAP,
@@ -42,9 +48,9 @@ from .selection import (
     SelectionProblem,
     crs_exact,
     crs_greedy,
-    greedy_walk,
     suppress_columns,
     survivors_by_image,
+    walk_classes,
     world_overlaps,
 )
 from .world import DEFAULT_FEATURE_DIM, generate_world
@@ -190,22 +196,28 @@ def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
 
 def cmd_select(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.input)
-    images: dict[str, Any] = {}
     overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
-    for record, masks in zip(world, overlaps.conflict):
-        images[record.image_id] = selections = {}
-        by_id = sorted(range(len(record.proposals)), key=lambda i: record.proposals[i].region_id)
-        for name in record.positive_classes():
-            scores = [p.scores.get(name, 0.0) for p in record.proposals]
-            target = config.count_target(record.counts[name])
-            # Rank order: the stable sort keeps region_id order among equal scores.
-            order = sorted(by_id, key=scores.__getitem__, reverse=True)
-            chosen, total = greedy_walk(order, scores, masks, target)
-            selections[name] = {
-                "selected": [record.proposals[i].region_id for i in chosen],
-                "boxes": [list(record.proposals[i].box.as_tuple()) for i in chosen],
+    columns, offsets = score_table(world, None), overlaps.offsets
+    # Every proposal is a candidate, in rank order: score descending, ties by region_id.
+    id_rank = np.zeros(offsets[-1], dtype=np.intp)
+    for starts, ranks, _ in overlaps.blocks:
+        id_rank[starts[:, None] + np.arange(ranks.shape[1])] = ranks
+    image = np.repeat(np.arange(len(world)), np.diff(offsets))
+    ranked = {name: np.lexsort((id_rank, -column, image)) for name, column in columns.items()}
+    targets = count_targets(world, config)
+    images: dict[str, Any] = {record.image_id: {} for record in world}
+    for name, (problems, rows, sizes, totals) in walk_classes(
+        overlaps, columns, ranked, targets
+    ).items():
+        goals, rows, ends = targets[name].tolist(), rows.tolist(), np.cumsum(sizes).tolist()
+        for k, size, end, total in zip(problems.tolist(), sizes.tolist(), ends, totals.tolist()):
+            record = world[k]
+            picked = [record.proposals[row - offsets[k]] for row in rows[end - size : end]]
+            images[record.image_id][name] = {
+                "selected": [p.region_id for p in picked],
+                "boxes": [list(p.box.as_tuple()) for p in picked],
                 "total_score": total,
-                "complete": len(chosen) == target,
+                "complete": size == goals[k],
             }
     return _write_report(args, config, {"format_version": dataio.FORMAT_VERSION, "images": images})
 

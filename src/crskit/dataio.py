@@ -400,14 +400,8 @@ def load_detections(path: str | Path) -> list[Detection]:
                 _fail(line_no, "confidence", f"must be in [0, 1], got {confidence}")
             plain = image_id, class_id, _box(data["box"], line_no, "box"), confidence
         image_id, class_id, box, confidence = plain
-        detections.append(
-            Detection(
-                image_id=ids.setdefault(image_id, image_id),
-                class_id=ids.setdefault(class_id, class_id),
-                box=box,
-                confidence=confidence,
-            )
-        )
+        image_id, class_id = ids.setdefault(image_id, image_id), ids.setdefault(class_id, class_id)
+        detections.append(Detection(image_id, class_id, box, confidence))
     return detections
 
 

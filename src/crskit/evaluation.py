@@ -61,16 +61,30 @@ _NO_PICKS = (np.zeros(0, dtype=int), np.zeros(0))
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """One scored detection of a class in an image."""
+    """One scored detection of a class in an image.
+
+    The constructor checks the confidence and stores the four values, one step each.
+    """
 
     image_id: str
     class_id: str
     box: Box
     confidence: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+    def __init__(self, image_id: str, class_id: str, box: Box, confidence: float) -> None:
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence must be in [0, 1], got {confidence}")
+        _set_image_id(self, image_id)
+        _set_class_id(self, class_id)
+        _set_box(self, box)
+        _set_confidence(self, confidence)
+
+
+# The slot setters of the class that @dataclass(slots=True) built, which store
+# a field of a frozen Detection without going through its refusing __setattr__.
+_set_image_id, _set_class_id, _set_box, _set_confidence = (
+    Detection.__dict__[name].__set__ for name in Detection.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

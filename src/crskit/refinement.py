@@ -23,16 +23,17 @@ rank position of each proposal-count block, classes stacked), into every
 (image, class) survivor as table rows. Its evaluation gathers their
 confidences from the arrays and passes both to ``evaluation.evaluate_picks``,
 with no ``Detection`` objects. The next selection is one ``select_pseudo_gt``
-call over the same table, overlaps and survivors: it splits the survivors per
-image (``selection.survivors_by_image``) and walks each positive class's over
-the image's masks to its count target, reading no threshold. Every purity
-count reads the table's candidate counts. Features never change
+call over the same table, overlaps and survivors: every (image, positive
+class) problem is walked at once (``selection.walk_classes``) over the
+conflict words to its count target, reading no threshold, and the pseudo
+ground truth comes back as table rows (``PseudoGroundTruth``). Every purity
+count reads the table's candidate counts at those rows. Features never change
 either, so ``run_adr`` stacks them once into a private feature state
-(``_Features``): each rescoring computes all of a class's scores in one
-stacked kernel, and retraining and purity map the selected regions to its
-rows, which retraining averages by index. ``run_adr`` checks the initial
-score table up front, ``select_pseudo_gt`` and ``detections_from_scores`` the
-one they are given.
+(``_Features``), which also keeps the run's count targets: each rescoring
+computes all of a class's scores in one stacked kernel, and retraining
+averages the selected rows by index. ``run_adr`` checks the initial score
+table up front, ``select_pseudo_gt`` and ``detections_from_scores`` the one
+they are given.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ from .geometry import box_array
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
-    SelectionResult,
     WorldOverlaps,
     _check_threshold,
-    greedy_walk,
     nms,  # noqa: F401  re-exported: perfbench/tests checks refinement.nms is selection.nms
     suppress_columns,
     survivors_by_image,
+    walk_classes,
     world_overlaps,
 )
 from .world import ImageRecord
@@ -75,8 +75,10 @@ __all__ = [
     "CentroidScorer",
     "IterationReport",
     "RefinementReport",
+    "PseudoGroundTruth",
     "score_proposals",
     "ground_truth_table",
+    "count_targets",
     "select_pseudo_gt",
     "retrain_scorer",
     "selection_purity",
@@ -161,9 +163,9 @@ def _row_dots(matrix: np.ndarray, other: np.ndarray) -> np.ndarray:
 class _Features(tuple):
     """A world's images with their proposal features, stacked once per run.
 
-    Image k's proposals are rows ``offsets[k]:offsets[k + 1]``, ``positions[k]``
-    maps its unique region ids to positions in the image, and ``dims`` holds
-    each row's feature length (-1 for none), so length checks precede the stacking.
+    Image k's proposals are rows ``offsets[k]:offsets[k + 1]``, and ``dims``
+    holds each row's feature length (-1 for none), so length checks precede
+    the stacking.
     """
 
     def __new__(cls, world: Sequence[ImageRecord]) -> "_Features":
@@ -171,12 +173,12 @@ class _Features(tuple):
             return world
         self = super().__new__(cls, world)
         self.offsets = np.cumsum([0] + [len(r.proposals) for r in self])
-        self.positions = [{p.region_id: i for i, p in enumerate(r.proposals)} for r in self]
-        for record, positions in zip(self, self.positions):
-            if len(positions) != len(record.proposals):
+        for record in self:
+            if len({p.region_id for p in record.proposals}) != len(record.proposals):
                 raise ValueError(f"{record.image_id}: region_ids must be unique within an image")
         self._rows = [p.feature for r in self for p in r.proposals]
         self.dims = np.array([-1 if f is None else len(f) for f in self._rows], dtype=int)
+        self._targets: dict[tuple[bool, int], dict[str, np.ndarray]] = {}
         return self
 
     def locate(self, row: int) -> str:
@@ -184,26 +186,12 @@ class _Features(tuple):
         k = int(np.searchsorted(self.offsets, row, side="right")) - 1
         return f"{self[k].image_id}: proposal {self[k].proposals[row - self.offsets[k]].region_id}"
 
-    def selected_rows(
-        self, pseudo_gt: Mapping[str, Mapping[str, SelectionResult]]
-    ) -> dict[str, list[int]]:
-        """Each class's selected regions as stacked rows, image by image in world order.
-
-        An image or a region id the world lacks is a ``ValueError`` naming it.
-        """
-        unknown = pseudo_gt.keys() - {record.image_id for record in self}
-        if unknown:
-            raise ValueError(f"{min(unknown)}: pseudo ground truth for an image not in the world")
-        rows: dict[str, list[int]] = {}
-        for record, offset, positions in zip(self, self.offsets.tolist(), self.positions):
-            for class_id, result in (pseudo_gt.get(record.image_id) or {}).items():
-                for region_id in result.selected:
-                    if region_id not in positions:
-                        raise ValueError(
-                            f"{record.image_id}: selected region {region_id} is not a proposal"
-                        )
-                    rows.setdefault(class_id, []).append(offset + positions[region_id])
-        return rows
+    def count_targets(self, config: RefinementConfig) -> dict[str, np.ndarray]:
+        """``count_targets(self, config)``, built once a config."""
+        key = (config.count_guided, config.count_cap)
+        if key not in self._targets:
+            self._targets[key] = count_targets(self, config)
+        return self._targets[key]
 
     @cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
@@ -244,60 +232,96 @@ def ground_truth_table(
     )
 
 
+def count_targets(world: Sequence[ImageRecord], config: RefinementConfig) -> dict[str, np.ndarray]:
+    """Each image's count target ``config.count_target(count)`` for every class
+    some image counts, sorted, as one ``(K,)`` column a class, 0 where the image
+    does not count it.
+
+    A target above an image's proposal count is stored as that count plus
+    one, which no selection reaches either.
+    """
+    names = sorted({name for record in world for name in record.positive_classes()})
+    targets = {name: np.zeros(len(world), dtype=np.intp) for name in names}
+    for k, record in enumerate(world):
+        for name in record.positive_classes():
+            target = config.count_target(record.counts[name])
+            targets[name][k] = min(target, len(record.proposals) + 1)
+    return targets
+
+
+@dataclass(frozen=True, eq=False)
+class PseudoGroundTruth:
+    """One selection of pseudo ground truth over a world, as stacked proposal rows.
+
+    ``rows[c]`` holds class c's selected rows, image by image in world order
+    and each image's in pick order. ``complete[c][k]`` says whether image k's
+    selection of c reached its count target, and is False where image k does
+    not count c. Every class that some image counts has both.
+    """
+
+    rows: dict[str, np.ndarray]
+    complete: dict[str, np.ndarray]
+
+
 def select_pseudo_gt(
     world: Sequence[ImageRecord],
     columns: Mapping[str, np.ndarray],
     overlaps: WorldOverlaps,
     survivors: Mapping[str, np.ndarray],
     config: RefinementConfig,
-) -> dict[str, dict[str, SelectionResult]]:
+) -> PseudoGroundTruth:
     """Pick pseudo ground truth for every positive class of every image from current scores.
 
     ``columns`` is a score table (``score_table``), ``overlaps`` the world's
     ``world_overlaps`` and ``survivors`` a ``suppress_columns`` pass over both.
     Count-constrained selection of up to ``config.count_target(count)``
     regions walks each class's survivors in an image, in rank order, over the
-    image's conflict masks; it reads no threshold. Images without a positive
-    class are left out; an image without proposals gets empty, incomplete
-    results. Overlaps of another world, a survivor row outside the world and a
-    positive class without a column or survivors are ``ValueError``s.
+    image's conflict words; every (image, positive class) problem of the
+    world goes through one ``selection.greedy_walks`` call, which reads no
+    threshold. An image without proposals gets an empty, incomplete
+    selection. Overlaps of another world, a survivor row outside the world
+    and a positive class without a column or survivors are ``ValueError``s.
     """
     _check_columns(world, columns)
-    offsets = _Features(world).offsets
+    features = _Features(world)
+    offsets = features.offsets
     if not np.array_equal(overlaps.offsets, offsets):
         raise ValueError("overlaps were built for another world or image order")
-    for name, rows in survivors.items():
-        bad = rows[(rows < 0) | (rows >= offsets[-1])]
+    _check_rows("survivor", survivors, offsets[-1])
+    targets = features.count_targets(config)
+    unread = {name for name in targets if name not in columns or name not in survivors}
+    if unread:
+        record = next(r for r in features if not unread.isdisjoint(r.positive_classes()))
+        name = next(name for name in record.positive_classes() if name in unread)
+        raise ValueError(f"{record.image_id}: {name} has no score column or survivors")
+    rows, complete = {}, {}
+    for name, (images, picked, sizes, _) in walk_classes(
+        overlaps, columns, survivors, targets
+    ).items():
+        rows[name] = picked
+        complete[name] = np.zeros(len(features), dtype=bool)
+        complete[name][images] = sizes == targets[name][images]
+    return PseudoGroundTruth(rows, complete)
+
+
+def _check_rows(kind: str, rows: Mapping[str, np.ndarray], total: int) -> None:
+    """Refuse a class's row outside ``[0, total)``, naming the class and the row."""
+    for name, class_rows in rows.items():
+        bad = class_rows[(class_rows < 0) | (class_rows >= total)]
         if bad.size:
-            raise ValueError(f"{name}: survivor row {bad[0]} is not in [0, {offsets[-1]})")
-    kept, starts = survivors_by_image(overlaps, survivors), offsets.tolist()
-    pseudo_gt: dict[str, dict[str, SelectionResult]] = {}
-    images = zip(world, overlaps.conflict, starts, starts[1:])
-    for k, (record, masks, start, end) in enumerate(images):
-        picks = {}
-        for name in record.positive_classes():
-            if name not in columns or name not in kept:
-                raise ValueError(f"{record.image_id}: {name} has no score column or survivors")
-            target = config.count_target(record.counts[name])
-            scores = columns[name][start:end].tolist()
-            chosen, total = greedy_walk(kept[name][k], scores, masks, target)
-            selected = tuple(record.proposals[i].region_id for i in chosen)
-            picks[name] = SelectionResult(selected, total, complete=len(chosen) == target)
-        if picks:
-            pseudo_gt[record.image_id] = picks
-    return pseudo_gt
+            raise ValueError(f"{name}: {kind} row {bad[0]} is not in [0, {total})")
 
 
 def retrain_scorer(
-    pseudo_gt: Mapping[str, Mapping[str, SelectionResult]],
+    pseudo_gt: PseudoGroundTruth,
     world: Sequence[ImageRecord],
     previous: CentroidScorer | None = None,
 ) -> CentroidScorer:
     """Fit per-class prototypes as the mean feature of selected regions.
 
-    ``pseudo_gt`` maps image_id -> class_id -> selection. A class with no
-    selected regions anywhere keeps its previous prototype (zero when there is
-    no previous scorer, which scores everything a neutral 0.5).
+    ``pseudo_gt`` is a ``select_pseudo_gt`` record over ``world``. A class
+    with no selected regions anywhere keeps its previous prototype (zero when
+    there is no previous scorer, which scores everything a neutral 0.5).
     """
     if not world:
         raise ValueError("cannot retrain on an empty world")
@@ -311,15 +335,17 @@ def retrain_scorer(
         found = ", ".join(f"{where} {dim}" for dim, where in seen.items())
         raise FeatureDimensionError(f"mixed feature dimensions: {found}")
     feature_dim = next(iter(seen), 0)
-    selected = features.selected_rows(pseudo_gt)
-    missing = [row for rows in selected.values() for row in rows if features.dims[row] < 0]
-    if missing:
-        where, _, region_id = features.locate(min(missing)).rpartition(" proposal ")
+    selected = pseudo_gt.rows
+    _check_rows("selected", selected, features.offsets[-1])
+    every = np.concatenate([np.zeros(0, dtype=np.intp), *selected.values()])
+    missing = every[features.dims[every] < 0]
+    if missing.size:
+        where, _, region_id = features.locate(missing.min()).rpartition(" proposal ")
         raise FeatureDimensionError(f"{where} selected proposal {region_id} has no feature")
-    gathered = {c: [] for record in world for c in record.counts} | selected
+    gathered = {c: () for record in world for c in record.counts} | selected
     kept = {} if previous is None else previous.prototypes
     prototypes = {
-        name: features.stacked[0][rows].mean(axis=0) if rows
+        name: features.stacked[0][rows].mean(axis=0) if len(rows)
         else kept.get(name, np.zeros(feature_dim))
         for name, rows in sorted(gathered.items())
     }
@@ -348,7 +374,7 @@ class RefinementReport:
 
 
 def selection_purity(
-    pseudo_gt: Mapping[str, Mapping[str, SelectionResult]],
+    pseudo_gt: PseudoGroundTruth,
     world: Sequence[ImageRecord],
     table: TruthTable,
 ) -> float | None:
@@ -360,11 +386,13 @@ def selection_purity(
     """
     if table.image_ids != tuple(record.image_id for record in world):
         raise ValueError("ground-truth table was built for another world or image order")
-    rows = _Features(world).selected_rows(pseudo_gt)
+    rows = pseudo_gt.rows
+    _check_rows("selected", rows, _Features(world).offsets[-1])
     total = sum(len(class_rows) for class_rows in rows.values())
     pure = sum(
         int(np.count_nonzero(table.truth(class_id).candidates[class_rows] == 1))
         for class_id, class_rows in rows.items()
+        if len(class_rows)
     )
     return pure / total if total else None
 

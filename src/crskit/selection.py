@@ -8,15 +8,19 @@ excluded no matter how small they are, while a large box drawn around a small
 chosen one is not. An exact solver over the same objective doubles as a
 verification oracle for the greedy path.
 
-Every solver only tests bits of per-region conflict masks (``conflict_masks``),
-which compare each overlap with the threshold once, when they are built.
-Dataset-level callers (refinement, ``crskit nms``/``select``) build all images'
-masks in one batched pass (``world_overlaps``), suppress a whole score table at
-once over that pass's proposal-count blocks (``suppress_columns``, split per
-image by ``survivors_by_image``) and walk the masks per image and class
-(``greedy_walk``). ``nms``, ``crs_greedy`` and ``crs_exact``
-build the masks of one ``ScoredRegion`` problem, and ``crs_exact`` finds
-directional insertion orders by peeling.
+Every solver only tests bits of per-region conflict masks, which compare each
+overlap with the threshold once, when they are built. Dataset-level callers
+(refinement, ``crskit nms``/``select``) build all images' masks in one batched
+pass (``world_overlaps``), as packed ``uint64`` words with one row per
+proposal; suppress a whole score table at once over that pass's
+proposal-count blocks (``suppress_columns``, split per image by
+``survivors_by_image`` for ``crskit nms`` and detections); and walk every
+(image, class) selection problem of the world at once (``walk_classes`` hands
+them to ``greedy_walks``, one array step per walk position).
+``nms``, ``crs_greedy`` and ``crs_exact`` build the Python-int masks of one
+``ScoredRegion`` problem (``conflict_masks``); ``crs_greedy`` walks them with
+``greedy_walk``, the reference the batched walk keeps the bits of, and
+``crs_exact`` finds directional insertion orders by peeling.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
     "suppress_columns",
     "survivors_by_image",
     "greedy_walk",
+    "greedy_walks",
+    "walk_classes",
     "nms",
     "crs_greedy",
     "crs_exact",
@@ -52,6 +58,9 @@ __all__ = [
 DEFAULT_OVERLAP_THRESHOLD = 0.1
 # IoU threshold for suppression before selection.
 DEFAULT_NMS_THRESHOLD = 0.3
+# Seed words per chunk of ``greedy_walks``: ~0.5 MB a state array, a
+# 1000-image world's selection in one chunk.
+SEEDS_PER_BATCH = 1 << 16
 # The exact solver's search can still visit every subset of size <= count;
 # refuse inputs where that blows up.
 DEFAULT_ENUMERATION_CAP = 20
@@ -128,28 +137,29 @@ def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class WorldOverlaps:
-    """A world's selection conflict masks and suppression blocks, built by ``world_overlaps``.
+    """A world's selection conflict words and suppression blocks, built by ``world_overlaps``.
 
     ``offsets`` holds each image's first stacked row, then the row count.
-    ``conflict[k][j]`` marks the proposals of image k that, once selected, keep
-    its proposal j out because j's directed overlap with them reaches the
-    selection threshold; ``conflict[k]`` is ``[]`` for an image without
-    proposals. The masks are the only record of that threshold; see
-    ``conflict_masks``. A block holds the m images of one proposal count
-    n > 0: their first stacked rows ``(m,)``, their positions' ranks in
-    region_id order ``(m, n)`` and ``hits`` ``(m, n, n)``, where
-    ``hits[c, i, j]`` means keeping i suppresses j.
+    ``conflict`` is one ``(N, words)`` ``uint64`` array, ``words`` enough for
+    the largest image's proposals at 64 a word (at least 1): bit k of row r
+    (bit k % 64 of word k // 64) is set when proposal k of r's image, once
+    selected, keeps r out, because r's directed overlap with it reaches the
+    selection threshold. The words are the only record of that threshold. A
+    block holds the m images of one proposal count n > 0: their first
+    stacked rows ``(m,)``, their positions' ranks in region_id order ``(m,
+    n)`` and ``hits`` ``(m, n, n)``, where ``hits[c, i, j]`` means keeping i
+    suppresses j.
     """
 
     offsets: np.ndarray
-    conflict: list[list[int]]
+    conflict: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def world_overlaps(
     images: Sequence[ImageRecord], nms_threshold: float, threshold: float
 ) -> WorldOverlaps:
-    """Every image's conflict masks and the suppression blocks; thresholds in (0, 1].
+    """Every image's conflict words and the suppression blocks; thresholds in (0, 1].
 
     Images of equal proposal count are stacked, at most ``PAIRS_PER_BATCH``
     box pairs (or one image) a chunk, one ``pairwise_overlaps`` call each.
@@ -164,7 +174,8 @@ def world_overlaps(
         if image_ids:
             groups.setdefault(len(image_ids), []).append(k)
     starts = np.cumsum([0] + [len(image_ids) for image_ids in ids])
-    conflict: list[list[int]] = [[] for _ in images]
+    words = max(1, -(-max(groups, default=0) // 64))
+    conflict = np.zeros((starts[-1], words), dtype=np.uint64)
     blocks = []
     for n, members in groups.items():
         step = max(1, PAIRS_PER_BATCH // (n * n))
@@ -176,9 +187,10 @@ def world_overlaps(
             # Row i of this transpose marks the proposals that keeping i suppresses.
             hits.append(~(ious.swapaxes(-1, -2) < nms_threshold))
             # Row j of each transpose holds the overlaps of every member with candidate j.
-            masks = conflict_masks(directed.swapaxes(-1, -2), threshold)
-            for c, k in enumerate(chunk):
-                conflict[k] = masks[c * n : c * n + n]
+            bits = np.packbits(~(directed.swapaxes(-1, -2) < threshold), axis=-1, bitorder="little")
+            packed = np.zeros((len(chunk) * n, words * 8), dtype=np.uint8)
+            packed[:, : bits.shape[-1]] = bits.reshape(len(chunk) * n, -1)
+            conflict[(starts[chunk][:, None] + np.arange(n)).ravel()] = packed.view("<u8")
         # Ids are unique, so each position's rank among them is the argsort's inverse.
         id_rank = np.argsort(np.argsort([ids[k] for k in members], axis=-1), axis=-1)
         blocks.append((starts[members], id_rank, np.concatenate(hits)))
@@ -258,6 +270,110 @@ def greedy_walk(
             best = chosen
             best_score = total
     return best, best_score
+
+
+def greedy_walks(
+    conflict: np.ndarray,
+    offsets: np.ndarray,
+    rows: np.ndarray,
+    positions: np.ndarray,
+    scores: np.ndarray,
+    targets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``greedy_walk`` on P problems at once, one array step per walk position.
+
+    Problem p's candidates are ``rows[offsets[p]:offsets[p + 1]]`` in walk
+    order, rows of ``conflict`` (``WorldOverlaps.conflict``); ``positions``
+    holds each candidate's position in its image, the bit that the image's
+    conflict words set for it, and ``scores`` its score; ``targets`` ``(P,)``
+    holds the count targets (>= 1). Each candidate seeds a set, and a later
+    candidate joins a set with room when its words hit none of the set's
+    bits. Totals add in walk order and the first best seed wins ties, so each
+    problem gets ``greedy_walk``'s bits: returns the chosen mask over
+    ``rows``, whose marked candidates in walk order are each problem's
+    selection order, and the ``(P,)`` totals, 0 for an empty problem.
+    Problems are walked longest first, padded to the widest in chunks of at
+    most ``SEEDS_PER_BATCH`` seed words (or one problem).
+    """
+    words = conflict.shape[1]
+    widths = np.diff(offsets)
+    chosen, totals = np.zeros(len(rows), dtype=bool), np.zeros(len(widths))
+    # Only problems that can grow a set take steps, longest first; empty ones come last.
+    steps = np.where(targets > 1, widths, np.minimum(widths, 1))
+    order = np.argsort(-steps, kind="stable")[: np.count_nonzero(widths)]
+    start = 0
+    while start < len(order):
+        # The most problems whose number times the widest of them fits the budget.
+        widest = np.maximum.accumulate(widths[order[start : start + SEEDS_PER_BATCH // words]])
+        fits = np.arange(1, len(widest) + 1) * widest * words <= SEEDS_PER_BATCH
+        lines = order[start : start + max(1, np.count_nonzero(fits))]
+        start += len(lines)
+        # One line per problem, padded with its first candidate.
+        take = offsets[lines, None] + np.arange(widths[lines].max())
+        valid = take < offsets[lines + 1, None]
+        take = np.where(valid, take, offsets[lines, None])
+        line_scores, target = scores[take], targets[lines]
+        # Each candidate's own bit, and the words of the members that keep it out.
+        at = positions[take]
+        bit = np.left_shift(np.uint64(1), (at % 64).astype(np.uint64))
+        own = np.where(np.arange(words) == (at // 64)[..., None], bit[..., None], np.uint64(0))
+        blocked = conflict[rows[take]]
+        members, total = own.copy(), line_scores.astype(float)
+        sizes = np.ones(take.shape, dtype=np.intp)
+        # Lines still walking at each position: a prefix, as steps fall along ``lines``.
+        active = np.searchsorted(-steps[lines], -np.arange(take.shape[1]), side="left")
+        for j in range(1, take.shape[1]):
+            k = active[j]
+            grown = members[:k, :j]
+            admit = ~(grown & blocked[:k, j, None]).any(-1) & (sizes[:k, :j] < target[:k, None])
+            grown |= own[:k, j, None] * admit[..., None]
+            # Adding -0.0 keeps every total's bits; +0.0 would turn a -0.0 total into 0.0.
+            total[:k, :j] += np.where(admit, line_scores[:k, j, None], -0.0)
+            sizes[:k, :j] += admit
+        best = np.argmax(np.where(valid, total, -np.inf), axis=1)
+        line = np.arange(len(lines))
+        chosen[take[valid]] = (own & members[line, best][:, None]).any(-1)[valid]
+        totals[lines] = total[line, best]
+    return chosen, totals
+
+
+def walk_classes(
+    overlaps: WorldOverlaps,
+    columns: Mapping[str, np.ndarray],
+    ranked: Mapping[str, np.ndarray],
+    targets: Mapping[str, np.ndarray],
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (image, class) selection problem of a world, in one ``greedy_walks`` call.
+
+    ``targets[c]`` holds each image's count target for class c, 0 where it
+    has no problem; ``ranked[c]`` the class's candidate rows, image by image
+    in world order and each image's in walk order, as ``suppress_columns``
+    returns them; ``columns[c]`` its scores by row. Returns, for each class
+    of ``targets``: its problems' images in world order, their selected rows
+    (problem by problem, each in selection order), each problem's selection
+    size and its total.
+    """
+    if not targets:
+        return {}
+    offsets = overlaps.offsets
+    row_image = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    problems = {name: np.flatnonzero(column) for name, column in targets.items()}
+    cells = []
+    for name, column in targets.items():
+        rows = ranked[name]
+        rows = rows[column[row_image[rows]] > 0]
+        image = row_image[rows]
+        width = np.bincount(image, minlength=len(column))[problems[name]]
+        cells.append((rows, rows - offsets[image], columns[name][rows], width, column[column > 0]))
+    rows, positions, scores, widths, line_targets = (np.concatenate(part) for part in zip(*cells))
+    starts = np.concatenate([[0], np.cumsum(widths)])
+    chosen, totals = greedy_walks(overlaps.conflict, starts, rows, positions, scores, line_targets)
+    sizes = np.bincount(np.repeat(np.arange(len(widths)), widths)[chosen], minlength=len(widths))
+    first, walked = np.cumsum([0] + [len(images) for images in problems.values()]), {}
+    for (name, images), a, b in zip(problems.items(), first, first[1:]):
+        span = slice(starts[a], starts[b])
+        walked[name] = images, rows[span][chosen[span]], sizes[a:b], totals[a:b]
+    return walked
 
 
 def nms(

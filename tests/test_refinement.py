@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,9 @@ from crskit.refinement import (
     _Features,
     _row_dots,
     FeatureDimensionError,
+    PseudoGroundTruth,
     RefinementConfig,
+    count_targets,
     detections_from_scores,
     ground_truth_table,
     retrain_scorer,
@@ -60,10 +63,39 @@ def select_world(world, columns, config):
     return select_pseudo_gt(world, columns, overlaps, survivors, config)
 
 
+def picks_by_image(world, pseudo_gt):
+    """``pseudo_gt`` in region ids: ``{image_id: {class: (selected ids, complete)}}`` for
+    every image's positive classes, its rows mapped back through ``world``."""
+    offsets = np.cumsum([0] + [len(record.proposals) for record in world]).tolist()
+    picks = {
+        record.image_id: {name: [] for name in record.positive_classes()} for record in world
+    }
+    for name, rows in pseudo_gt.rows.items():
+        for row in rows.tolist():
+            k = bisect_right(offsets, row) - 1
+            picks[world[k].image_id][name].append(world[k].proposals[row - offsets[k]].region_id)
+    return {
+        record.image_id: {
+            name: (tuple(ids), bool(pseudo_gt.complete[name][k]))
+            for name, ids in picks[record.image_id].items()
+        }
+        for k, record in enumerate(world)
+    }
+
+
 def select(image, name, scores, config):
-    """``select_world`` on a one-image world scored only for ``name``: its result there."""
+    """``select_world`` on a one-image world scored only for ``name``: its
+    selected region ids and complete flag there."""
     columns = {name: np.array(scores, dtype=float)}
-    return select_world([image], columns, config)[image.image_id][name]
+    return picks_by_image([image], select_world([image], columns, config))[image.image_id][name]
+
+
+def picked(**rows):
+    """A ``PseudoGroundTruth`` of the given rows per class, every selection complete."""
+    return PseudoGroundTruth(
+        {name: np.array(r, dtype=np.intp) for name, r in rows.items()},
+        {name: np.ones(1, dtype=bool) for name in rows},
+    )
 
 
 def image_lists(world, columns):
@@ -296,12 +328,13 @@ class TestBatchedKernel:
         for _ in range(2):
             pseudo_gt = select_world(canonical_world, columns, config)
             scorer = retrain_scorer(pseudo_gt, canonical_world, previous=scorer)
+            picks = picks_by_image(canonical_world, pseudo_gt)
             for name, prototype in scorer.prototypes.items():
                 rows = [
                     np.asarray(r.proposal_map()[region_id].feature, dtype=float)
                     for r in canonical_world
-                    if name in pseudo_gt[r.image_id]
-                    for region_id in pseudo_gt[r.image_id][name].selected
+                    if name in picks[r.image_id]
+                    for region_id in picks[r.image_id][name][0]
                 ]
                 assert prototype.tobytes() == np.mean(rows, axis=0).tobytes()
             columns = score_table(canonical_world, scorer)
@@ -343,10 +376,10 @@ class TestSelectPseudoGt:
         )
         scores = [p.scores["cat"] for p in image.proposals]
         config = RefinementConfig(count_cap=3)
-        result = select(image, "cat", scores, config)
-        assert len(result.selected) == 3  # min(count=4, cap=3)
-        capped = select(image, "cat", scores, RefinementConfig(count_cap=10))
-        assert len(capped.selected) == 4
+        selected, complete = select(image, "cat", scores, config)
+        assert len(selected) == 3 and complete  # min(count=4, cap=3)
+        capped, complete = select(image, "cat", scores, RefinementConfig(count_cap=10))
+        assert len(capped) == 4 and complete
 
     def test_baseline_takes_single_top_region(self):
         image = one_image(
@@ -357,8 +390,7 @@ class TestSelectPseudoGt:
             count=3,
         )
         config = RefinementConfig(count_guided=False)
-        result = select(image, "cat", [0.9, 0.8], config)
-        assert result == SelectionResult((0,), 0.9, True)
+        assert select(image, "cat", [0.9, 0.8], config) == ((0,), True)
 
     def test_suppression_runs_before_selection(self):
         # near-duplicate of the top region is suppressed, so even a permissive
@@ -372,14 +404,14 @@ class TestSelectPseudoGt:
             count=2,
         )
         config = RefinementConfig(threshold=1.0)
-        result = select(image, "cat", [0.9, 0.85, 0.5], config)
-        assert result.selected == (0, 2)
+        assert select(image, "cat", [0.9, 0.85, 0.5], config)[0] == (0, 2)
 
     def test_zero_count_class_is_not_selected(self):
         # Only positive classes are selected, so no count gives a target below 1.
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)], count=1)
         image.counts["cat"] = 0
-        assert select_world([image], score_table([image], None), RefinementConfig()) == {}
+        pseudo_gt = select_world([image], score_table([image], None), RefinementConfig())
+        assert (pseudo_gt.rows, pseudo_gt.complete) == ({}, {})
 
     # A target is config.count_target of a positive count (>= 1), so only the cap could
     # make it a bool, a fraction or below 1; the config refuses each such cap.
@@ -453,8 +485,7 @@ class TestSelectPseudoGt:
 
     def test_no_proposals_gives_empty_incomplete_result(self):
         image = one_image([], count=2)
-        result = select(image, "cat", [], RefinementConfig())
-        assert result == SelectionResult((), 0.0, False)
+        assert select(image, "cat", [], RefinementConfig()) == ((), False)
 
     def test_count_above_post_nms_regions_is_incomplete(self):
         # Three proposals, one suppressed as a near-duplicate: a count of 3
@@ -467,14 +498,22 @@ class TestSelectPseudoGt:
             ],
             count=3,
         )
-        result = select(image, "cat", [0.9, 0.85, 0.5], RefinementConfig())
-        assert result.selected == (0, 2)
-        assert not result.complete
+        assert select(image, "cat", [0.9, 0.85, 0.5], RefinementConfig()) == ((0, 2), False)
 
     def test_out_of_range_score_rejected(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
         with pytest.raises(ValueError):
             select(image, "cat", [1.5], RefinementConfig())
+
+    def test_target_beyond_any_int64_stays_incomplete(self):
+        # A count and cap past int64 select every compatible region, incomplete.
+        image = one_image(
+            [proposal(0, Box(0, 0, 10, 10), 0.9), proposal(1, Box(50, 0, 60, 10), 0.5)],
+            count=10**30,
+        )
+        config = RefinementConfig(count_cap=10**30)
+        assert count_targets([image], config)["cat"].tolist() == [3]
+        assert select(image, "cat", [0.9, 0.5], config) == ((0, 1), False)
 
     @pytest.mark.parametrize("rescored", [False, True])
     @pytest.mark.parametrize("count_guided", [True, False])
@@ -497,9 +536,54 @@ class TestSelectPseudoGt:
                 problem = SelectionProblem(
                     tuple(nms(regions, config.nms_threshold)), target, config.threshold
                 )
-                expected.setdefault(record.image_id, {})[name] = crs_greedy(problem)
-        assert select_world(world, columns, config) == expected
+                result = crs_greedy(problem)
+                expected.setdefault(record.image_id, {})[name] = (result.selected, result.complete)
+        assert picks_by_image(world, select_world(world, columns, config)) == {
+            record.image_id: expected.get(record.image_id, {}) for record in world
+        }
 
+
+    @pytest.mark.parametrize(
+        "config",
+        [RefinementConfig(), RefinementConfig(count_cap=8, threshold=0.3), RefinementConfig(
+            count_guided=False
+        )],
+        ids=["default", "k8-T0.3", "top1"],
+    )
+    def test_wide_images_match_public_nms_then_greedy(self, config):
+        # Images of 65-200 proposals (2-4 conflict words) among small and empty
+        # ones, walked in one call: each class's rows are nms then crs_greedy,
+        # image by image, mapped to rows.
+        rng = np.random.default_rng(5)
+        world = []
+        for k, n in enumerate([8, 200, 0, 65, 3, 130, 1, 64, 21]):
+            proposals = []
+            for region_id in rng.permutation(3 * n)[:n].tolist():
+                x, y, side = rng.uniform(0, 80), rng.uniform(0, 80), rng.uniform(4, 30, 2)
+                # Cat scores on an eighth grid tie within images.
+                scores = {"cat": round(rng.random() * 8) / 8, "dog": rng.random()}
+                proposals.append(Proposal(region_id, Box(x, y, x + side[0], y + side[1]), scores))
+            counts = {"cat": int(rng.integers(1, 9)), "dog": int(rng.integers(0, 3))}
+            world.append(ImageRecord(f"img_{k}", counts=counts, proposals=proposals))
+        columns = score_table(world, None)
+        pseudo_gt = select_world(world, columns, config)
+        offsets = np.cumsum([0] + [len(record.proposals) for record in world]).tolist()
+        rows = {name: [] for name in ("cat", "dog")}
+        for k, record in enumerate(world):
+            position = {p.region_id: i for i, p in enumerate(record.proposals)}
+            for name in record.positive_classes():
+                regions = [
+                    ScoredRegion(p.box, p.scores[name], p.region_id) for p in record.proposals
+                ]
+                target = config.count_target(record.counts[name])
+                result = crs_greedy(
+                    SelectionProblem(nms(regions, config.nms_threshold), target, config.threshold)
+                ) if regions else SelectionResult((), 0.0, False)
+                rows[name] += [offsets[k] + position[i] for i in result.selected]
+                assert pseudo_gt.complete[name][k] == result.complete, (k, name)
+            for name in set(rows) - set(record.positive_classes()):
+                assert not pseudo_gt.complete[name][k]
+        assert {name: r.tolist() for name, r in pseudo_gt.rows.items()} == rows
 
 class TestDetectionsFromScores:
     @pytest.mark.parametrize("rescored", [False, True])
@@ -566,55 +650,56 @@ class TestRetrain:
             ],
             count=2,
         )
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
-        scorer = retrain_scorer(pseudo_gt, [image])
+        scorer = retrain_scorer(picked(cat=[0, 1]), [image])
         assert_allclose(scorer.prototypes["cat"], [0.5, 0.5])
 
     def test_unselected_class_keeps_previous_prototype(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 2.0]))])
         previous = CentroidScorer({"cat": np.array([3.0, 4.0])}, 2)
-        scorer = retrain_scorer({}, [image], previous=previous)
+        scorer = retrain_scorer(picked(), [image], previous=previous)
+        assert_allclose(scorer.prototypes["cat"], [3.0, 4.0])
+        # no selected row in a class keeps its prototype too
+        scorer = retrain_scorer(picked(cat=[]), [image], previous=previous)
         assert_allclose(scorer.prototypes["cat"], [3.0, 4.0])
         # without a previous scorer the prototype is zero: neutral 0.5 scores
-        cold = retrain_scorer({}, [image])
+        cold = retrain_scorer(picked(), [image])
         assert_allclose(cold.prototypes["cat"], [0.0, 0.0])
         assert score_proposals(cold, image) == {"cat": [0.5]}
 
     def test_selected_region_without_feature_raises(self):
-        image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, None)])
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0,), 0.9, True)}}
-        with pytest.raises(FeatureDimensionError):
-            retrain_scorer(pseudo_gt, [image])
+        image = one_image(
+            [
+                proposal(0, Box(0, 0, 10, 10), 0.9, np.ones(2)),
+                proposal(1, Box(20, 0, 30, 10), 0.9, None),
+                proposal(2, Box(40, 0, 50, 10), 0.9, None),
+            ]
+        )
+        # The first row without a feature is named, whichever class selected it.
+        with pytest.raises(FeatureDimensionError) as caught:
+            retrain_scorer(picked(cat=[0, 2], dog=[1]), [image])
+        assert str(caught.value) == "img_0: selected proposal 1 has no feature"
 
     def test_empty_world_rejected(self):
         with pytest.raises(ValueError):
-            retrain_scorer({}, [])
+            retrain_scorer(picked(), [])
 
-    def test_selected_region_not_in_image_is_named(self):
+    @pytest.mark.parametrize("row", [999, -1])
+    def test_selected_row_outside_the_world_is_named(self, row):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.ones(2))])
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 999), 0.9, True)}}
         with pytest.raises(ValueError) as caught:
-            retrain_scorer(pseudo_gt, [image])
-        assert str(caught.value) == "img_0: selected region 999 is not a proposal"
-
-    def test_pseudo_gt_for_an_unknown_image_is_named(self):
-        world = generate_world(3, 2, seed=2)
-        pseudo_gt = {"img_9999": {"class_0": SelectionResult((0,), 0.9, True)}}
-        with pytest.raises(ValueError) as caught:
-            retrain_scorer(pseudo_gt, world)
-        assert str(caught.value) == "img_9999: pseudo ground truth for an image not in the world"
+            retrain_scorer(picked(cat=[0, row]), [image])
+        assert str(caught.value) == f"cat: selected row {row} is not in [0, 1)"
 
     def test_duplicate_region_ids_rejected(self):
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0,), 0.9, True)}}
         with pytest.raises(ValueError) as caught:
-            retrain_scorer(pseudo_gt, [duplicate_ids_image()])
+            retrain_scorer(picked(cat=[0]), [duplicate_ids_image()])
         assert str(caught.value) == "img_0: region_ids must be unique within an image"
 
     def test_mixed_dimensions_name_where_each_was_seen(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, np.array([1.0, 2.0]))])
         previous = CentroidScorer({"cat": np.array([3.0, 4.0, 5.0])}, 3)
         with pytest.raises(FeatureDimensionError) as info:
-            retrain_scorer({}, [image], previous=previous)
+            retrain_scorer(picked(), [image], previous=previous)
         assert str(info.value) == (
             "mixed feature dimensions: the previous scorer has 3, img_0: proposal 0 has 2"
         )
@@ -749,45 +834,39 @@ class TestSelectionPurity:
                 count=2,
             )
             image.gt_boxes["cat"] = gt
-            pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
+            pseudo_gt = picked(cat=[0, 1])
             assert selection_purity(pseudo_gt, [image], ground_truth_table([image])) == 0.5
-            assert is_pure_purity(pseudo_gt, [image]) == 0.5
+            assert is_pure_purity({"img_0": {"cat": (0, 1)}}, [image]) == 0.5
 
     def test_undefined_without_selections(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        assert selection_purity({}, [image], ground_truth_table([image])) is None
+        for pseudo_gt in (picked(), picked(cat=[])):
+            assert selection_purity(pseudo_gt, [image], ground_truth_table([image])) is None
 
-    def test_selected_region_not_in_image_is_named(self):
+    @pytest.mark.parametrize("row", [999, -1])
+    def test_selected_row_outside_the_world_is_named(self, row):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 999), 0.9, True)}}
         with pytest.raises(ValueError) as caught:
-            selection_purity(pseudo_gt, [image], ground_truth_table([image]))
-        assert str(caught.value) == "img_0: selected region 999 is not a proposal"
-
-    def test_pseudo_gt_for_an_unknown_image_is_named(self):
-        world = generate_world(3, 2, seed=2)
-        pseudo_gt = {"img_9999": {"class_0": SelectionResult((0,), 0.9, True)}}
-        with pytest.raises(ValueError) as caught:
-            selection_purity(pseudo_gt, world, ground_truth_table(world))
-        assert str(caught.value) == "img_9999: pseudo ground truth for an image not in the world"
+            selection_purity(picked(cat=[0, row]), [image], ground_truth_table([image]))
+        assert str(caught.value) == f"cat: selected row {row} is not in [0, 1)"
 
     def test_duplicate_region_ids_rejected(self):
         image = duplicate_ids_image()
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0,), 0.9, True)}}
         with pytest.raises(ValueError) as caught:
-            selection_purity(pseudo_gt, [image], ground_truth_table([image]))
+            selection_purity(picked(cat=[0]), [image], ground_truth_table([image]))
         assert str(caught.value) == "img_0: region_ids must be unique within an image"
 
 
-def is_pure_purity(pseudo_gt, world):
-    """Pooled purity region by region: a region is pure when it reaches IoU 0.5
-    with exactly one ground-truth box of its class, by the scalar ``iou``."""
+def is_pure_purity(picks, world):
+    """Pooled purity region by region over ``{image_id: {class: selected region ids}}``:
+    a region is pure when it reaches IoU 0.5 with exactly one ground-truth box
+    of its class, by the scalar ``iou``."""
     verdicts = []
     for record in world:
         proposals = record.proposal_map()
-        for name, result in pseudo_gt.get(record.image_id, {}).items():
+        for name, selected in picks.get(record.image_id, {}).items():
             gt = record.gt_boxes.get(name, [])
-            for region_id in result.selected:
+            for region_id in selected:
                 verdicts.append(sum(iou(proposals[region_id].box, g) >= 0.5 for g in gt) == 1)
     return sum(verdicts) / len(verdicts) if verdicts else None
 
@@ -797,7 +876,7 @@ class TestGroundTruthTable:
         world = generate_world(4, 2, seed=2)
         for other in (world[:3], world[::-1]):
             with pytest.raises(ValueError):
-                selection_purity({}, world, ground_truth_table(other))
+                selection_purity(picked(), world, ground_truth_table(other))
 
     def test_duplicate_image_ids_rejected(self):
         world = generate_world(2, 2, seed=2)
@@ -811,11 +890,10 @@ class TestGroundTruthTable:
         image.counts["dog"] = 1
         if dog_boxes is not None:
             image.gt_boxes["dog"] = dog_boxes
-        picked = SelectionResult((0,), 0.9, True)
-        pseudo_gt = {"img_0": {"cat": picked, "dog": picked}}
+        pseudo_gt = picked(cat=[0], dog=[0])
         table = ground_truth_table([image])
         assert selection_purity(pseudo_gt, [image], table) == 0.5
-        assert is_pure_purity(pseudo_gt, [image]) == 0.5
+        assert is_pure_purity({"img_0": {"cat": (0,), "dog": (0,)}}, [image]) == 0.5
 
     def test_box_straddling_two_boxes_is_impure(self):
         # IoU exactly 0.5 with both neighbours: covers two, not one.
@@ -824,17 +902,19 @@ class TestGroundTruthTable:
             count=2,
         )
         image.gt_boxes["cat"] = [Box(0, 0, 10, 10), Box(10, 0, 20, 10)]
-        pseudo_gt = {"img_0": {"cat": SelectionResult((0, 1), 1.7, True)}}
+        pseudo_gt = picked(cat=[0, 1])
         table = ground_truth_table([image])
         assert selection_purity(pseudo_gt, [image], table) == 0.5
-        assert is_pure_purity(pseudo_gt, [image]) == 0.5
+        assert is_pure_purity({"img_0": {"cat": (0, 1)}}, [image]) == 0.5
 
     @pytest.mark.parametrize("count_guided", [True, False])
     def test_purity_matches_is_pure_on_real_selections(self, count_guided):
         world = generate_world(30, 3, seed=13)
         config = RefinementConfig(count_guided=count_guided)
         pseudo_gt = select_world(world, score_table(world, None), config)
-        expected = is_pure_purity(pseudo_gt, world)
+        picks = picks_by_image(world, pseudo_gt)
+        selected = {i: {c: ids for c, (ids, _) in p.items()} for i, p in picks.items()}
+        expected = is_pure_purity(selected, world)
         assert selection_purity(pseudo_gt, world, ground_truth_table(world)) == expected
 
 
@@ -940,7 +1020,8 @@ def reference_adr(world, config):
                 prototypes[name] = np.array(rows).mean(axis=0)
         scorer = CentroidScorer(dict(prototypes), dim)
         scores = {r.image_id: reference_scores(scorer, r) for r in world}
-        reports.append(evaluate(is_pure_purity(pseudo_gt, world)))
+        picks = {i: {c: result.selected for c, result in p.items()} for i, p in pseudo_gt.items()}
+        reports.append(evaluate(is_pure_purity(picks, world)))
     return reports, prototypes
 
 

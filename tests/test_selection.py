@@ -25,6 +25,8 @@ from crskit.selection import (
     conflict_masks,
     crs_exact,
     crs_greedy,
+    greedy_walk,
+    greedy_walks,
     nms,
     suppress_columns,
     survivors_by_image,
@@ -385,18 +387,24 @@ class TestWorldOverlaps:
         rng = np.random.default_rng(11)
         world = [grid_image(rng, f"img_{k}", n) for k, n in enumerate(self.COUNTS)]
         overlaps = world_overlaps(world, 0.3, 0.5)
-        assert len(overlaps.conflict) == len(world)
-        for image, masks in zip(world, overlaps.conflict):
+        offsets = np.cumsum([0] + [len(image.proposals) for image in world])
+        assert overlaps.offsets.tolist() == offsets.tolist()
+        # 65 proposals take two 64-bit words a row.
+        assert overlaps.conflict.dtype == np.uint64
+        assert overlaps.conflict.shape == (offsets[-1], 2)
+        for k, image in enumerate(world):
             boxes = [p.box for p in image.proposals]
             n = len(boxes)
-            # conflict[j] marks the members k that keep candidate j out.
-            assert masks == [
+            rows = overlaps.conflict[offsets[k] : offsets[k + 1]].tolist()
+            # Row j marks the members k that keep candidate j out, bit k % 64 of word k // 64.
+            assert [sum(word << (64 * w) for w, word in enumerate(row)) for row in rows] == [
                 sum(1 << k for k in range(n) if asymmetric_overlap(boxes[k], boxes[j]) >= 0.5)
                 for j in range(n)
             ]
-            assert world_overlaps([image], 0.3, 0.5).conflict[0] == masks
-        offsets = np.cumsum([0] + [len(image.proposals) for image in world])
-        assert overlaps.offsets.tolist() == offsets.tolist()
+            # Alone, an image gets as many words as it needs, one at least.
+            alone = world_overlaps([image], 0.3, 0.5).conflict
+            assert alone.shape == (n, max(1, -(-n // 64)))
+            assert alone.tolist() == [row[: alone.shape[1]] for row in rows]
         blocked = []
         for starts, id_rank, hits in overlaps.blocks:
             assert id_rank.shape == hits.shape[:2] == (len(starts), hits.shape[2])
@@ -483,6 +491,82 @@ class TestSuppressColumns:
     def test_no_classes_no_rows(self):
         world = [grid_image(np.random.default_rng(3), "img_0", 5)]
         assert suppress_columns(world_overlaps(world, 0.3, 0.1), {}) == {}
+
+
+def walk_problems(rng, problems, density, ties):
+    """Random problems as ``greedy_walks`` takes them, and each as ``greedy_walk`` does.
+
+    Problem p has ``n`` positions in its own row range of the conflict words,
+    each position's mask drawn bit by bit at ``density``, scores from a few
+    values (``ties``) or uniform, and a random subset of its positions in a
+    random walk order as its candidates.
+    """
+    sizes = [n for n, _ in problems]
+    first = np.cumsum([0] + sizes).tolist()
+    words = max(1, -(-max(sizes) // 64))
+    conflict = np.zeros((first[-1], words), dtype=np.uint64)
+    rows, positions, scores, offsets, references = [], [], [], [0], []
+    for p, (n, target) in enumerate(problems):
+        bits = [np.flatnonzero(rng.random(n) < density).tolist() for _ in range(n)]
+        masks = [sum(1 << k for k in members) for members in bits]
+        for j, mask in enumerate(masks):
+            conflict[first[p] + j] = [(mask >> (64 * w)) & (2**64 - 1) for w in range(words)]
+        # -0.0 ties 0.0, and a total of it alone keeps its sign.
+        values = (rng.choice([-0.0, 0.0, 0.5, 1.0], n) if ties else rng.random(n)).tolist()
+        order = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+        rows += [first[p] + i for i in order]
+        positions += order
+        scores += [values[i] for i in order]
+        offsets.append(len(rows))
+        references.append((order, values, masks, target))
+    arrays = [np.array(a, dtype=np.intp) for a in (offsets, rows, positions)]
+    targets = np.array([t for _, t in problems])
+    return (conflict, *arrays, np.array(scores, dtype=float), targets), references
+
+
+class TestGreedyWalks:
+    """The batched walk keeps ``greedy_walk``'s bits on every problem of a call."""
+
+    @given(
+        # 65-200 positions take 2-4 words; targets run past the candidate counts.
+        st.lists(
+            st.tuples(st.sampled_from([0, 1, 2, 5, 9, 63, 64, 65, 130, 200]), st.integers(1, 8)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+        st.booleans(),
+        # 40 seed words a chunk puts each wide problem in a chunk of its own.
+        st.sampled_from([40, selection.SEEDS_PER_BATCH]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([(200, 3), (0, 2), (1, 1), (65, 8), (5, 9), (130, 1)], 0.02, True, 40, 0)
+    def test_each_problem_equals_greedy_walk(self, problems, density, ties, budget, seed):
+        inputs, references = walk_problems(np.random.default_rng(seed), problems, density, ties)
+        with mock.patch.object(selection, "SEEDS_PER_BATCH", budget):
+            chosen, totals = greedy_walks(*inputs)
+        offsets, positions = inputs[1], inputs[3]
+        for p, (order, values, masks, target) in enumerate(references):
+            expected, total = greedy_walk(order, values, masks, target)
+            line = slice(offsets[p], offsets[p + 1])
+            assert positions[line][chosen[line]].tolist() == expected, p
+            assert totals[p].hex() == float(total).hex(), p
+            assert np.count_nonzero(chosen[line]) == len(expected) <= target
+
+    def test_empty_call_and_empty_problems(self):
+        conflict, none = np.zeros((0, 1), dtype=np.uint64), np.zeros(0, dtype=np.intp)
+        for problems in (0, 3):
+            offsets, targets = np.zeros(problems + 1, dtype=np.intp), np.ones(problems)
+            chosen, totals = greedy_walks(conflict, offsets, none, none, np.zeros(0), targets)
+            assert chosen.shape == (0,) and totals.tolist() == [0.0] * problems
+
+    def test_first_best_seed_wins_a_tie(self):
+        # Seeds 0 and 1 each grow a set of total 1.0; the walk's first seed wins.
+        conflict = np.array([[0b010], [0b001], [0b000]], dtype=np.uint64)
+        rows, scores = np.arange(3), np.array([0.5, 0.5, 0.5])
+        chosen, totals = greedy_walks(conflict, np.array([0, 3]), rows, rows, scores, np.array([2]))
+        assert chosen.tolist() == [True, False, True] and totals.tolist() == [1.0]
+        assert greedy_walk([0, 1, 2], [0.5] * 3, [0b010, 0b001, 0], 2) == ([0, 2], 1.0)
 
 
 class TestWorkedExample:

@@ -41,34 +41,34 @@ def _built(seed, images, min_gap, drop_tight):
     return world
 
 
-def study_world(seed, images, min_gap=None, drop_tight=0.0):
+def study_world(seed, images, min_gap=None, drop_tight=0.0, count_rule=None):
     """A deep copy of the ``images``-image world of ``seed``, built with
     ``world.MIN_GAP`` set to ``min_gap`` (unchanged for None) and restored after.
 
     Each ``tight`` proposal is then dropped when its own ``default_rng(1).random()``
     draw, taken in world order, falls below ``drop_tight``; the others keep their
-    region ids.
+    region ids. ``count_rule``, when given, rewrites every positive count n as
+    ``count_rule(n)``, as an annotator's wrong count would; ground truth stays.
     """
-    return copy.deepcopy(_built(seed, images, min_gap, drop_tight))
+    world = copy.deepcopy(_built(seed, images, min_gap, drop_tight))
+    if count_rule is not None:
+        for record in world:
+            record.counts = {c: count_rule(n) if n >= 1 else n for c, n in record.counts.items()}
+    return world
 
 
 def pick_mix(world, config):
     """``run_adr(world, config)`` and each iteration's pseudo-ground-truth mix.
 
-    A mix counts the selected regions of each ``PROVENANCE_TAGS`` kind, read
-    from what the run's ``select_pseudo_gt`` call returns.
+    A mix counts the selected regions of each ``PROVENANCE_TAGS`` kind: the
+    provenance of the rows that the run's ``select_pseudo_gt`` call selects.
     """
-    provenance = {(r.image_id, p.region_id): p.provenance for r in world for p in r.proposals}
+    provenance = np.array([p.provenance for r in world for p in r.proposals], dtype=object)
     select, mixes = refinement.select_pseudo_gt, []
 
     def recording(*args):
         pseudo_gt = select(*args)
-        kinds = Counter(
-            provenance[image_id, region_id]
-            for image_id, picks in pseudo_gt.items()
-            for result in picks.values()
-            for region_id in result.selected
-        )
+        kinds = Counter(provenance[np.concatenate(list(pseudo_gt.rows.values()))].tolist())
         mixes.append({tag: kinds[tag] for tag in PROVENANCE_TAGS})
         return pseudo_gt
 
@@ -145,3 +145,15 @@ class TestStressWorld:
         # every iteration, while top-1 keeps the merged hulls.
         assert all(m["part"] >= 40 and m["merged"] <= 3 for m in guided_mix)
         assert all(m["merged"] >= 200 for m in top1_mix)
+
+
+class TestWrongCounts:
+    def test_undercounts_heal_by_the_second_iteration(self, canonical_world):
+        # Every positive count one short (1 stays 1): the first selection keeps
+        # some merged hulls, and retraining on the tight majority drops them all.
+        world = study_world(
+            CANONICAL_SEED, CANONICAL_IMAGES, count_rule=lambda n: max(n - 1, 1)
+        )
+        assert [r.gt_boxes for r in world] == [r.gt_boxes for r in canonical_world]
+        guided = pick_mix(world, RefinementConfig())[1]
+        assert guided == [mix(471, 74, 0, 0), mix(545, 0, 0, 0), mix(545, 0, 0, 0)]
