@@ -9,12 +9,15 @@ Every metric works from a ``TruthTable``, which ``truth_table`` builds for a
 set of images. It holds one row per box, each row keyed by its image, in any
 image order, and per-row arrays for each class with ground truth: whether the
 row localizes an instance for CorLoc, how many of its image's boxes of the
-class it reaches IoU 0.5 with, and, for rows with any, those boxes best first.
-It also counts each named class's boxes per image. ``evaluate_picks`` is the
-one evaluation core: for each class it takes picked rows in pick order with
-aligned confidences, ranks them with one stable sort, walks greedy matching
-over the rows with candidates only, reads CorLoc from each image's first
-ranked row and assembles the report. ``build_report``, ``slice_by_count``
+class it reaches IoU 0.5 with, and, for rows with any, those boxes best first
+(the best also as an array). It also counts each named class's boxes per
+image. ``evaluate_picks`` is the one evaluation core: for each class it takes
+picked rows in pick order with aligned confidences, ranks them with one
+unstable ``argsort`` plus a sort of the tied runs only (the order of one
+stable two-key lexsort), matches greedily over the rows with candidates only,
+a stretch of one-candidate rows at a time, reads 11-point AP from one
+precision envelope and CorLoc from each image's first ranked row, and
+assembles the report. ``build_report``, ``slice_by_count``
 (that report with its count buckets, each a view of the table that keeps one
 bucket's box counts), ``match_detections`` and ``corloc`` (the report's CorLoc
 of one class) build one table with a row per ``Detection``, in input order,
@@ -53,6 +56,8 @@ __all__ = [
 AP_MODES = ("11pt", "area")
 CORLOC_VARIANTS = ("iou50", "center")
 MATCH_IOU = 0.5
+# The recall thresholds of 11-point AP, 0.0, 0.1, ..., 1.0.
+_RECALL_POINTS = np.array([j / 10 for j in range(11)])
 
 # Each class's picked table rows, in pick order, and their confidences.
 Picks = Mapping[str, tuple[np.ndarray, np.ndarray]]
@@ -95,13 +100,15 @@ class ClassTruth:
     row r reaches 0.5 (exactly one makes the box pure); ``matches[r]`` lists
     them, only for rows with any, by their number within the table (every
     ground-truth box, image after image), highest IoU first and ties by
-    number: the order in which greedy matching tries them. ``hit[r]`` says
+    number: the order in which greedy matching tries them. ``best[r]`` is
+    the first of them, -1 for a row without candidates. ``hit[r]`` says
     whether row r localizes an instance under the table's CorLoc variant.
     """
 
     hit: np.ndarray
     candidates: np.ndarray
     matches: dict[int, list[int]]
+    best: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +133,8 @@ class TruthTable:
         if name in self.classes:
             return self.classes[name]
         rows = len(self.image_rank)
-        return ClassTruth(np.zeros(rows, dtype=bool), np.zeros(rows, dtype=np.int32), {})
+        zero = np.zeros(rows, dtype=np.int32)
+        return ClassTruth(np.zeros(rows, dtype=bool), zero, {}, zero - 1)
 
 
 def truth_table(
@@ -169,6 +177,7 @@ def truth_table(
     total = len(row_image)
     hit = np.zeros((len(names), total), dtype=bool)
     candidates = np.zeros((len(names), total), dtype=np.int32)
+    best = np.full((len(names), total), -1, np.int32)
     matches: list[dict[int, list[int]]] = [{} for _ in names]
     start = 0
     while start < total:
@@ -189,14 +198,22 @@ def truth_table(
                 (g[:, 0] <= cx) & (cx <= g[:, 2]) & (g[:, 1] <= cy) & (cy <= g[:, 3])
             )
         hit[gt_class[number[localizes]], row[localizes]] = True
-        # By row, then IoU descending, then number: the order greedy matching tries.
-        candidate = candidate[np.lexsort((number[candidate], -ious[candidate], row[candidate]))]
-        group, rows, numbers = gt_class[number[candidate]], row[candidate], number[candidate]
+        # By row and class, then IoU descending, then number: the order greedy
+        # matching tries, so each (class, row)'s best match comes first.
+        group = gt_class[number[candidate]]
+        order = np.lexsort((number[candidate], -ious[candidate], group, row[candidate]))
+        candidate, group = candidate[order], group[order]
+        rows, numbers = row[candidate], number[candidate]
         np.add.at(candidates, (group, rows), 1)
+        first = np.ones(len(candidate), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (group[1:] != group[:-1])
+        best[group[first], rows[first]] = numbers[first]
         for k, r, j in zip(group.tolist(), rows.tolist(), numbers.tolist()):
             matches[k].setdefault(r, []).append(j)
         start = stop
-    classes = {name: ClassTruth(hit[k], candidates[k], matches[k]) for name, k in names.items()}
+    classes = {
+        name: ClassTruth(hit[k], candidates[k], matches[k], best[k]) for name, k in names.items()
+    }
     # Table images in image_id order; argsort inverts that order into each image's rank.
     order = sorted(range(len(image_ids)), key=image_ids.__getitem__)
     rank = np.argsort(order)
@@ -221,28 +238,61 @@ def truth_table(
 def _ranked(
     table: TruthTable, rows: np.ndarray, confidence: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Rows in rank order and their image ranks: confidence descending, ties by
-    # image then input position (lexsort is stable), so a monotone rescoring
-    # cannot reshuffle the ranking.
+    """Rows in rank order and their image ranks.
+
+    The order is ``np.lexsort((images, -confidence))``'s: confidence
+    descending (NaN last), ties by image, then by input position, so a
+    monotone rescoring cannot reshuffle the ranking. One unstable
+    ``argsort`` (numpy's SIMD sort) orders the confidences, and only the
+    runs of equal confidence are sorted again, by image and position. That
+    repair is cheap while ties are few; where every confidence ties (a zero
+    prototype scores everything 0.5) it sorts the whole class, slower than
+    one lexsort but in the same order.
+    """
     images = table.image_rank[rows]
-    order = np.lexsort((images, -confidence))
+    order = np.argsort(-confidence)
+    key = confidence[order]
+    nan = np.isnan(key)
+    # -0.0 and 0.0 are equal; NaNs, sorted last, tie with each other.
+    same = (key[1:] == key[:-1]) | (nan[1:] & nan[:-1])
+    if same.any():
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        at = np.flatnonzero(tied)
+        # Runs of ties stay in their own slots: run first, then image, then position.
+        run = np.cumsum(np.r_[True, ~same])[at]
+        order[at] = order[at][np.lexsort((order[at], images[order[at]], run))]
     return rows[order], images[order]
 
 
 def _true_positives(truth: ClassTruth, ranked: np.ndarray) -> np.ndarray:
-    # Greedy TP/FP walk in rank order over the rows with candidates: each
-    # takes its best untaken ground-truth box.
-    positives: list[int] = []
-    taken: set[int] = set()
-    candidate = np.flatnonzero(truth.candidates[ranked])
-    for r, row in zip(candidate.tolist(), ranked[candidate].tolist()):
-        for j in truth.matches[row]:
-            if j not in taken:
-                taken.add(j)
-                positives.append(r)
-                break
+    """Greedy TP flags in rank order: each row takes its best untaken ground-truth box.
+
+    Between rows with several candidates, each stretch of rows with one
+    candidate resolves at once: a row is a TP when it is the stretch's first
+    to reach an untaken box. A row with several walks its ``matches``.
+    """
     flags = np.zeros(len(ranked), dtype=bool)
-    flags[positives] = True
+    at = np.flatnonzero(truth.candidates[ranked])
+    rows = ranked[at]
+    best = truth.best[rows]
+    several = np.flatnonzero(truth.candidates[rows] > 1).tolist()
+    reach = [int(best.max(initial=-1)), *(max(truth.matches[r]) for r in rows[several].tolist())]
+    taken = np.zeros(max(reach) + 1, dtype=bool)
+    start = 0
+    for stop in [*several, len(rows)]:
+        stretch = best[start:stop]
+        _, first = np.unique(stretch, return_index=True)
+        first = first[~taken[stretch[first]]]
+        flags[at[start + first]] = True
+        taken[stretch[first]] = True
+        if stop < len(rows):
+            for j in truth.matches[int(rows[stop])]:
+                if not taken[j]:
+                    taken[j] = flags[at[stop]] = True
+                    break
+        start = stop + 1
     return flags
 
 
@@ -318,10 +368,14 @@ def average_precision(
     precision = tp / np.arange(1, len(tp) + 1)
     recall = tp / num_gt
     if mode == "11pt":
+        # Recall never falls, so the best precision at recall >= t is the
+        # envelope below at the first rank reaching t, 0 where none does.
+        envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+        # Added one by one in threshold order, as ever, so the value keeps its
+        # bits (Python 3.12's sum() would compensate).
         total = 0.0
-        for threshold in (j / 10 for j in range(11)):
-            over = precision[recall >= threshold]
-            total += float(over.max()) if over.size else 0.0
+        for best in envelope[np.searchsorted(recall, _RECALL_POINTS)].tolist():
+            total += best
         return total / 11.0
     mrec = np.concatenate(([0.0], recall, [1.0]))
     # The envelope: the best precision at this recall or any higher one.

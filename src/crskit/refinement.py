@@ -42,6 +42,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -223,11 +224,18 @@ def ground_truth_table(
 
     Table image k is ``world[k]``, and row r is the world's r-th proposal.
     """
+    return _truth_table(world, box_array(p.box for r in world for p in r.proposals), corloc_variant)
+
+
+def _truth_table(
+    world: Sequence[ImageRecord], boxes: np.ndarray, corloc_variant: str
+) -> TruthTable:
+    """``ground_truth_table(world, corloc_variant)`` from the world's ``(N, 4)`` box corners."""
     return truth_table(
         [record.image_id for record in world],
         [record.gt_boxes for record in world],
         np.repeat(np.arange(len(world)), [len(record.proposals) for record in world]),
-        box_array(p.box for r in world for p in r.proposals),
+        boxes,
         corloc_variant,
     )
 
@@ -282,9 +290,9 @@ def select_pseudo_gt(
     selection. Overlaps of another world, a survivor row outside the world
     and a positive class without a column or survivors are ``ValueError``s.
     """
-    _check_columns(world, columns)
     features = _Features(world)
     offsets = features.offsets
+    _check_columns(features, offsets[-1], columns)
     if not np.array_equal(overlaps.offsets, offsets):
         raise ValueError("overlaps were built for another world or image order")
     _check_rows("survivor", survivors, offsets[-1])
@@ -406,8 +414,9 @@ def score_table(
     lacks, and every class the world counts gets an array.
     """
     if scorer is None:
+        scores = [p.scores for r in world for p in r.proposals]
         return {
-            name: np.fromiter((p.scores.get(name, 0.0) for r in world for p in r.proposals), float)
+            name: np.fromiter(map(dict.get, scores, repeat(name), repeat(0.0)), float, len(scores))
             for name in sorted({c for record in world for c in record.counts})
         }
     prototypes = {name: np.asarray(p, dtype=float) for name, p in scorer.prototypes.items()}
@@ -431,9 +440,14 @@ def score_table(
     return columns
 
 
-def _check_columns(world: Sequence[ImageRecord], columns: Mapping[str, np.ndarray]) -> None:
-    """Refuse a column that is not one score in [0, 1] per proposal, naming where."""
-    total = sum(len(record.proposals) for record in world)
+def _check_columns(
+    world: Sequence[ImageRecord], total: int, columns: Mapping[str, np.ndarray]
+) -> None:
+    """Refuse a column that is not one score in [0, 1] per proposal, naming where.
+
+    ``total`` is the world's proposal count, which callers holding its
+    offsets read from them.
+    """
     for name, column in columns.items():
         if len(column) > total:
             raise ValueError(f"{name}: got {len(column)} scores for {total} proposals")
@@ -454,7 +468,7 @@ def detections_from_scores(
     ``score_table`` returns them. Detections come image by image, then class
     by class, each class's in rank order.
     """
-    _check_columns(world, columns)
+    _check_columns(world, sum(len(record.proposals) for record in world), columns)
     # Only the suppression blocks are read; any selection threshold will do.
     overlaps = world_overlaps(world, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
     kept = survivors_by_image(overlaps, suppress_columns(overlaps, columns))
@@ -480,11 +494,12 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
         raise ValueError("cannot refine an empty world")
     world = _Features(world)
     overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
-    table = ground_truth_table(world, config.corloc_variant)
+    # The overlaps hold the run's one conversion of its boxes to corners.
+    table = _truth_table(world, overlaps.boxes, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
     columns = score_table(world, scorer)
-    _check_columns(world, columns)
+    _check_columns(world, world.offsets[-1], columns)
     survivors = suppress_columns(overlaps, columns)
 
     def evaluate(purity: float | None) -> EvalReport:

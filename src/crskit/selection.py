@@ -139,9 +139,11 @@ def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
 class WorldOverlaps:
     """A world's selection conflict words and suppression blocks, built by ``world_overlaps``.
 
-    ``offsets`` holds each image's first stacked row, then the row count.
-    ``conflict`` is one ``(N, words)`` ``uint64`` array, ``words`` enough for
-    the largest image's proposals at 64 a word (at least 1): bit k of row r
+    ``offsets`` holds each image's first stacked row, then the row count, and
+    ``boxes`` each row's box corners, ``(N, 4)``, the world's one conversion
+    of its boxes (``run_adr``'s truth table reads it too). ``conflict`` is one
+    ``(N, words)`` ``uint64`` array, ``words`` enough for the largest image's
+    proposals at 64 a word (at least 1): bit k of row r
     (bit k % 64 of word k // 64) is set when proposal k of r's image, once
     selected, keeps r out, because r's directed overlap with it reaches the
     selection threshold. The words are the only record of that threshold. A
@@ -152,6 +154,7 @@ class WorldOverlaps:
     """
 
     offsets: np.ndarray
+    boxes: np.ndarray
     conflict: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -161,8 +164,9 @@ def world_overlaps(
 ) -> WorldOverlaps:
     """Every image's conflict words and the suppression blocks; thresholds in (0, 1].
 
-    Images of equal proposal count are stacked, at most ``PAIRS_PER_BATCH``
-    box pairs (or one image) a chunk, one ``pairwise_overlaps`` call each.
+    The world's boxes become one corner array, and images of equal proposal
+    count are stacked from it, at most ``PAIRS_PER_BATCH`` box pairs (or one
+    image) a chunk, one ``pairwise_overlaps`` call each.
     """
     _check_threshold("nms_threshold", nms_threshold)
     _check_threshold("threshold", threshold)
@@ -174,6 +178,7 @@ def world_overlaps(
         if image_ids:
             groups.setdefault(len(image_ids), []).append(k)
     starts = np.cumsum([0] + [len(image_ids) for image_ids in ids])
+    boxes = box_array(p.box for image in images for p in image.proposals)
     words = max(1, -(-max(groups, default=0) // 64))
     conflict = np.zeros((starts[-1], words), dtype=np.uint64)
     blocks = []
@@ -182,19 +187,19 @@ def world_overlaps(
         hits = []
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            boxes = box_array(p.box for k in chunk for p in images[k].proposals)
-            ious, directed = pairwise_overlaps(boxes.reshape(len(chunk), n, 4))
+            rows = (starts[chunk][:, None] + np.arange(n)).ravel()
+            ious, directed = pairwise_overlaps(boxes[rows].reshape(len(chunk), n, 4))
             # Row i of this transpose marks the proposals that keeping i suppresses.
             hits.append(~(ious.swapaxes(-1, -2) < nms_threshold))
             # Row j of each transpose holds the overlaps of every member with candidate j.
             bits = np.packbits(~(directed.swapaxes(-1, -2) < threshold), axis=-1, bitorder="little")
             packed = np.zeros((len(chunk) * n, words * 8), dtype=np.uint8)
             packed[:, : bits.shape[-1]] = bits.reshape(len(chunk) * n, -1)
-            conflict[(starts[chunk][:, None] + np.arange(n)).ravel()] = packed.view("<u8")
+            conflict[rows] = packed.view("<u8")
         # Ids are unique, so each position's rank among them is the argsort's inverse.
         id_rank = np.argsort(np.argsort([ids[k] for k in members], axis=-1), axis=-1)
         blocks.append((starts[members], id_rank, np.concatenate(hits)))
-    return WorldOverlaps(starts, conflict, blocks)
+    return WorldOverlaps(starts, boxes, conflict, blocks)
 
 
 def suppress_columns(

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from crskit import evaluation
 from crskit.evaluation import (
+    ClassTruth,
     Detection,
     EvalReport,
     average_precision,
@@ -449,6 +450,10 @@ class TestAgainstReference:
             assert np.array_equal(other.hit, truth.hit), name
             assert np.array_equal(other.candidates, truth.candidates), name
             assert other.matches == truth.matches, name
+            assert np.array_equal(other.best, truth.best), name
+            # Each row's best match is the first it tries, -1 without candidates.
+            firsts = [truth.matches[r][0] if r in truth.matches else -1 for r in range(len(rows[2]))]
+            assert truth.best.tolist() == firsts, name
 
     @pytest.mark.parametrize("corloc_variant", ["iou50", "center"])
     def test_truth_rows_do_not_depend_on_row_order(self, corloc_variant, monkeypatch):
@@ -472,6 +477,7 @@ class TestAgainstReference:
             assert np.array_equal(other.candidates, truth.candidates[order]), name
             moved = {r: truth.matches[j] for r, j in enumerate(order) if j in truth.matches}
             assert other.matches == moved, name
+            assert np.array_equal(other.best, truth.best[order]), name
 
     @pytest.mark.parametrize("variant", ["iou50", "center"])
     @given(
@@ -592,3 +598,103 @@ class TestAgainstReference:
             detections = detections_from_scores(world, score_table(world, scorer), 0.3)
             expected = reference_report(detections, gt, corloc_variant, ap_mode)
             assert replace(entry.report, purity=None) == expected
+
+
+# The per-class kernels of evaluate_picks against the code they replaced: one
+# stable two-key lexsort, one mask per 11-point threshold, and a Python walk
+# over the rows with candidates.
+
+
+def reference_ranked_rows(image_rank, rows, confidence):
+    images = image_rank[rows]
+    order = np.lexsort((images, -confidence))
+    return rows[order], images[order]
+
+
+def reference_ap11(flags, num_gt):
+    tp = np.cumsum(np.asarray(flags, dtype=float))
+    precision = tp / np.arange(1, len(tp) + 1)
+    recall = tp / num_gt
+    total = 0.0
+    for threshold in (j / 10 for j in range(11)):
+        over = precision[recall >= threshold]
+        total += float(over.max()) if over.size else 0.0
+    return total / 11.0
+
+
+def reference_true_positives(truth, ranked):
+    positives, taken = [], set()
+    candidate = np.flatnonzero(truth.candidates[ranked])
+    for r, row in zip(candidate.tolist(), ranked[candidate].tolist()):
+        for j in truth.matches[row]:
+            if j not in taken:
+                taken.add(j)
+                positives.append(r)
+                break
+    flags = np.zeros(len(ranked), dtype=bool)
+    flags[positives] = True
+    return flags
+
+
+def random_class_truth(rng, rows, boxes):
+    """A ClassTruth of ``rows`` rows, each with 0-3 distinct candidates of ``boxes`` boxes."""
+    counts = rng.integers(0, min(3, boxes) + 1, rows)
+    matches = {
+        r: rng.permutation(boxes)[:c].tolist() for r, c in enumerate(counts.tolist()) if c
+    }
+    best = np.array([matches[r][0] if r in matches else -1 for r in range(rows)], dtype=int)
+    hit = rng.integers(0, 2, rows).astype(bool)
+    return ClassTruth(hit, counts.astype(np.int32), matches, best)
+
+
+# Ties, both zeros, NaN and the infinities, which evaluate_picks does not refuse.
+confidences = st.sampled_from([0.0, -0.0, 0.5, 1.0, float("nan"), float("inf"), -float("inf")])
+
+
+class TestArrayKernels:
+    @given(
+        st.lists(st.tuples(confidences | st.floats(0, 1), st.integers(0, 5)), max_size=60),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([(0.5, 0)] * 40, 0)
+    @example([(0.0, 1), (-0.0, 0), (0.0, 0), (-0.0, 1)], 1)
+    @example([(float("nan"), 2), (1.0, 0), (float("nan"), 1), (float("nan"), 2)], 2)
+    def test_ranked_is_the_stable_lexsort(self, picks, seed):
+        rng = np.random.default_rng(seed)
+        image_rank = np.array([image for _, image in picks], dtype=int)
+        table = evaluation.TruthTable((), image_rank, {}, {})
+        # Picks in a random order, some of the table's rows left out.
+        rows = rng.permutation(len(picks))[: rng.integers(0, len(picks) + 1)]
+        confidence = np.array([picks[r][0] for r in rows.tolist()], dtype=float)
+        ranked, images = evaluation._ranked(table, rows, confidence)
+        expected_rows, expected_images = reference_ranked_rows(image_rank, rows, confidence)
+        assert np.array_equal(ranked, expected_rows)
+        assert np.array_equal(images, expected_images)
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=80), st.integers(0, 20))
+    @example([True] * 10, 0)
+    @example([False, True, False, True, True], 7)
+    def test_eleven_point_ap_keeps_its_bits(self, flags, slack):
+        num_gt = sum(flags) + slack
+        if num_gt:
+            assert average_precision(flags, num_gt) == reference_ap11(flags, num_gt)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_true_positives_match_the_greedy_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            rows, boxes = int(rng.integers(0, 25)), int(rng.integers(1, 8))
+            truth = random_class_truth(rng, rows, boxes)
+            # Any subset of the rows in any order.
+            ranked = rng.permutation(rows)[: rng.integers(0, rows + 1)]
+            expected = reference_true_positives(truth, ranked)
+            assert np.array_equal(evaluation._true_positives(truth, ranked), expected)
+
+    def test_best_is_each_classs_first_match_when_classes_interleave(self):
+        # The row reaches cat boxes 0 and 1 at IoU 0.7 and 0.9, and dog box 2
+        # at 0.8, between them in the order greedy matching tries.
+        gt = [{"cat": [Box(0, 0, 10, 7), Box(0, 0, 10, 9)], "dog": [Box(0, 0, 10, 8)]}]
+        table = truth_table(["img"], gt, np.zeros(1, dtype=int), np.array([GT_UNIT.as_tuple()]))
+        assert table.classes["cat"].matches == {0: [1, 0]}
+        assert table.classes["cat"].best.tolist() == [1]
+        assert table.classes["dog"].best.tolist() == [2]

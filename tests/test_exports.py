@@ -86,7 +86,12 @@ SLOTTED = [
     SelectionResult((0,), 0.5, True),
     Proposal(0, BOX, {"cat": 0.5}),
     Detection("img", "cat", BOX, 0.5),
-    ClassTruth(hit=np.ones(1, dtype=bool), candidates=np.ones(1, dtype=int), matches={0: [0]}),
+    ClassTruth(
+        hit=np.ones(1, dtype=bool),
+        candidates=np.ones(1, dtype=int),
+        matches={0: [0]},
+        best=np.zeros(1, dtype=int),
+    ),
 ]
 
 
