@@ -199,10 +199,7 @@ def cmd_select(args: argparse.Namespace, config: RefinementConfig) -> int:
     overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
     columns, offsets = score_table(world, None), overlaps.offsets
     # Every proposal is a candidate, in rank order: score descending, ties by region_id.
-    id_rank = np.zeros(offsets[-1], dtype=np.intp)
-    for starts, ranks, _ in overlaps.blocks:
-        id_rank[starts[:, None] + np.arange(ranks.shape[1])] = ranks
-    image = np.repeat(np.arange(len(world)), np.diff(offsets))
+    image, id_rank = np.repeat(np.arange(len(world)), np.diff(offsets)), overlaps.id_rank
     ranked = {name: np.lexsort((id_rank, -column, image)) for name, column in columns.items()}
     targets = count_targets(world, config)
     images: dict[str, Any] = {record.image_id: {} for record in world}

@@ -244,10 +244,10 @@ def _ranked(
     descending (NaN last), ties by image, then by input position, so a
     monotone rescoring cannot reshuffle the ranking. One unstable
     ``argsort`` (numpy's SIMD sort) orders the confidences, and only the
-    runs of equal confidence are sorted again, by image and position. That
-    repair is cheap while ties are few; where every confidence ties (a zero
-    prototype scores everything 0.5) it sorts the whole class, slower than
-    one lexsort but in the same order.
+    runs of equal confidence are sorted again, by image and position, with
+    two single-key sorts. That repair is cheap while ties are few; where
+    every confidence ties (a zero prototype scores everything 0.5) it sorts
+    the whole class, in the same order as one lexsort.
     """
     images = table.image_rank[rows]
     order = np.argsort(-confidence)
@@ -260,9 +260,12 @@ def _ranked(
         tied[1:] = same
         tied[:-1] |= same
         at = np.flatnonzero(tied)
-        # Runs of ties stay in their own slots: run first, then image, then position.
-        run = np.cumsum(np.r_[True, ~same])[at]
-        order[at] = order[at][np.lexsort((order[at], images[order[at]], run))]
+        # Tied runs keep their slots: sorted by (run, position) as one integer key, then
+        # stably by (run, image) in the smallest dtype that holds it (16 bits radix-sort).
+        run = np.cumsum(~np.r_[False, same][at])
+        slots = np.sort(run * len(order) + order[at]) - run * len(order)
+        key = run * (images.max() + 1) + images[slots]
+        order[at] = slots[np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")]
     return rows[order], images[order]
 
 

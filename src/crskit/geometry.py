@@ -110,32 +110,27 @@ def asymmetric_overlap(selected: Box, candidate: Box) -> float:
     return inter / area(candidate)
 
 
-def _overlaps(
-    lo_a: np.ndarray,
-    hi_a: np.ndarray,
-    area_a: np.ndarray,
-    lo_b: np.ndarray,
-    hi_b: np.ndarray,
-    area_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    # IoU and directed overlap (a selected, b the candidate) of broadcast box
-    # pairs, with the scalar kernels' elementwise operations in their order.
-    overlap = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
-    iw, ih = overlap[..., 0], overlap[..., 1]
+def _overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # IoU and directed overlap (a selected, b the candidate) of broadcast
+    # ``(..., 4)`` corner arrays, with the scalar kernels' elementwise
+    # operations in their order, one corner column at a time.
+    x1, y1, x2, y2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    u1, v1, u2, v2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.minimum(x2, u2) - np.maximum(x1, u1)
+    ih = np.minimum(y2, v2) - np.maximum(y1, v1)
     inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
     overlapping = inter != 0.0
-    union = area_a + area_b - inter
+    area_b = (u2 - u1) * (v2 - v1)
+    union = (x2 - x1) * (y2 - y1) + area_b - inter
     ious = np.divide(inter, union, out=np.zeros_like(inter), where=overlapping)
     directed = np.divide(inter, area_b, out=np.zeros_like(inter), where=overlapping)
     return ious, directed
 
 
-def _corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked(boxes: np.ndarray) -> np.ndarray:
+    # Any box input as a float ``(..., n, 4)`` array; no boxes at all is (0, 4).
     b = np.asarray(boxes, dtype=float)
-    b = b.reshape(b.shape[:-2] + (-1, 4))
-    lo, hi = b[..., :2], b[..., 2:]
-    sides = hi - lo
-    return lo, hi, sides[..., 0] * sides[..., 1]
+    return b.reshape(b.shape[:-2] + (-1, 4))
 
 
 def pairwise_overlaps(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,18 +141,18 @@ def pairwise_overlaps(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     candidate) within each ``(n, 4)`` array of the stack, bit for bit: the
     same elementwise operations in the same order.
     """
-    lo, hi, areas = _corners(boxes)
-    rows = lo[..., None, :], hi[..., None, :], areas[..., None]
-    return _overlaps(*rows, lo[..., None, :, :], hi[..., None, :, :], areas[..., None, :])
+    b = _stacked(boxes)
+    return _overlaps(b[..., :, None, :], b[..., None, :, :])
 
 
 def paired_overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """IoU and directed overlap of row k of ``a`` with row k of ``b``, two ``(n, 4)`` arrays.
 
     ``ious[k]`` is ``iou(a_k, b_k)`` and ``directed[k]`` is
-    ``asymmetric_overlap(a_k, b_k)``, bit for bit, as in ``pairwise_overlaps``.
+    ``asymmetric_overlap(a_k, b_k)``, bit for bit, as in ``pairwise_overlaps``;
+    any two ``(..., 4)`` arrays that broadcast pair up the same way.
     """
-    return _overlaps(*_corners(a), *_corners(b))
+    return _overlaps(_stacked(a), _stacked(b))
 
 
 def box_array(boxes: Iterable[Box]) -> np.ndarray:

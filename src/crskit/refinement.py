@@ -19,8 +19,8 @@ table whose row r is stacked proposal r: the run's only record of ground
 truth. A score table (``score_table``) is one ``(N,)`` array per class, in the
 same row order; no per-image table is kept. Each table is suppressed once, by
 one ``selection.suppress_columns`` pass over the arrays (one array step per
-rank position of each proposal-count block, classes stacked), into every
-(image, class) survivor as table rows. Its evaluation gathers their
+rank position for all images of a proposal count, classes stacked), into
+every (image, class) survivor as table rows. Its evaluation gathers their
 confidences from the arrays and passes both to ``evaluation.evaluate_picks``,
 with no ``Detection`` objects. The next selection is one ``select_pseudo_gt``
 call over the same table, overlaps and survivors: every (image, positive
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
@@ -248,13 +249,12 @@ def count_targets(world: Sequence[ImageRecord], config: RefinementConfig) -> dic
     A target above an image's proposal count is stored as that count plus
     one, which no selection reaches either.
     """
-    names = sorted({name for record in world for name in record.positive_classes()})
-    targets = {name: np.zeros(len(world), dtype=np.intp) for name in names}
+    targets: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(len(world), dtype=np.intp))
     for k, record in enumerate(world):
-        for name in record.positive_classes():
-            target = config.count_target(record.counts[name])
-            targets[name][k] = min(target, len(record.proposals) + 1)
-    return targets
+        for name, count in record.counts.items():
+            if count >= 1:
+                targets[name][k] = min(config.count_target(count), len(record.proposals) + 1)
+    return dict(sorted(targets.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,7 +469,7 @@ def detections_from_scores(
     by class, each class's in rank order.
     """
     _check_columns(world, sum(len(record.proposals) for record in world), columns)
-    # Only the suppression blocks are read; any selection threshold will do.
+    # Only the suppression words are read; any selection threshold will do.
     overlaps = world_overlaps(world, nms_threshold, DEFAULT_OVERLAP_THRESHOLD)
     kept = survivors_by_image(overlaps, suppress_columns(overlaps, columns))
     scores = {name: column.tolist() for name, column in columns.items()}

@@ -11,9 +11,9 @@ verification oracle for the greedy path.
 Every solver only tests bits of per-region conflict masks, which compare each
 overlap with the threshold once, when they are built. Dataset-level callers
 (refinement, ``crskit nms``/``select``) build all images' masks in one batched
-pass (``world_overlaps``), as packed ``uint64`` words with one row per
-proposal; suppress a whole score table at once over that pass's
-proposal-count blocks (``suppress_columns``, split per image by
+pass (``world_overlaps``), as packed ``uint64`` suppression and conflict
+words with one row per proposal; suppress a whole score table at once over
+the suppression words (``suppress_columns``, split per image by
 ``survivors_by_image`` for ``crskit nms`` and detections); and walk every
 (image, class) selection problem of the world at once (``walk_classes`` hands
 them to ``greedy_walks``, one array step per walk position).
@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import PAIRS_PER_BATCH, Box, box_array, pairwise_overlaps
+from .geometry import PAIRS_PER_BATCH, Box, box_array, paired_overlaps, pairwise_overlaps
 from .world import ImageRecord
 
 __all__ = [
@@ -137,69 +137,72 @@ def conflict_masks(overlap: np.ndarray, threshold: float) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class WorldOverlaps:
-    """A world's selection conflict words and suppression blocks, built by ``world_overlaps``.
+    """A world's suppression and selection words, built by ``world_overlaps``.
 
     ``offsets`` holds each image's first stacked row, then the row count, and
     ``boxes`` each row's box corners, ``(N, 4)``, the world's one conversion
-    of its boxes (``run_adr``'s truth table reads it too). ``conflict`` is one
-    ``(N, words)`` ``uint64`` array, ``words`` enough for the largest image's
-    proposals at 64 a word (at least 1): bit k of row r
-    (bit k % 64 of word k // 64) is set when proposal k of r's image, once
+    of its boxes (``run_adr``'s truth table reads it too). ``id_rank``
+    ``(N,)`` holds each row's rank among its image's region ids. ``suppress``
+    and ``conflict`` are ``(N, words)`` ``uint64`` arrays, ``words`` enough
+    for the largest image's proposals at 64 a word (at least 1), where bit k
+    of row r (bit k % 64 of word k // 64) speaks of proposal k of r's image.
+    In ``suppress`` it is set when keeping k suppresses r, because their IoU
+    reaches the suppression threshold; in ``conflict`` when k, once
     selected, keeps r out, because r's directed overlap with it reaches the
-    selection threshold. The words are the only record of that threshold. A
-    block holds the m images of one proposal count n > 0: their first
-    stacked rows ``(m,)``, their positions' ranks in region_id order ``(m,
-    n)`` and ``hits`` ``(m, n, n)``, where ``hits[c, i, j]`` means keeping i
-    suppresses j.
+    selection threshold. The words are the only record of both thresholds.
     """
 
     offsets: np.ndarray
     boxes: np.ndarray
+    id_rank: np.ndarray
+    suppress: np.ndarray
     conflict: np.ndarray
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def world_overlaps(
     images: Sequence[ImageRecord], nms_threshold: float, threshold: float
 ) -> WorldOverlaps:
-    """Every image's conflict words and the suppression blocks; thresholds in (0, 1].
+    """Every image's suppression and conflict words; thresholds in (0, 1].
 
-    The world's boxes become one corner array, and images of equal proposal
-    count are stacked from it, at most ``PAIRS_PER_BATCH`` box pairs (or one
-    image) a chunk, one ``pairwise_overlaps`` call each.
+    The world's boxes become one corner array. Each chunk pairs candidate
+    rows with every box of their image in one ``paired_overlaps`` call, at
+    most ``PAIRS_PER_BATCH`` box pairs (or one row) a chunk: whole images of
+    equal proposal count stacked, or the rows of one wider image.
     """
     _check_threshold("nms_threshold", nms_threshold)
     _check_threshold("threshold", threshold)
     ids = [[p.region_id for p in image.proposals] for image in images]
-    groups: dict[int, list[int]] = {}
-    for k, (image, image_ids) in enumerate(zip(images, ids)):
+    for image, image_ids in zip(images, ids):
         if len(set(image_ids)) != len(image_ids):
             raise ValueError(f"{image.image_id}: region_ids must be unique within an image")
-        if image_ids:
-            groups.setdefault(len(image_ids), []).append(k)
     starts = np.cumsum([0] + [len(image_ids) for image_ids in ids])
-    boxes = box_array(p.box for image in images for p in image.proposals)
-    words = max(1, -(-max(groups, default=0) // 64))
-    conflict = np.zeros((starts[-1], words), dtype=np.uint64)
-    blocks = []
-    for n, members in groups.items():
-        step = max(1, PAIRS_PER_BATCH // (n * n))
-        hits = []
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            rows = (starts[chunk][:, None] + np.arange(n)).ravel()
-            ious, directed = pairwise_overlaps(boxes[rows].reshape(len(chunk), n, 4))
-            # Row i of this transpose marks the proposals that keeping i suppresses.
-            hits.append(~(ious.swapaxes(-1, -2) < nms_threshold))
-            # Row j of each transpose holds the overlaps of every member with candidate j.
-            bits = np.packbits(~(directed.swapaxes(-1, -2) < threshold), axis=-1, bitorder="little")
-            packed = np.zeros((len(chunk) * n, words * 8), dtype=np.uint8)
-            packed[:, : bits.shape[-1]] = bits.reshape(len(chunk) * n, -1)
-            conflict[rows] = packed.view("<u8")
+    widths, boxes = np.diff(starts), box_array(p.box for image in images for p in image.proposals)
+    id_rank = np.zeros(starts[-1], dtype=np.intp)
+    # Suppression words, then conflict words, packed through their little-endian bytes.
+    packed = np.zeros((2, starts[-1], max(1, -(-widths.max(initial=0) // 64))), dtype="<u8")
+    for n in sorted(set(widths.tolist()) - {0}):
+        members = np.flatnonzero(widths == n)
+        at = starts[members, None] + np.arange(n)
         # Ids are unique, so each position's rank among them is the argsort's inverse.
-        id_rank = np.argsort(np.argsort([ids[k] for k in members], axis=-1), axis=-1)
-        blocks.append((starts[members], id_rank, np.concatenate(hits)))
-    return WorldOverlaps(starts, boxes, conflict, blocks)
+        id_rank[at] = np.argsort(np.argsort([ids[k] for k in members], axis=-1), axis=-1)
+        per_row = min(n, max(1, PAIRS_PER_BATCH // n))
+        per_image = max(1, PAIRS_PER_BATCH // (n * per_row))
+        for start in range(0, len(at), per_image):
+            stack = boxes[at[start : start + per_image, None]]
+            for row in range(0, n, per_row):
+                rows = at[start : start + per_image, row : row + per_row]
+                # [c, j, i]: the overlaps of member i (selected) with candidate row j.
+                ious, directed = paired_overlaps(stack, boxes[rows][..., None, :])
+                hits = np.stack([~(ious < nms_threshold), ~(directed < threshold)])
+                bits = np.packbits(hits, axis=-1, bitorder="little")
+                packed.view(np.uint8)[:, rows, : bits.shape[-1]] = bits
+    return WorldOverlaps(starts, boxes, id_rank, *packed)
+
+
+def _own_bits(positions: np.ndarray, words: int) -> np.ndarray:
+    """Each position's own bit in ``words`` ``uint64`` words, on a new last axis."""
+    bit = np.left_shift(np.uint64(1), (positions % 64).astype(np.uint64))
+    return np.where(np.arange(words) == (positions // 64)[..., None], bit[..., None], np.uint64(0))
 
 
 def suppress_columns(
@@ -207,32 +210,34 @@ def suppress_columns(
 ) -> dict[str, np.ndarray]:
     """Every image's suppression survivors for every class, as stacked rows.
 
-    ``overlaps`` comes from ``world_overlaps``, whose blocks it walks, and
-    ``columns`` holds one score per stacked row for each class. A survivor is
-    a proposal whose IoU with every higher-ranked survivor (score descending,
-    ties by region_id) stays below the threshold, as ``nms`` keeps them. Each
-    proposal-count block is ranked by one ``lexsort`` with all classes
-    stacked and walked one array step per rank position, so the cost grows
-    with the distinct proposal counts, not with the images: at 5-21
-    proposals an image it beats per-image walks from about 150 images on.
-    Rows come image by image in world order, each image's in rank order.
+    ``overlaps`` comes from ``world_overlaps``, whose suppression words it
+    walks, and ``columns`` holds one score per stacked row for each class. A
+    survivor is a proposal whose IoU with every higher-ranked survivor (score
+    descending, ties by region_id) stays below the threshold, as ``nms``
+    keeps them. The images of each proposal count are ranked by one
+    ``lexsort`` with all classes stacked and walked one array step per rank
+    position, so the cost grows with the distinct proposal counts, not with
+    the images. Rows come image by image in world order, each in rank order.
     """
     if not columns:
         return {}
-    names = list(columns)
+    names, offsets, widths = list(columns), overlaps.offsets, np.diff(overlaps.offsets)
     # Each image's rank-ordered rows in its own row range, -1 where suppressed.
-    slots = np.full((len(names), overlaps.offsets[-1]), -1, dtype=np.intp)
-    for starts, id_rank, hits in overlaps.blocks:
-        m, n = id_rank.shape
-        scores = np.stack([columns[name][starts[:, None] + np.arange(n)] for name in names])
-        order = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores)).reshape(-1, n)
-        image, line = np.tile(np.arange(m), len(names)), np.arange(len(order))
-        suppressed, kept = np.zeros((2, *order.shape), dtype=bool)
+    slots = np.full((len(names), offsets[-1]), -1, dtype=np.intp)
+    for n in sorted(set(widths.tolist()) - {0}):
+        at = offsets[:-1][widths == n, None] + np.arange(n)
+        scores = np.stack([columns[name][at] for name in names])
+        order = np.lexsort((np.broadcast_to(overlaps.id_rank[at], scores.shape), -scores))
+        order = order.reshape(-1, n)
+        ranked = order + np.tile(at[:, 0], len(names))[:, None]
+        # Each candidate's own bit, and the words of the proposals whose keeping suppresses it.
+        words = -(-n // 64)
+        own, blocked = _own_bits(order, words), overlaps.suppress[ranked, :words]
+        state = np.zeros((len(order), words), dtype=np.uint64)
         for k in range(n):
-            kept[:, k] = keep = ~suppressed[line, order[:, k]]
-            suppressed |= hits[image, order[:, k]] & keep[:, None]
-        ranked = np.where(kept, order + starts[image][:, None], -1)
-        slots[:, starts[:, None] + np.arange(n)] = ranked.reshape(len(names), m, n)
+            state |= own[:, k] * ~(state & blocked[:, k]).any(-1, keepdims=True)
+        kept = (own & state[:, None]).any(-1)
+        slots[:, at] = np.where(kept, ranked, -1).reshape(len(names), *at.shape)
     return {name: rows[rows >= 0] for name, rows in zip(names, slots)}
 
 
@@ -319,9 +324,7 @@ def greedy_walks(
         take = np.where(valid, take, offsets[lines, None])
         line_scores, target = scores[take], targets[lines]
         # Each candidate's own bit, and the words of the members that keep it out.
-        at = positions[take]
-        bit = np.left_shift(np.uint64(1), (at % 64).astype(np.uint64))
-        own = np.where(np.arange(words) == (at // 64)[..., None], bit[..., None], np.uint64(0))
+        own = _own_bits(positions[take], words)
         blocked = conflict[rows[take]]
         members, total = own.copy(), line_scores.astype(float)
         sizes = np.ones(take.shape, dtype=np.intp)

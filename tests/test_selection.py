@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -380,7 +381,8 @@ class TestWorldOverlaps:
     # of a byte boundary, and masks wider than 64 bits.
     COUNTS = (65, 8, 0, 21, 1, 9, 8, 65, 9, 0, 21, 1)
 
-    # 1 puts every image in its own chunk; 200 stacks two images of 8 or 9.
+    # 1 computes every image row by row; 200 stacks the two images of 8 or of 9
+    # and computes the 21- and 65-proposal images in chunks of rows.
     @pytest.mark.parametrize("batch", [1, 200, PAIRS_PER_BATCH])
     def test_masks_match_scalar_kernels(self, batch, monkeypatch):
         monkeypatch.setattr(selection, "PAIRS_PER_BATCH", batch)
@@ -389,38 +391,48 @@ class TestWorldOverlaps:
         overlaps = world_overlaps(world, 0.3, 0.5)
         offsets = np.cumsum([0] + [len(image.proposals) for image in world])
         assert overlaps.offsets.tolist() == offsets.tolist()
-        # 65 proposals take two 64-bit words a row.
-        assert overlaps.conflict.dtype == np.uint64
-        assert overlaps.conflict.shape == (offsets[-1], 2)
+
+        def masks(words):
+            # Each row's words as one int: bit k % 64 of word k // 64 is its bit k.
+            return [sum(word << (64 * w) for w, word in enumerate(row)) for row in words.tolist()]
+
+        # 65 proposals take two 64-bit words a row, in both arrays.
+        for packed in (overlaps.suppress, overlaps.conflict):
+            assert packed.dtype == np.uint64
+            assert packed.shape == (offsets[-1], 2)
         for k, image in enumerate(world):
             boxes = [p.box for p in image.proposals]
+            ids = [p.region_id for p in image.proposals]
             n = len(boxes)
-            rows = overlaps.conflict[offsets[k] : offsets[k + 1]].tolist()
-            # Row j marks the members k that keep candidate j out, bit k % 64 of word k // 64.
-            assert [sum(word << (64 * w) for w, word in enumerate(row)) for row in rows] == [
+            span = slice(offsets[k], offsets[k + 1])
+            assert overlaps.id_rank[span].tolist() == [sorted(ids).index(i) for i in ids]
+            suppress, conflict = masks(overlaps.suppress[span]), masks(overlaps.conflict[span])
+            # Row j marks the proposals i whose keeping suppresses candidate j.
+            assert suppress == [
+                sum(1 << i for i in range(n) if iou(boxes[j], boxes[i]) >= 0.3) for j in range(n)
+            ]
+            # Row j marks the members k that keep candidate j out.
+            assert conflict == [
                 sum(1 << k for k in range(n) if asymmetric_overlap(boxes[k], boxes[j]) >= 0.5)
                 for j in range(n)
             ]
-            # Alone, an image gets as many words as it needs, one at least.
-            alone = world_overlaps([image], 0.3, 0.5).conflict
-            assert alone.shape == (n, max(1, -(-n // 64)))
-            assert alone.tolist() == [row[: alone.shape[1]] for row in rows]
-        blocked = []
-        for starts, id_rank, hits in overlaps.blocks:
-            assert id_rank.shape == hits.shape[:2] == (len(starts), hits.shape[2])
-            for first, ranks, image_hits in zip(starts.tolist(), id_rank, hits):
-                # The image that starts at this row; an empty image before it starts there too.
-                k = int(np.searchsorted(offsets, first, side="right")) - 1
-                blocked.append(k)
-                boxes = [p.box for p in world[k].proposals]
-                ids = [p.region_id for p in world[k].proposals]
-                assert ranks.tolist() == [sorted(ids).index(i) for i in ids]
-                # hits[i, j]: keeping i suppresses candidate j.
-                assert image_hits.tolist() == [
-                    [iou(boxes[j], boxes[i]) >= 0.3 for j in range(len(boxes))]
-                    for i in range(len(boxes))
-                ]
-        assert sorted(blocked) == [k for k, image in enumerate(world) if image.proposals]
+            # Alone, an image gets as many words as it needs, one at least, in both arrays.
+            alone = world_overlaps([image], 0.3, 0.5)
+            assert alone.suppress.shape == alone.conflict.shape == (n, max(1, -(-n // 64)))
+            assert (masks(alone.suppress), masks(alone.conflict)) == (suppress, conflict)
+
+    def test_wide_image_is_computed_in_row_chunks(self):
+        image = grid_image(np.random.default_rng(5), "wide", 1000)
+        tracemalloc.start()
+        try:
+            overlaps = world_overlaps([image], 0.3, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert overlaps.suppress.shape == overlaps.conflict.shape == (1000, 16)
+        # One (1000, 1000) float array, as one chunk of the whole image would hold
+        # several of, takes 8 MB; the two word arrays take 256 KB.
+        assert peak < 2_000_000
 
     def test_first_duplicate_in_world_order_is_named(self):
         rng = np.random.default_rng(12)
