@@ -6,24 +6,23 @@ absent, outside the mean metrics. A detection matches a ground-truth box at
 the PASCAL criterion, IoU >= 0.5 (``MATCH_IOU``).
 
 Every metric works from a ``TruthTable``, which ``truth_table`` builds for a
-set of images. It holds one row per box, each row keyed by its image, in any
-image order, and per-row arrays for each class with ground truth: whether the
-row localizes an instance for CorLoc, how many of its image's boxes of the
-class it reaches IoU 0.5 with, and, for rows with any, those boxes best first
-(the best also as an array). It also counts each named class's boxes per
-image. ``evaluate_picks`` is the one evaluation core: for each class it takes
-picked rows in pick order with aligned confidences, ranks them with one
-unstable ``argsort`` plus a sort of the tied runs only (the order of one
-stable two-key lexsort), matches greedily over the rows with candidates only,
-a stretch of one-candidate rows at a time, reads 11-point AP from one
-precision envelope and CorLoc from each image's first ranked row, and
-assembles the report. ``build_report``, ``slice_by_count``
+set of images. It holds one row per box, each keyed by its image, in any
+image order, and for each class with ground truth each row's CorLoc hit and,
+in one CSR record (row starts into a flat array), the class's boxes in the
+row's image that it reaches IoU 0.5 with, best first. It also counts each
+named class's boxes per image. ``evaluate_picks`` is the one evaluation core:
+for each class it takes picked rows in pick order with aligned confidences,
+ranks them with one unstable ``argsort`` plus a sort of the tied runs only
+(the order of one stable two-key lexsort), matches greedily over the rows
+with candidates only, a stretch of one-candidate rows at a time, reads
+11-point AP from one precision envelope and CorLoc from each image's first
+ranked row, and assembles the report. ``build_report``, ``slice_by_count``
 (that report with its count buckets, each a view of the table that keeps one
-bucket's box counts), ``match_detections`` and ``corloc`` (the report's CorLoc
-of one class) build one table with a row per ``Detection``, in input order,
-whose table images are (image, class) pairs, so each detection meets only its
-own class's boxes; the refinement loop builds one over its proposals once per
-run, a table image per image, and picks its suppression survivors' rows.
+bucket's box counts), ``match_detections`` and ``corloc`` (the report's
+CorLoc of one class) build one table with a row per ``Detection``, in input
+order, whose table images are (image, class) pairs, so each detection meets
+only its own class's boxes; the refinement loop builds one over its proposals
+once per run, a table image per image, and picks its NMS survivors' rows.
 """
 
 from __future__ import annotations
@@ -96,19 +95,22 @@ _set_image_id, _set_class_id, _set_box, _set_confidence = (
 class ClassTruth:
     """Every box of a table against the ground truth of one class, by table row.
 
-    ``candidates[r]`` counts the class's boxes in row r's image whose IoU with
-    row r reaches 0.5 (exactly one makes the box pure); ``matches[r]`` lists
-    them, only for rows with any, by their number within the table (every
-    ground-truth box, image after image), highest IoU first and ties by
-    number: the order in which greedy matching tries them. ``best[r]`` is
-    the first of them, -1 for a row without candidates. ``hit[r]`` says
-    whether row r localizes an instance under the table's CorLoc variant.
+    Row r's match candidates, its image's boxes of the class at IoU >= 0.5, are
+    ``matches[starts[r]:starts[r + 1]]`` (N + 1 starts into one flat ``int32``
+    array), best first (IoU descending, ties by number): the order greedy
+    matching tries them. A box's number counts every ground-truth box of the
+    table, image after image. ``hit[r]`` says whether row r localizes an
+    instance under the table's CorLoc variant.
     """
 
     hit: np.ndarray
-    candidates: np.ndarray
-    matches: dict[int, list[int]]
-    best: np.ndarray
+    starts: np.ndarray
+    matches: np.ndarray
+
+    @property
+    def candidates(self) -> np.ndarray:
+        """Each row's candidate count; exactly one makes the box pure."""
+        return np.diff(self.starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +135,7 @@ class TruthTable:
         if name in self.classes:
             return self.classes[name]
         rows = len(self.image_rank)
-        zero = np.zeros(rows, dtype=np.int32)
-        return ClassTruth(np.zeros(rows, dtype=bool), zero, {}, zero - 1)
+        return ClassTruth(np.zeros(rows, bool), np.zeros(rows + 1, np.intp), np.zeros(0, np.int32))
 
 
 def truth_table(
@@ -151,8 +152,10 @@ def truth_table(
     ``gt[k]``, and row r is ``boxes[r]`` in table image ``row_image[r]``; rows
     may come in any image order. The IoU of every box with every ground-truth
     box of its image comes from ``geometry.paired_overlaps``, so it is
-    ``iou(box, gt_box)`` bit for bit. The ``iou50`` CorLoc hit is a match candidate; ``center`` asks
-    that the box's center lie inside a ground-truth box, boundary included.
+    ``iou(box, gt_box)`` bit for bit. The ``iou50`` CorLoc hit is a match
+    candidate; ``center`` asks that the box's center lie inside a ground-truth
+    box, boundary included. One pass over ``gt`` numbers its boxes and gives
+    ``gt_counts``; candidates are split by class once, after the chunks.
     """
     if len(set(image_ids)) != len(image_ids):
         raise ValueError("image_ids must be unique within a table")
@@ -162,13 +165,18 @@ def truth_table(
         raise ValueError(f"{len(image_ids)} image ids but {len(gt)} images")
     if len(row_image) != len(boxes) or ((row_image < 0) | (row_image >= len(gt))).any():
         raise ValueError(f"row_image must name one of the {len(gt)} table images per box")
-    # Ground-truth boxes are numbered image after image, class by class.
+    # One pass over the ground truth: (class, image, box count) for each class it names.
     names: dict[str, int] = {}
-    gt_class = np.fromiter(
-        (names.setdefault(name, len(names)) for t in gt for name, bs in t.items() for _ in bs), int
-    )
+    cells = [
+        (names.setdefault(name, len(names)), k, len(bs))
+        for k, t in enumerate(gt)
+        for name, bs in t.items()
+    ]
+    cell_class, cell_image, size = np.array(cells, dtype=np.intp).reshape(-1, 3).T
+    # Ground-truth boxes are numbered image after image, class by class.
+    gt_class = np.repeat(cell_class, size)
     gt_boxes = box_array(b for t in gt for bs in t.values() for b in bs)
-    n_gt = np.fromiter((sum(map(len, t.values())) for t in gt), int, len(gt))
+    n_gt = np.bincount(np.repeat(cell_image, size), minlength=len(gt))
     # Row r's pairs with its image's ground truth are numbered from ends[r] - per_row[r];
     # adding shift[r] turns a pair's number into its ground-truth box's number.
     per_row = n_gt[row_image]
@@ -176,9 +184,7 @@ def truth_table(
     shift = (np.cumsum(n_gt) - n_gt)[row_image] - (ends - per_row)
     total = len(row_image)
     hit = np.zeros((len(names), total), dtype=bool)
-    candidates = np.zeros((len(names), total), dtype=np.int32)
-    best = np.full((len(names), total), -1, np.int32)
-    matches: list[dict[int, list[int]]] = [{} for _ in names]
+    found = [np.zeros((3, 0), dtype=np.intp)]  # (class, row, number) candidates by chunk
     start = 0
     while start < total:
         # At most PAIRS_PER_BATCH pairs a chunk, or one row.
@@ -198,40 +204,28 @@ def truth_table(
                 (g[:, 0] <= cx) & (cx <= g[:, 2]) & (g[:, 1] <= cy) & (cy <= g[:, 3])
             )
         hit[gt_class[number[localizes]], row[localizes]] = True
-        # By row and class, then IoU descending, then number: the order greedy
-        # matching tries, so each (class, row)'s best match comes first.
-        group = gt_class[number[candidate]]
-        order = np.lexsort((number[candidate], -ious[candidate], group, row[candidate]))
-        candidate, group = candidate[order], group[order]
-        rows, numbers = row[candidate], number[candidate]
-        np.add.at(candidates, (group, rows), 1)
-        first = np.ones(len(candidate), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (group[1:] != group[:-1])
-        best[group[first], rows[first]] = numbers[first]
-        for k, r, j in zip(group.tolist(), rows.tolist(), numbers.tolist()):
-            matches[k].setdefault(r, []).append(j)
+        # By row, then IoU descending, then number: the order greedy matching tries.
+        # Chunks come in row order, so each class's rows come in it, best match first.
+        order = candidate[np.lexsort((number[candidate], -ious[candidate], row[candidate]))]
+        found.append(np.stack((gt_class[number[order]], row[order], number[order])))
         start = stop
-    classes = {
-        name: ClassTruth(hit[k], candidates[k], matches[k], best[k]) for name, k in names.items()
-    }
+    group, rows, numbers = np.concatenate(found, axis=1)
+    classes = {}
+    for name, k in names.items():
+        if k in gt_class:
+            mine = group == k
+            starts = np.searchsorted(rows[mine], np.arange(total + 1))
+            classes[name] = ClassTruth(hit[k], starts, numbers[mine].astype(np.int32))
     # Table images in image_id order; argsort inverts that order into each image's rank.
     order = sorted(range(len(image_ids)), key=image_ids.__getitem__)
     rank = np.argsort(order)
-    # One pass over the ground truth: (class, image, box count) for each class it names.
-    counted: dict[str, int] = {}
-    cells = [
-        (counted.setdefault(name, len(counted)), k, len(bs))
-        for k, t in enumerate(gt)
-        for name, bs in t.items()
-    ]
-    group, image, size = np.array(cells, dtype=np.intp).reshape(-1, 3).T
-    gt_counts = np.zeros((len(counted), len(gt)), dtype=np.int32)
-    gt_counts[group, rank[image]] = size
+    gt_counts = np.zeros((len(names), len(gt)), dtype=np.int32)
+    gt_counts[cell_class, rank[cell_image]] = size
     return TruthTable(
         image_ids=tuple(image_ids),
         image_rank=rank[row_image],
         classes=classes,
-        gt_counts=dict(zip(counted, gt_counts)),
+        gt_counts=dict(zip(names, gt_counts)),
     )
 
 
@@ -273,25 +267,25 @@ def _true_positives(truth: ClassTruth, ranked: np.ndarray) -> np.ndarray:
     """Greedy TP flags in rank order: each row takes its best untaken ground-truth box.
 
     Between rows with several candidates, each stretch of rows with one
-    candidate resolves at once: a row is a TP when it is the stretch's first
-    to reach an untaken box. A row with several walks its ``matches``.
+    candidate resolves at once: a row is a TP when it is the stretch's first to
+    reach an untaken box. A row with several walks its run of ``matches``; only
+    the ranked rows' ``starts`` are read.
     """
     flags = np.zeros(len(ranked), dtype=bool)
-    at = np.flatnonzero(truth.candidates[ranked])
-    rows = ranked[at]
-    best = truth.best[rows]
-    several = np.flatnonzero(truth.candidates[rows] > 1).tolist()
-    reach = [int(best.max(initial=-1)), *(max(truth.matches[r]) for r in rows[several].tolist())]
-    taken = np.zeros(max(reach) + 1, dtype=bool)
+    starts, stops = truth.starts[ranked], truth.starts[ranked + 1]
+    at = np.flatnonzero(stops > starts)
+    best = truth.matches[starts[at]]
+    several = np.flatnonzero(stops[at] - starts[at] > 1).tolist()
+    taken = np.zeros(int(truth.matches.max(initial=-1)) + 1, dtype=bool)
     start = 0
-    for stop in [*several, len(rows)]:
+    for stop in [*several, len(at)]:
         stretch = best[start:stop]
         _, first = np.unique(stretch, return_index=True)
         first = first[~taken[stretch[first]]]
         flags[at[start + first]] = True
         taken[stretch[first]] = True
-        if stop < len(rows):
-            for j in truth.matches[int(rows[stop])]:
+        if stop < len(at):
+            for j in truth.matches[starts[at[stop]] : stops[at[stop]]].tolist():
                 if not taken[j]:
                     taken[j] = flags[at[stop]] = True
                     break

@@ -97,7 +97,7 @@ MAX_ITERATIONS = 100
 
 
 class FeatureDimensionError(ValueError):
-    """Raised for a missing, mismatched or too large feature, or a mismatched prototype."""
+    """Raised for a missing, mismatched or too large feature or prototype."""
 
 
 def abbreviate(value: int) -> str:
@@ -424,6 +424,10 @@ def score_table(
         if prototype.shape != (scorer.feature_dim,):
             found = f"{name}: prototype has shape {prototype.shape}"
             raise FeatureDimensionError(f"{found}, scorer expects ({scorer.feature_dim},)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = prototype @ prototype
+        if not np.isfinite(square):
+            raise FeatureDimensionError(f"{name}: prototype is too large to score")
     features = _Features(world)
     bad = np.flatnonzero(features.dims != scorer.feature_dim)
     if bad.size:

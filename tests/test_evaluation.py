@@ -400,6 +400,18 @@ def tied_world():
     return world
 
 
+def duplicate_a_box(record):
+    """Annotate ``record``'s first box twice, so rows reaching it have two candidates."""
+    name, boxes = next((name, boxes) for name, boxes in record.gt_boxes.items() if boxes)
+    record.gt_boxes[name] = [*boxes, boxes[0]]
+
+
+def runs(truth):
+    """Each row's run of ``truth.matches``, as a list."""
+    starts = truth.starts.tolist()
+    return [truth.matches[a:b].tolist() for a, b in zip(starts, starts[1:])]
+
+
 def world_rows(world):
     """``truth_table``'s arguments for ``world``, one row per proposal in world order."""
     return (
@@ -431,6 +443,7 @@ class TestAgainstReference:
     def test_truth_rows_do_not_depend_on_batching(self, corloc_variant, monkeypatch):
         world = generate_world(30, 3, seed=4)[::-1]
         world[7].gt_boxes["empty"] = []
+        duplicate_a_box(world[7])
         rows = world_rows(world)
         unbatched = truth_table(*rows, corloc_variant)
         monkeypatch.setattr(evaluation, "PAIRS_PER_BATCH", 64)
@@ -445,15 +458,23 @@ class TestAgainstReference:
         for name, counts in unbatched.gt_counts.items():
             assert np.array_equal(batched.gt_counts[name], counts), name
             assert counts.tolist() == [len(r.gt_boxes.get(name, [])) for r in by_rank], name
+        numbered = [b for t in rows[1] for bs in t.values() for b in bs]
+        boxes = [p.box for r in world for p in r.proposals]
+        several = 0
         for name, truth in unbatched.classes.items():
             other = batched.classes[name]
             assert np.array_equal(other.hit, truth.hit), name
             assert np.array_equal(other.candidates, truth.candidates), name
-            assert other.matches == truth.matches, name
-            assert np.array_equal(other.best, truth.best), name
-            # Each row's best match is the first it tries, -1 without candidates.
-            firsts = [truth.matches[r][0] if r in truth.matches else -1 for r in range(len(rows[2]))]
-            assert truth.best.tolist() == firsts, name
+            assert np.array_equal(other.starts, truth.starts), name
+            assert np.array_equal(other.matches, truth.matches), name
+            assert truth.starts.shape == (len(boxes) + 1,) and truth.matches.dtype == np.int32
+            several += int(np.count_nonzero(truth.candidates > 1))
+            # Each non-empty run starts with the row's best: highest IoU, ties by number.
+            for box, run in zip(boxes, runs(truth)):
+                if run:
+                    assert run[0] == min(run, key=lambda j: (-iou(box, numbered[j]), j)), name
+        # The duplicated box gives rows two candidates, gathered across chunk boundaries.
+        assert several
 
     @pytest.mark.parametrize("corloc_variant", ["iou50", "center"])
     def test_truth_rows_do_not_depend_on_row_order(self, corloc_variant, monkeypatch):
@@ -461,6 +482,7 @@ class TestAgainstReference:
         monkeypatch.setattr(evaluation, "PAIRS_PER_BATCH", 64)
         world = generate_world(30, 3, seed=4)[::-1]
         world[7].gt_boxes["empty"] = []
+        duplicate_a_box(world[7])
         image_ids, gt, row_image, boxes = world_rows(world)
         grouped = truth_table(image_ids, gt, row_image, boxes, corloc_variant)
         order = np.random.default_rng(8).permutation(len(boxes))
@@ -471,13 +493,14 @@ class TestAgainstReference:
         for name, counts in grouped.gt_counts.items():
             assert np.array_equal(shuffled.gt_counts[name], counts), name
         assert set(shuffled.classes) == set(grouped.classes)
+        assert any((truth.candidates > 1).any() for truth in grouped.classes.values())
         for name, truth in grouped.classes.items():
             other = shuffled.classes[name]
             assert np.array_equal(other.hit, truth.hit[order]), name
             assert np.array_equal(other.candidates, truth.candidates[order]), name
-            moved = {r: truth.matches[j] for r, j in enumerate(order) if j in truth.matches}
-            assert other.matches == moved, name
-            assert np.array_equal(other.best, truth.best[order]), name
+            # Row r's run is row order[r]'s run of the grouped table.
+            grouped_runs = runs(truth)
+            assert runs(other) == [grouped_runs[j] for j in order.tolist()], name
 
     @pytest.mark.parametrize("variant", ["iou50", "center"])
     @given(
@@ -624,9 +647,9 @@ def reference_ap11(flags, num_gt):
 
 def reference_true_positives(truth, ranked):
     positives, taken = [], set()
-    candidate = np.flatnonzero(truth.candidates[ranked])
-    for r, row in zip(candidate.tolist(), ranked[candidate].tolist()):
-        for j in truth.matches[row]:
+    starts = truth.starts.tolist()
+    for r, row in enumerate(ranked.tolist()):
+        for j in truth.matches[starts[row] : starts[row + 1]].tolist():
             if j not in taken:
                 taken.add(j)
                 positives.append(r)
@@ -639,12 +662,10 @@ def reference_true_positives(truth, ranked):
 def random_class_truth(rng, rows, boxes):
     """A ClassTruth of ``rows`` rows, each with 0-3 distinct candidates of ``boxes`` boxes."""
     counts = rng.integers(0, min(3, boxes) + 1, rows)
-    matches = {
-        r: rng.permutation(boxes)[:c].tolist() for r, c in enumerate(counts.tolist()) if c
-    }
-    best = np.array([matches[r][0] if r in matches else -1 for r in range(rows)], dtype=int)
+    matches = [rng.permutation(boxes)[:c] for c in counts.tolist()]
+    starts = np.concatenate(([0], np.cumsum(counts)))
     hit = rng.integers(0, 2, rows).astype(bool)
-    return ClassTruth(hit, counts.astype(np.int32), matches, best)
+    return ClassTruth(hit, starts, np.concatenate([np.zeros(0, int), *matches]).astype(np.int32))
 
 
 # Ties, both zeros, NaN and the infinities, which evaluate_picks does not refuse.
@@ -695,6 +716,5 @@ class TestArrayKernels:
         # at 0.8, between them in the order greedy matching tries.
         gt = [{"cat": [Box(0, 0, 10, 7), Box(0, 0, 10, 9)], "dog": [Box(0, 0, 10, 8)]}]
         table = truth_table(["img"], gt, np.zeros(1, dtype=int), np.array([GT_UNIT.as_tuple()]))
-        assert table.classes["cat"].matches == {0: [1, 0]}
-        assert table.classes["cat"].best.tolist() == [1]
-        assert table.classes["dog"].best.tolist() == [2]
+        assert runs(table.classes["cat"]) == [[1, 0]]
+        assert runs(table.classes["dog"]) == [[2]]

@@ -88,9 +88,8 @@ SLOTTED = [
     Detection("img", "cat", BOX, 0.5),
     ClassTruth(
         hit=np.ones(1, dtype=bool),
-        candidates=np.ones(1, dtype=int),
-        matches={0: [0]},
-        best=np.zeros(1, dtype=int),
+        starts=np.array([0, 1]),
+        matches=np.zeros(1, dtype=np.int32),
     ),
 ]
 

@@ -216,6 +216,16 @@ class TestScorer:
             score_table(world, scorer)
         assert str(info.value) == "class_1: prototype has shape (3,), scorer expects (16,)"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_prototype_too_large_to_score_is_named(self, value, monkeypatch):
+        world = generate_world(3, 2, seed=2)
+        scorer = CentroidScorer({"class_0": np.zeros(16), "class_1": np.full(16, value)}, 16)
+        # Refused before any score is computed, and without an overflow warning.
+        monkeypatch.setattr(refinement, "_row_dots", None)
+        with pytest.raises(FeatureDimensionError) as info:
+            score_table(world, scorer)
+        assert str(info.value) == "class_1: prototype is too large to score"
+
     def test_missing_feature_raises(self):
         scorer = CentroidScorer({"cat": np.zeros(4)}, feature_dim=4)
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9, None)])
