@@ -24,6 +24,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -197,24 +198,21 @@ def cmd_nms(args: argparse.Namespace, config: RefinementConfig) -> int:
 def cmd_select(args: argparse.Namespace, config: RefinementConfig) -> int:
     world = dataio.load_dataset(args.input)
     overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
-    columns, offsets = score_table(world, None), overlaps.offsets
-    # Every proposal is a candidate, in rank order: score descending, ties by region_id.
-    image, id_rank = np.repeat(np.arange(len(world)), np.diff(offsets)), overlaps.id_rank
-    ranked = {name: np.lexsort((id_rank, -column, image)) for name, column in columns.items()}
-    targets = count_targets(world, config)
+    columns = score_table(world, None)
+    # With no suppression bit set, every proposal survives, image by image in rank order.
+    ranked = suppress_columns(replace(overlaps, suppress=np.zeros_like(overlaps.suppress)), columns)
+    walked = walk_classes(overlaps, columns, ranked, count_targets(world, config))
+    picked = survivors_by_image(overlaps, {name: rows for name, (_, rows, _, _) in walked.items()})
     images: dict[str, Any] = {record.image_id: {} for record in world}
-    for name, (problems, rows, sizes, totals) in walk_classes(
-        overlaps, columns, ranked, targets
-    ).items():
-        goals, rows, ends = targets[name].tolist(), rows.tolist(), np.cumsum(sizes).tolist()
-        for k, size, end, total in zip(problems.tolist(), sizes.tolist(), ends, totals.tolist()):
+    for name, (problems, _, complete, totals) in walked.items():
+        for k, done, total in zip(problems.tolist(), complete.tolist(), totals.tolist()):
             record = world[k]
-            picked = [record.proposals[row - offsets[k]] for row in rows[end - size : end]]
+            chosen = [record.proposals[i] for i in picked[name][k]]
             images[record.image_id][name] = {
-                "selected": [p.region_id for p in picked],
-                "boxes": [list(p.box.as_tuple()) for p in picked],
+                "selected": [p.region_id for p in chosen],
+                "boxes": [list(p.box.as_tuple()) for p in chosen],
                 "total_score": total,
-                "complete": size == goals[k],
+                "complete": done,
             }
     return _write_report(args, config, {"format_version": dataio.FORMAT_VERSION, "images": images})
 

@@ -6,29 +6,30 @@ absent, outside the mean metrics. A detection matches a ground-truth box at
 the PASCAL criterion, IoU >= 0.5 (``MATCH_IOU``).
 
 Every metric works from a ``TruthTable``, which ``truth_table`` builds for a
-set of images. It holds one row per box, each keyed by its image, in any
-image order, and for each class with ground truth each row's CorLoc hit and,
-in one CSR record (row starts into a flat array), the class's boxes in the
-row's image that it reaches IoU 0.5 with, best first. It also counts each
-named class's boxes per image. ``evaluate_picks`` is the one evaluation core:
-for each class it takes picked rows in pick order with aligned confidences,
-ranks them with one unstable ``argsort`` plus a sort of the tied runs only
-(the order of one stable two-key lexsort), matches greedily over the rows
-with candidates only, a stretch of one-candidate rows at a time, reads
-11-point AP from one precision envelope and CorLoc from each image's first
-ranked row, and assembles the report. ``build_report``, ``slice_by_count``
-(that report with its count buckets, each a view of the table that keeps one
-bucket's box counts), ``match_detections`` and ``corloc`` (the report's
-CorLoc of one class) build one table with a row per ``Detection``, in input
-order, whose table images are (image, class) pairs, so each detection meets
-only its own class's boxes; the refinement loop builds one over its proposals
-once per run, a table image per image, and picks its NMS survivors' rows.
+set of images. It holds one row per box, each keyed by its image, in any image
+order, and for each class with ground truth each row's CorLoc hit and, in one
+CSR record (row starts into a flat array), the class's boxes in the row's
+image that it reaches IoU 0.5 with, best first. It also counts each named
+class's boxes per image. ``evaluate_picks`` is the one evaluation core: for
+each class it takes picked rows in pick order with aligned confidences, ranks
+them with one unstable ``argsort`` plus a sort of the tied runs only (the
+order of one stable two-key lexsort), matches greedily over the rows with
+candidates only, a stretch of one-candidate rows at a time, reads 11-point AP
+from one precision envelope and CorLoc from each image's first ranked row, and
+assembles the report. ``build_report``, ``slice_by_count`` (that report with
+its count buckets, each a view of the table that keeps one bucket's box
+counts), ``match_detections`` and ``corloc`` (the report's CorLoc of one
+class; both file every detection as class ``""``) build one table with a row
+per ``Detection``, in input order, whose table images are (image, class)
+pairs, so each detection meets only its own class's boxes; the refinement loop
+builds one over its proposals once per run, a table image per image, and picks
+its NMS survivors' rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -297,20 +298,18 @@ def _detection_picks(
     detections: Sequence[Detection],
     gt: Mapping[str, Mapping[str, Sequence[Box]]],
     corloc_variant: str,
-    keys: Iterable[tuple[str, str]] | None = None,
 ) -> tuple[TruthTable, Picks]:
     """A table with one row per detection, in input order, and each class's rows and confidences.
 
-    Row r is ``detections[r]``'s box in the table image named by the r-th
-    of ``keys``, by default the detection's ``(image_id, class_id)``. A
-    table image's ground truth is that class's boxes in that image, so a row
-    meets only its own class's boxes. Each (image, class) pair that ``gt``
-    names and no row has follows, as a table image without rows.
+    Row r is ``detections[r]``'s box in the table image keyed by its
+    ``(image_id, class_id)``. A table image's ground truth is that class's
+    boxes in that image, so a row meets only its own class's boxes. Each
+    (image, class) pair that ``gt`` names and no row has follows, as a table
+    image without rows.
     """
     n = len(detections)
-    if keys is None:
-        keys = ((d.image_id, d.class_id) for d in detections)
     codes: dict[tuple[str, str], int] = {}
+    keys = ((d.image_id, d.class_id) for d in detections)
     row_image = np.fromiter((codes.setdefault(key, len(codes)) for key in keys), int, n)
     names: dict[str, int] = {}
     key_class = np.fromiter((names.setdefault(name, len(names)) for _, name in codes), int)
@@ -336,9 +335,9 @@ def match_detections(
     one detection, so duplicates become false positives.
     """
     # One class, "": every detection is matched against its image's boxes.
-    keys = ((d.image_id, "") for d in detections)
+    filed = [Detection(d.image_id, "", d.box, d.confidence) for d in detections]
     gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
-    table, picks = _detection_picks(detections, gt, "iou50", keys)
+    table, picks = _detection_picks(filed, gt, "iou50")
     ranked, _ = _ranked(table, *picks.get("", _NO_PICKS))
     return _true_positives(table.truth(""), ranked).tolist()
 
@@ -393,9 +392,9 @@ def corloc(
     counts for the image it is filed under; images without ground truth are
     ignored, and with no positive images the rate is undefined (None).
     """
-    tops = {key: d for key, d in top_detections.items() if d}
+    tops = [Detection(key, "", d.box, d.confidence) for key, d in top_detections.items() if d]
     gt = {image_id: {"": boxes} for image_id, boxes in gt_boxes.items()}
-    table, picks = _detection_picks(list(tops.values()), gt, variant, ((key, "") for key in tops))
+    table, picks = _detection_picks(tops, gt, variant)
     return evaluate_picks(table, picks).per_class_corloc.get("")
 
 

@@ -14,26 +14,27 @@ Boxes and ground truth never change during a run, and the suppression and
 selection thresholds are fixed by the run's config, so ``run_adr``, like every
 dataset-level caller, builds every image's masks once, in one batched pass
 over the world (``selection.world_overlaps``). The run likewise matches every
-proposal against its image's ground truth once (``ground_truth_table``), in a
-table whose row r is stacked proposal r: the run's only record of ground
-truth. A score table (``score_table``) is one ``(N,)`` array per class, in the
-same row order; no per-image table is kept. Each table is suppressed once, by
-one ``selection.suppress_columns`` pass over the arrays (one array step per
-rank position for all images of a proposal count, classes stacked), into
-every (image, class) survivor as table rows. Its evaluation gathers their
+proposal's corners (the overlaps' ``boxes``) against its image's ground truth
+once (``ground_truth_table``, the one truth-table builder), in a table whose
+row r is stacked proposal r: the run's only record of ground truth. A score
+table (``score_table``) is one ``(N,)`` array per class, in the same row
+order; no per-image table is kept. Each table is suppressed once, by one
+``selection.suppress_columns`` pass over the arrays (one array step per rank
+position for all images of a proposal count, classes stacked), into every
+(image, class) survivor as table rows. Its evaluation gathers their
 confidences from the arrays and passes both to ``evaluation.evaluate_picks``,
 with no ``Detection`` objects. The next selection is one ``select_pseudo_gt``
 call over the same table, overlaps and survivors: every (image, positive
 class) problem is walked at once (``selection.walk_classes``) over the
 conflict words to its count target, reading no threshold, and the pseudo
-ground truth comes back as table rows (``PseudoGroundTruth``). Every purity
-count reads the table's candidate counts at those rows. Features never change
-either, so ``run_adr`` stacks them once into a private feature state
-(``_Features``), which also keeps the run's count targets: each rescoring
-computes all of a class's scores in one stacked kernel, and retraining
-averages the selected rows by index. ``run_adr`` checks the initial score
-table up front, ``select_pseudo_gt`` and ``detections_from_scores`` the one
-they are given.
+ground truth comes back as table rows with the walk's complete flags
+(``PseudoGroundTruth``). Every purity count reads the table's candidate counts
+at those rows. Features never change either, so ``run_adr`` stacks them once
+into a private feature state (``_Features``), which also keeps the run's count
+targets: each rescoring computes all of a class's scores in one stacked
+kernel, and retraining averages the selected rows by index. ``run_adr`` checks
+the initial score table up front, ``select_pseudo_gt`` and
+``detections_from_scores`` the one they are given.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .evaluation import (
     evaluate_picks,
     truth_table,
 )
-from .geometry import box_array
 from .selection import (
     DEFAULT_NMS_THRESHOLD,
     DEFAULT_OVERLAP_THRESHOLD,
@@ -219,19 +219,13 @@ def score_proposals(scorer: CentroidScorer, image: ImageRecord) -> dict[str, lis
 
 
 def ground_truth_table(
-    world: Sequence[ImageRecord], corloc_variant: str = "iou50"
+    world: Sequence[ImageRecord], boxes: np.ndarray, corloc_variant: str = "iou50"
 ) -> TruthTable:
     """Match every proposal of ``world`` against its image's ground truth.
 
-    Table image k is ``world[k]``, and row r is the world's r-th proposal.
+    ``boxes`` holds their ``(N, 4)`` corners in stacked row order, as in
+    ``WorldOverlaps.boxes``; table image k is ``world[k]``, and row r is box r.
     """
-    return _truth_table(world, box_array(p.box for r in world for p in r.proposals), corloc_variant)
-
-
-def _truth_table(
-    world: Sequence[ImageRecord], boxes: np.ndarray, corloc_variant: str
-) -> TruthTable:
-    """``ground_truth_table(world, corloc_variant)`` from the world's ``(N, 4)`` box corners."""
     return truth_table(
         [record.image_id for record in world],
         [record.gt_boxes for record in world],
@@ -302,14 +296,11 @@ def select_pseudo_gt(
         record = next(r for r in features if not unread.isdisjoint(r.positive_classes()))
         name = next(name for name in record.positive_classes() if name in unread)
         raise ValueError(f"{record.image_id}: {name} has no score column or survivors")
-    rows, complete = {}, {}
-    for name, (images, picked, sizes, _) in walk_classes(
-        overlaps, columns, survivors, targets
-    ).items():
-        rows[name] = picked
-        complete[name] = np.zeros(len(features), dtype=bool)
-        complete[name][images] = sizes == targets[name][images]
-    return PseudoGroundTruth(rows, complete)
+    walked = walk_classes(overlaps, columns, survivors, targets)
+    complete = {name: np.zeros(len(features), dtype=bool) for name in walked}
+    for name, (images, _, done, _) in walked.items():
+        complete[name][images] = done
+    return PseudoGroundTruth({name: rows for name, (_, rows, _, _) in walked.items()}, complete)
 
 
 def _check_rows(kind: str, rows: Mapping[str, np.ndarray], total: int) -> None:
@@ -499,7 +490,7 @@ def run_adr(world: Sequence[ImageRecord], config: RefinementConfig) -> Refinemen
     world = _Features(world)
     overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
     # The overlaps hold the run's one conversion of its boxes to corners.
-    table = _truth_table(world, overlaps.boxes, config.corloc_variant)
+    table = ground_truth_table(world, overlaps.boxes, config.corloc_variant)
     report = RefinementReport(config=config)
     scorer: CentroidScorer | None = None
     columns = score_table(world, scorer)

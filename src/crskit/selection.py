@@ -13,10 +13,11 @@ overlap with the threshold once, when they are built. Dataset-level callers
 (refinement, ``crskit nms``/``select``) build all images' masks in one batched
 pass (``world_overlaps``), as packed ``uint64`` suppression and conflict
 words with one row per proposal; suppress a whole score table at once over
-the suppression words (``suppress_columns``, split per image by
-``survivors_by_image`` for ``crskit nms`` and detections); and walk every
-(image, class) selection problem of the world at once (``walk_classes`` hands
-them to ``greedy_walks``, one array step per walk position).
+the suppression words (``suppress_columns``; zeroed words keep every
+proposal in rank order, ``crskit select``'s ranking), split per image by
+``survivors_by_image``; and walk every (image, class) selection problem of
+the world at once (``walk_classes`` hands them to ``greedy_walks``, one
+array step per walk position, and flags each complete selection).
 ``nms``, ``crs_greedy`` and ``crs_exact`` build the Python-int masks of one
 ``ScoredRegion`` problem (``conflict_masks``); ``crs_greedy`` walks them with
 ``greedy_walk``, the reference the batched walk keeps the bits of, and
@@ -358,8 +359,8 @@ def walk_classes(
     in world order and each image's in walk order, as ``suppress_columns``
     returns them; ``columns[c]`` its scores by row. Returns, for each class
     of ``targets``: its problems' images in world order, their selected rows
-    (problem by problem, each in selection order), each problem's selection
-    size and its total.
+    (problem by problem, each in selection order), whether each problem's
+    selection reached its target, and its total.
     """
     if not targets:
         return {}
@@ -377,10 +378,11 @@ def walk_classes(
     starts = np.concatenate([[0], np.cumsum(widths)])
     chosen, totals = greedy_walks(overlaps.conflict, starts, rows, positions, scores, line_targets)
     sizes = np.bincount(np.repeat(np.arange(len(widths)), widths)[chosen], minlength=len(widths))
+    complete = sizes == line_targets
     first, walked = np.cumsum([0] + [len(images) for images in problems.values()]), {}
     for (name, images), a, b in zip(problems.items(), first, first[1:]):
         span = slice(starts[a], starts[b])
-        walked[name] = images, rows[span][chosen[span]], sizes[a:b], totals[a:b]
+        walked[name] = images, rows[span][chosen[span]], complete[a:b], totals[a:b]
     return walked
 
 

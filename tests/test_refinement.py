@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from crskit import refinement
 from crskit.evaluation import Detection
-from crskit.geometry import Box, asymmetric_overlap, iou
+from crskit.geometry import Box, asymmetric_overlap, box_array, iou
 from crskit.refinement import (
     CentroidScorer,
     _Features,
@@ -61,6 +61,11 @@ def select_world(world, columns, config):
     overlaps = world_overlaps(world, config.nms_threshold, config.threshold)
     survivors = suppress_columns(overlaps, columns)
     return select_pseudo_gt(world, columns, overlaps, survivors, config)
+
+
+def world_boxes(world):
+    """The ``(N, 4)`` corners of every proposal of ``world``, in stacked row order."""
+    return box_array(p.box for record in world for p in record.proposals)
 
 
 def picks_by_image(world, pseudo_gt):
@@ -845,25 +850,29 @@ class TestSelectionPurity:
             )
             image.gt_boxes["cat"] = gt
             pseudo_gt = picked(cat=[0, 1])
-            assert selection_purity(pseudo_gt, [image], ground_truth_table([image])) == 0.5
+            table = ground_truth_table([image], world_boxes([image]))
+            assert selection_purity(pseudo_gt, [image], table) == 0.5
             assert is_pure_purity({"img_0": {"cat": (0, 1)}}, [image]) == 0.5
 
     def test_undefined_without_selections(self):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
+        table = ground_truth_table([image], world_boxes([image]))
         for pseudo_gt in (picked(), picked(cat=[])):
-            assert selection_purity(pseudo_gt, [image], ground_truth_table([image])) is None
+            assert selection_purity(pseudo_gt, [image], table) is None
 
     @pytest.mark.parametrize("row", [999, -1])
     def test_selected_row_outside_the_world_is_named(self, row):
         image = one_image([proposal(0, Box(0, 0, 10, 10), 0.9)])
+        table = ground_truth_table([image], world_boxes([image]))
         with pytest.raises(ValueError) as caught:
-            selection_purity(picked(cat=[0, row]), [image], ground_truth_table([image]))
+            selection_purity(picked(cat=[0, row]), [image], table)
         assert str(caught.value) == f"cat: selected row {row} is not in [0, 1)"
 
     def test_duplicate_region_ids_rejected(self):
         image = duplicate_ids_image()
         with pytest.raises(ValueError) as caught:
-            selection_purity(picked(cat=[0]), [image], ground_truth_table([image]))
+            table = ground_truth_table([image], world_boxes([image]))
+            selection_purity(picked(cat=[0]), [image], table)
         assert str(caught.value) == "img_0: region_ids must be unique within an image"
 
 
@@ -886,13 +895,13 @@ class TestGroundTruthTable:
         world = generate_world(4, 2, seed=2)
         for other in (world[:3], world[::-1]):
             with pytest.raises(ValueError):
-                selection_purity(picked(), world, ground_truth_table(other))
+                selection_purity(picked(), world, ground_truth_table(other, world_boxes(other)))
 
     def test_duplicate_image_ids_rejected(self):
         world = generate_world(2, 2, seed=2)
         world[1].image_id = world[0].image_id
         with pytest.raises(ValueError):
-            ground_truth_table(world)
+            ground_truth_table(world, world_boxes(world))
 
     @pytest.mark.parametrize("dog_boxes", [None, []])
     def test_counted_class_without_ground_truth_is_impure(self, dog_boxes):
@@ -901,7 +910,7 @@ class TestGroundTruthTable:
         if dog_boxes is not None:
             image.gt_boxes["dog"] = dog_boxes
         pseudo_gt = picked(cat=[0], dog=[0])
-        table = ground_truth_table([image])
+        table = ground_truth_table([image], world_boxes([image]))
         assert selection_purity(pseudo_gt, [image], table) == 0.5
         assert is_pure_purity({"img_0": {"cat": (0,), "dog": (0,)}}, [image]) == 0.5
 
@@ -913,7 +922,7 @@ class TestGroundTruthTable:
         )
         image.gt_boxes["cat"] = [Box(0, 0, 10, 10), Box(10, 0, 20, 10)]
         pseudo_gt = picked(cat=[0, 1])
-        table = ground_truth_table([image])
+        table = ground_truth_table([image], world_boxes([image]))
         assert selection_purity(pseudo_gt, [image], table) == 0.5
         assert is_pure_purity({"img_0": {"cat": (0, 1)}}, [image]) == 0.5
 
@@ -925,7 +934,8 @@ class TestGroundTruthTable:
         picks = picks_by_image(world, pseudo_gt)
         selected = {i: {c: ids for c, (ids, _) in p.items()} for i, p in picks.items()}
         expected = is_pure_purity(selected, world)
-        assert selection_purity(pseudo_gt, world, ground_truth_table(world)) == expected
+        table = ground_truth_table(world, world_boxes(world))
+        assert selection_purity(pseudo_gt, world, table) == expected
 
 
 def test_count_guidance_beats_baseline_across_seeds():

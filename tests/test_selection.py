@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -472,13 +473,20 @@ class TestSuppressColumns:
         # 1 puts every image in its own chunk; 200 stacks three images of 8 a chunk.
         st.sampled_from([1, 200, PAIRS_PER_BATCH]),
         st.integers(0, 2**32 - 1),
+        # Zeroed suppression words, as crskit select ranks: every proposal survives.
+        st.booleans(),
     )
-    @example(list(TestWorldOverlaps.COUNTS), 4, 0.5, 200, 0)
-    def test_survivors_equal_the_walks(self, counts, classes, nms_threshold, batch, seed):
+    @example(list(TestWorldOverlaps.COUNTS), 4, 0.5, 200, 0, False)
+    @example(list(TestWorldOverlaps.COUNTS), 4, 0.5, 200, 0, True)
+    def test_survivors_equal_the_walks(
+        self, counts, classes, nms_threshold, batch, seed, unsuppressed
+    ):
         rng = np.random.default_rng(seed)
         world = [grid_image(rng, f"img_{k}", n) for k, n in enumerate(counts)]
         with mock.patch.object(selection, "PAIRS_PER_BATCH", batch):
             overlaps = world_overlaps(world, nms_threshold, 0.1)
+        if unsuppressed:
+            overlaps = replace(overlaps, suppress=np.zeros_like(overlaps.suppress))
         offsets = np.cumsum([0] + counts)
         # Scores on a quarter grid tie within and across images.
         columns = {f"c{c}": rng.integers(0, 5, offsets[-1]) / 4 for c in range(classes)}
@@ -493,7 +501,11 @@ class TestSuppressColumns:
                 regions = [
                     ScoredRegion(p.box, s, p.region_id) for p, s in zip(image.proposals, scores)
                 ]
-                expected.append([position[r.region_id] for r in nms(regions, nms_threshold)])
+                if unsuppressed:
+                    regions.sort(key=lambda r: (-r.score, r.region_id))
+                else:
+                    regions = nms(regions, nms_threshold)
+                expected.append([position[r.region_id] for r in regions])
             assert by_image[name] == expected, name
             # Image by image in world order, each image's survivors in rank order.
             assert rows.tolist() == [
